@@ -121,6 +121,12 @@ class CampaignSpec:
 
 @dataclass
 class ExcessSummary:
+    """One (instance, algorithm) row of a campaign.
+
+    A cell whose run raised has a NaN final; failures counts those cells and
+    first_error holds the first one's message.
+    """
+
     instance: str
     algorithm: str
     rho: float | None
@@ -129,6 +135,8 @@ class ExcessSummary:
     mean_excess: float | None
     std_excess: float | None
     verdict: str = ""
+    failures: int = 0
+    first_error: str | None = None
 
 
 def load_instance(name: str, path: str):
@@ -155,8 +163,9 @@ def run_campaign(spec: CampaignSpec, instances: dict | None = None) -> list[Exce
     """Run every (instance, algorithm, seed) cell and summarize final excess.
 
     Pre-parsed instances can be supplied to skip file loading. Traces are
-    persisted under out_dir when set. Per-cell failures are recorded and do
-    not stop the campaign.
+    persisted under out_dir when set. A cell that raises does not stop the
+    campaign: its summary counts it and keeps the first error message, and
+    with out_dir set the error is also written next to the traces.
     """
     loaded = {}
     for name, path in spec.instances.items():
@@ -174,6 +183,7 @@ def run_campaign(spec: CampaignSpec, instances: dict | None = None) -> list[Exce
         target = spec.targets.get(name, default_target(name))
         for config in spec.algorithms:
             finals = []
+            errors = []
             rho = None
             for seed in spec.seeds:
                 cell = replace(config, seed=seed,
@@ -182,6 +192,7 @@ def run_campaign(spec: CampaignSpec, instances: dict | None = None) -> list[Exce
                     trace = run(cell, inst)
                 except Exception as err:  # noqa: BLE001 - cell isolation is the contract
                     finals.append(float("nan"))
+                    errors.append(f"{type(err).__name__}: {err}")
                     if spec.out_dir:
                         _persist_error(spec.out_dir, name, config.algorithm, seed, err)
                     continue
@@ -197,7 +208,9 @@ def run_campaign(spec: CampaignSpec, instances: dict | None = None) -> list[Exce
                 excesses, mean, std = None, None, None
             summary = ExcessSummary(instance=name, algorithm=config.algorithm,
                                     rho=rho, finals=finals, excesses=excesses,
-                                    mean_excess=mean, std_excess=std)
+                                    mean_excess=mean, std_excess=std,
+                                    failures=len(errors),
+                                    first_error=errors[0] if errors else None)
             summaries.append(summary)
             by_key[(name, config.algorithm)] = summary
 
@@ -231,6 +244,7 @@ def _persist_error(out_dir: str, instance: str, algorithm: str, seed: int, err: 
 
 
 def summary_csv(summaries: list[ExcessSummary], invocation: str = "") -> str:
+    """The campaign table; each row with failed cells adds a trailing comment line."""
     cols = ["instance", "algorithm", "rho", "mean_excess", "std_excess",
             "verdict", "finals"]
     lines = [f"# invocation: {invocation}" if invocation else "# invocation: (direct)",
@@ -244,4 +258,6 @@ def summary_csv(summaries: list[ExcessSummary], invocation: str = "") -> str:
             s.verdict,
             ";".join(repr(v) for v in s.finals),
         ]))
+    lines += [f"# failed: {s.instance} {s.algorithm}: {s.failures} of {len(s.finals)} "
+              f"cells, first: {s.first_error}" for s in summaries if s.failures]
     return "\n".join(lines) + "\n"

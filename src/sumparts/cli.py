@@ -2,7 +2,8 @@
 
 Every randomized subcommand takes a seed (default 0) that is echoed into its
 output, and every output file starts with the full invocation for provenance.
-Exit codes: 0 success, 2 usage/config error, 3 verification failure.
+Exit codes: 0 success, 2 usage/config error, 3 verification failure or a failed
+campaign cell.
 """
 
 from __future__ import annotations
@@ -152,6 +153,11 @@ def cmd_bench(args) -> int:
                         reference_algorithm=raw.get("reference_algorithm"))
     summaries = run_campaign(spec)
     sys.stdout.write(summary_csv(summaries, invocation=_invocation(args)))
+    failed = sum(s.failures for s in summaries)
+    if failed:
+        print(f"error: {failed} campaign cells failed (see the '# failed' lines)",
+              file=sys.stderr)
+        return VERIFY_ERROR
     return 0
 
 

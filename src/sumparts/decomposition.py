@@ -200,16 +200,6 @@ def sweep_a(inst, a_values, seed: int = 0) -> list[tuple[float, float]]:
     return out
 
 
-def nearest_split_for_rho(inst, target_rho: float, a_values, seed: int = 0) -> SplitCosts:
-    """Sweep the given shapes and return the split whose rho lands closest."""
-    best = None
-    for a in a_values:
-        split = sample_split(inst, SplitParams(a=a, seed=seed))
-        if best is None or abs(split.rho - target_rho) < abs(best.rho - target_rho):
-            best = split
-    return best
-
-
 def half_split(inst) -> SplitCosts:
     """The degenerate c1 = c2 = c/2 decomposition (rho = 1 when costs vary)."""
     if isinstance(inst, TspInstance):

@@ -9,10 +9,19 @@ Lin-Kernighan optimum after surcharging a few of its edges.
 Scan order is the same fixed lexicographic order local search uses, so the
 filtered scan consumes a subset of the unfiltered scan's evaluations on the
 same input.
+
+Two-hop scans run in blocks: one numpy call scores the whole neighborhoods of
+a block of neighbors (`two_hop_deltas`), and only the winning solution is
+built. FE charges stay exactly those of a sequential neighbor-by-neighbor
+scan, and a block never starts more neighbors than that scan would before
+`max_fe` runs out, so an FE cap still overshoots by at most one scan. A
+`max_wall` budget is checked between blocks, so it can overrun by one block
+(under 1 ms on eil51).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +62,58 @@ def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return (d1 <= 0.0) & (d2 <= 0.0) & ((d1 < 0.0) | (d2 < 0.0))
 
 
-def _inner_improvement(view, sol, neighbor_idx, delta, f_star, budget):
-    """Scan one neighbor's neighborhood for a solution strictly beating f_star."""
-    cand = view.neighbor(sol, neighbor_idx, delta)
-    threshold = f_star - view.value(cand)
-    k = view.first_improvement(cand, threshold, budget)
-    if k is None:
-        return None
-    view.apply(cand, k)
-    return cand
+# Deltas scored per block of a two-hop scan: 13 neighbors on eil51, 16 on a
+# 1000-variable UBQP. Enough to amortize numpy's per-call cost, while each
+# 8-byte temporary stays under 128 kB, glibc's default threshold for giving
+# an allocation its own mapping. Twice the size scanned eil51 about 7% faster
+# but added 1.3 MB to peak memory.
+BLOCK_DELTAS = 1 << 14
+
+
+def two_hop_blocks(view, sol, ks, d, budget: Budget | None = None):
+    """Score the neighborhoods of sol's neighbors ks, in order, a block at a time.
+
+    d holds sol's own move deltas. Yields (block, hits): hits[i, j] says
+    whether move j of neighbor block[i] reaches a solution strictly better
+    than sol. With a budget, it is checked before every block, and a block
+    holds no more neighbors than a sequential scan would start before
+    max_fe runs out; the caller charges what it uses.
+    """
+    size = view.size
+    f_star = view.value(sol)
+    cap = max(1, BLOCK_DELTAS // size)
+    start = 0
+    while start < len(ks):
+        rows = cap
+        if budget is not None:
+            if budget.exhausted():
+                return
+            if budget.max_fe is not None:
+                rows = min(rows, math.ceil((budget.max_fe - budget.consumed_fe) / size))
+        block = ks[start:start + rows]
+        deltas, values = view.two_hop_deltas(sol, block, d)
+        threshold = (f_star - values)[:, None]
+        yield block, (deltas < threshold if view.sense == MINIMIZE else deltas > threshold)
+        start += len(block)
+
+
+def _first_two_hop(view, sol, ks, d, budget: Budget):
+    """The first solution two hops from sol strictly better than it, else sol.
+
+    Charges what a sequential scan evaluates: a whole neighborhood per
+    neighbor that fails, and up to the hit in the one that succeeds.
+    """
+    for block, hits in two_hop_blocks(view, sol, ks, d, budget):
+        first = int(hits.argmax())
+        if not hits.flat[first]:
+            budget.charge(hits.size)
+            continue
+        budget.charge(first + 1)
+        k = int(block[first // view.size])
+        cand = view.neighbor(sol, k, float(d[k]))
+        view.apply(cand, first % view.size)
+        return cand
+    return sol
 
 
 def nds(sol, view, budget: Budget | None = None):
@@ -75,30 +127,16 @@ def nds(sol, view, budget: Budget | None = None):
     if view.split is None:
         raise ValueError("nds requires a split-aware neighborhood view")
     budget = budget if budget is not None else unlimited()
-    f_star = view.value(sol)
     d, d1, d2 = view.split_deltas(sol, budget)
     dominated = dominated_mask(view.sense, d1, d2)
-    for k in np.flatnonzero(~dominated):
-        if budget.exhausted():
-            return sol
-        got = _inner_improvement(view, sol, int(k), float(d[k]), f_star, budget)
-        if got is not None:
-            return got
-    return sol
+    return _first_two_hop(view, sol, np.flatnonzero(~dominated), d, budget)
 
 
 def ens(sol, view, budget: Budget | None = None):
     """The same two-hop escape without the dominance filter (scans every x')."""
     budget = budget if budget is not None else unlimited()
-    f_star = view.value(sol)
     d = view.deltas(sol, budget)
-    for k in range(view.size):
-        if budget.exhausted():
-            return sol
-        got = _inner_improvement(view, sol, k, float(d[k]), f_star, budget)
-        if got is not None:
-            return got
-    return sol
+    return _first_two_hop(view, sol, np.arange(view.size), d, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ class TspInstance:
     sense = MINIMIZE
 
     def __post_init__(self):
-        c = np.asarray(self.costs, dtype=np.float64)
+        c = np.ascontiguousarray(self.costs, dtype=np.float64)
         if self.n < 4:
             raise ValueError(f"TSP needs n >= 4, got n={self.n}")
         if c.shape != (self.n, self.n):
@@ -309,8 +309,8 @@ class BitVector:
 
     gains[i] is f(flip_i(z)) - f(z) and is kept current through flips.
     When built with a split, value1/gains1 track the first sub-objective the
-    same way (the second follows by subtraction); mat1 is kept so flips can
-    maintain them.
+    same way (the second follows by subtraction); the split is kept so flips
+    can maintain them and rebuilds can restore them.
     """
 
     bits: np.ndarray
@@ -318,13 +318,13 @@ class BitVector:
     gains: np.ndarray
     value1: float | None = None
     gains1: np.ndarray | None = None
-    mat1: np.ndarray | None = None
+    split: object | None = None  # the SplitCosts value1/gains1 follow
 
     def copy(self) -> "BitVector":
         return BitVector(self.bits.copy(), self.cached_value, self.gains.copy(),
                          self.value1,
                          None if self.gains1 is None else self.gains1.copy(),
-                         self.mat1)
+                         self.split)
 
     @property
     def n(self) -> int:
@@ -353,12 +353,8 @@ def make_bitvector(inst: QuboInstance, bits, split=None) -> BitVector:
     if split is not None:
         bv.value1 = qubo_value(inst, z, split.mat1)
         bv.gains1 = _flip_gains(split.mat1, z)
-        bv.mat1 = split.mat1
+        bv.split = split
     return bv
-
-
-def random_bitvector(inst: QuboInstance, rng: np.random.Generator, split=None) -> BitVector:
-    return make_bitvector(inst, rng.integers(0, 2, size=inst.n).astype(np.float64), split)
 
 
 def flip_delta_and_update(inst: QuboInstance, bv: BitVector, i: int, split=None):
@@ -379,7 +375,7 @@ def flip_delta_and_update(inst: QuboInstance, bv: BitVector, i: int, split=None)
     out = delta
     if bv.gains1 is not None:
         d1 = float(bv.gains1[i])
-        bv.gains1 += (2.0 * s[i]) * bv.mat1[i] * s
+        bv.gains1 += (2.0 * s[i]) * bv.split.mat1[i] * s
         bv.gains1[i] = -d1
         bv.value1 += d1
         if split is not None:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .escape import dominated_mask
-from .instances import MINIMIZE
+from .escape import dominated_mask, two_hop_blocks
 from .search import descend, neighborhood_for, unlimited
 
 
@@ -76,18 +75,8 @@ def promising_flags(x_star, view) -> np.ndarray:
     Split-independent, so the flags can be reused across decompositions.
     Exhaustive two-hop scan; ties with the optimum do not count.
     """
-    f_star = view.value(x_star)
-    d = view.deltas(x_star)
-    flags = np.zeros(view.size, dtype=bool)
-    for k in range(view.size):
-        cand = view.neighbor(x_star, k, float(d[k]))
-        inner = view.deltas(cand)
-        threshold = f_star - view.value(cand)
-        if view.sense == MINIMIZE:
-            flags[k] = bool(np.any(inner < threshold))
-        else:
-            flags[k] = bool(np.any(inner > threshold))
-    return flags
+    blocks = two_hop_blocks(view, x_star, np.arange(view.size), view.deltas(x_star))
+    return np.concatenate([hits.any(axis=1) for _, hits in blocks])
 
 
 def classify_neighbors(x_star, view, promising: np.ndarray | None = None) -> NeighborStats:
@@ -150,15 +139,6 @@ def expected_fe_plain(stats: NeighborStats, n_moves: int | None = None) -> float
     if stats.p <= 0.0:
         return float("inf")
     return n * n / stats.p
-
-
-def classification_table(inst, split, optima, view=None) -> NeighborStats:
-    """Aggregate classification of many optima under one split."""
-    from .search import neighborhood_for as _nf
-
-    view = view if view is not None else _nf(inst, split)
-    rows = [classify_neighbors(x, view) for x in optima]
-    return aggregate_stats(rows)
 
 
 def table_csv(rows: list[dict], invocation: str = "") -> str:

@@ -10,7 +10,7 @@ best-so-far value at every improvement plus geometric FE checkpoints.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -175,38 +175,6 @@ def run(config: SolverConfig, inst) -> RunTrace:
             return _run_its_family(config, inst)
         return _run_ils_family(config, inst)
     raise TypeError(f"unsupported instance type: {type(inst).__name__}")
-
-
-def run_ils(config: SolverConfig, inst) -> RunTrace:
-    return _run_ils_family(replace(config, algorithm="ils"), inst)
-
-
-def run_ils_nds(config: SolverConfig, inst) -> RunTrace:
-    return _run_ils_family(replace(config, algorithm="ils_nds"), inst)
-
-
-def run_ils_ens(config: SolverConfig, inst) -> RunTrace:
-    return _run_ils_family(replace(config, algorithm="ils_ens"), inst)
-
-
-def run_its(config: SolverConfig, inst: QuboInstance) -> RunTrace:
-    return _run_its_family(replace(config, algorithm="its"), inst)
-
-
-def run_its_nds(config: SolverConfig, inst: QuboInstance) -> RunTrace:
-    return _run_its_family(replace(config, algorithm="its_nds"), inst)
-
-
-def run_ilk(config: SolverConfig, inst: TspInstance) -> RunTrace:
-    return _run_ilk_family(replace(config, algorithm="ilk"), inst)
-
-
-def run_ilk_e(config: SolverConfig, inst: TspInstance) -> RunTrace:
-    return _run_ilk_family(replace(config, algorithm="ilk_e"), inst)
-
-
-def run_ilk_nde(config: SolverConfig, inst: TspInstance) -> RunTrace:
-    return _run_ilk_family(replace(config, algorithm="ilk_nde"), inst)
 
 
 def _solution_state(sol):

@@ -6,6 +6,12 @@ overshoot its budget by at most one scan. First-improvement scans use a fixed
 lexicographic move order and restart from the first move after each accepted
 move, which makes every seeded run exactly reproducible.
 
+The two-hop escape scans (escape.py) run in blocks: `two_hop_deltas` scores
+the whole neighborhoods of several neighbors per numpy call. Their FE charges
+stay exactly those of a sequential scan, and an FE cap still overshoots by at
+most one scan; a `max_wall` budget is checked only between blocks, so it can
+overrun by one block (under 1 ms on eil51).
+
 Lin-Kernighan is the exception to full scans: its unit of work is one chain,
 anchored at a (city, direction) pair taken from a FIFO queue of active
 cities. It checks the budget between chains, so it overshoots by at most one
@@ -106,6 +112,9 @@ class TwoOptNeighborhood:
         self.split = split
         self.p, self.q = _two_opt_moves(inst.n)
         self.size = self.p.shape[0]
+        self._p1 = self.p + 1
+        self._succ = np.roll(np.arange(inst.n), -1)
+        self._scratch = None  # two_hop_deltas' temporaries, reused across calls
 
     def deltas(self, tour: Tour, budget: Budget | None = None) -> np.ndarray:
         """f deltas of every move, charging one FE per move."""
@@ -151,6 +160,41 @@ class TwoOptNeighborhood:
         k = int(hits[0])
         budget.charge(k + 1)
         return k
+
+    def two_hop_deltas(self, tour: Tour, ks: np.ndarray, d: np.ndarray):
+        """Deltas of every move of the neighbors ks, one row each, and their values.
+
+        Row i equals deltas() of neighbor(tour, ks[i]) bit for bit: each row
+        gathers the same costs and adds them in the same order, through the
+        position permutation that reverses the neighbor's segment, so no
+        neighbor is materialized. d holds the tour's own move deltas.
+        The index temporaries live in buffers kept between calls: allocated
+        per call, they page-faulted about 7 times per eil51 row.
+        """
+        n, rows = self.inst.n, len(ks)
+        if self._scratch is None or self._scratch[0].shape[0] < rows:
+            self._scratch = (np.empty((rows, self.size), dtype=np.intp),
+                             np.empty((rows, self.size), dtype=np.intp),
+                             np.empty((rows, self.size)))
+        idx, tmp, cost = (a[:rows] for a in self._scratch)
+        lo = self._p1[ks, None]
+        hi = self.q[ks, None]
+        i = np.arange(n)
+        t = tour.order[np.where((i >= lo) & (i <= hi), lo + hi - i, i)]
+        nxt = t.take(self._succ, axis=1)
+        tn = t * n
+        costs = self.inst.costs.ravel()
+        edge = costs.take(tn + nxt)
+        # m[a, c] + m[b, d] - m[a, b] - m[c, d], as in deltas()
+        tn.take(self.p, axis=1, out=idx, mode="clip")
+        idx += t.take(self.q, axis=1, out=tmp, mode="clip")
+        out = costs.take(idx)
+        tn.take(self._p1, axis=1, out=idx, mode="clip")
+        idx += nxt.take(self.q, axis=1, out=tmp, mode="clip")
+        out += costs.take(idx, out=cost, mode="clip")
+        out -= edge.take(self.p, axis=1, out=cost, mode="clip")
+        out -= edge.take(self.q, axis=1, out=cost, mode="clip")
+        return out, tour.cached_cost + d[ks]
 
     def move_delta(self, tour: Tour, k: int) -> float:
         t = tour.order
@@ -216,6 +260,21 @@ class FlipNeighborhood:
         k = int(hits[0])
         budget.charge(k + 1)
         return k
+
+    def two_hop_deltas(self, bv: BitVector, ks: np.ndarray, d: np.ndarray):
+        """Gains of every flip of the neighbors ks, one row each, and their values.
+
+        Row i equals deltas() of neighbor(bv, ks[i]) bit for bit: it applies
+        flip_delta_and_update's gain update with the same operands in the same
+        order, without copying the solution. d holds bv's own gains.
+        """
+        s = 1.0 - 2.0 * bv.bits
+        out = self.inst.q.take(ks, axis=0)  # += and *= commute bit for bit
+        out *= (2.0 * s[ks])[:, None]
+        out *= s
+        out += bv.gains
+        out[np.arange(len(ks)), ks] = -bv.gains[ks]
+        return out, bv.cached_value + d[ks]
 
     def move_delta(self, bv: BitVector, k: int) -> float:
         return float(bv.gains[k])
@@ -331,15 +390,7 @@ def random_flip_perturbation(inst: QuboInstance, bv: BitVector, fraction: float,
     positions = rng.choice(n, size=count, replace=False)
     bits = bv.bits.copy()
     bits[positions] = 1.0 - bits[positions]
-    holder = _SplitHolder(bv.mat1) if bv.mat1 is not None else None
-    return make_bitvector(inst, bits, holder)
-
-
-class _SplitHolder:
-    """Minimal split stand-in: only the first sub-matrix is needed."""
-
-    def __init__(self, mat1: np.ndarray):
-        self.mat1 = mat1
+    return make_bitvector(inst, bits, bv.split)
 
 
 # ---------------------------------------------------------------------------

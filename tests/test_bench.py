@@ -150,6 +150,20 @@ class TestCampaign:
         assert np.isfinite(out[1].finals[0])
         assert (tmp_path / "camp2" / "traces" / "r8_its_s0.error").exists()
 
+    def test_failed_cells_counted_without_out_dir(self):
+        inst = random_tsp_instance(8, seed=2)
+        algs = [SolverConfig(algorithm="its", max_fe=100),  # invalid for TSP
+                SolverConfig(algorithm="ils", max_fe=1e4)]
+        spec = CampaignSpec(instances={"r8": "r8"}, algorithms=algs, seeds=[0, 1])
+        out = run_campaign(spec, instances={"r8": inst})
+        assert out[0].failures == 2
+        assert out[0].first_error == "ValueError: its does not apply to TSP instances"
+        assert out[1].failures == 0 and out[1].first_error is None
+        lines = summary_csv(out).splitlines()
+        assert lines[-1] == ("# failed: r8 its: 2 of 2 cells, "
+                             "first: ValueError: its does not apply to TSP instances")
+        assert sum(line.startswith("# failed") for line in lines) == 1
+
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError):
             CampaignSpec(instances={}, algorithms=[SolverConfig(algorithm="ils")],

@@ -101,6 +101,21 @@ def test_bench_campaign(tmp_path, eil51_path, capsys):
     assert (tmp_path / "out" / "traces" / "eil51_ils_s0.csv").exists()
 
 
+def test_bench_failed_cell_exit_code(tmp_path, eil51_path, capsys):
+    campaign = {
+        "instances": {"eil51": eil51_path},
+        "algorithms": [{"algorithm": "ils", "max_fe": 2e3},
+                       {"algorithm": "its", "max_fe": 2e3}],  # its needs a UBQP
+        "seeds": [0],
+    }
+    spec_path = tmp_path / "campaign.json"
+    spec_path.write_text(json.dumps(campaign))
+    assert main(["bench", "--campaign", str(spec_path)]) == 3
+    captured = capsys.readouterr()
+    assert "# failed: eil51 its: 1 of 1 cells" in captured.out
+    assert "1 campaign cells failed" in captured.err
+
+
 def test_verify_passes():
     assert main(["verify", "--n", "7", "--seed", "3"]) == 0
 
