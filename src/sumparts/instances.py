@@ -310,7 +310,8 @@ class BitVector:
     gains[i] is f(flip_i(z)) - f(z) and is kept current through flips.
     When built with a split, value1/gains1 track the first sub-objective the
     same way (the second follows by subtraction); the split is kept so flips
-    can maintain them and rebuilds can restore them.
+    can maintain them and rebuilds can restore them. signs[i] = 1 - 2 bits[i]
+    (exactly +1 or -1) is kept current too, for the flip gain updates.
     """
 
     bits: np.ndarray
@@ -319,12 +320,17 @@ class BitVector:
     value1: float | None = None
     gains1: np.ndarray | None = None
     split: object | None = None  # the SplitCosts value1/gains1 follow
+    signs: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.signs is None:
+            self.signs = 1.0 - 2.0 * self.bits
 
     def copy(self) -> "BitVector":
         return BitVector(self.bits.copy(), self.cached_value, self.gains.copy(),
                          self.value1,
                          None if self.gains1 is None else self.gains1.copy(),
-                         self.split)
+                         self.split, self.signs.copy())
 
     @property
     def n(self) -> int:
@@ -360,27 +366,33 @@ def make_bitvector(inst: QuboInstance, bits, split=None) -> BitVector:
 def flip_delta_and_update(inst: QuboInstance, bv: BitVector, i: int, split=None):
     """Flip bit i in place; returns its pre-flip gain (pair when split given).
 
-    All n gains are refreshed in O(n) after the flip. A BitVector built with
-    a split keeps its sub-objective gains current on every flip.
+    All n gains are refreshed in O(n) after the flip: gains[j] moves by
+    q_ij * 2 s_i s_j (s = signs before the flip). The factor 2 s_i s_j is
+    exactly +-2, so the update is the same in every bit however the product
+    is grouped. A BitVector built with a split keeps its sub-objective gains
+    current on every flip.
     """
     if not 0 <= i < bv.n:
         raise ValueError(f"bit index {i} out of range")
     if split is not None and bv.gains1 is None:
         raise ValueError("BitVector was built without a split")
-    z = bv.bits
-    s = 1.0 - 2.0 * z
+    s = bv.signs
+    scale = s * (2.0 * s[i])
     delta = float(bv.gains[i])
-    bv.gains += (2.0 * s[i]) * inst.q[i] * s
+    update = inst.q[i] * scale
+    bv.gains += update
     bv.gains[i] = -delta
     out = delta
     if bv.gains1 is not None:
         d1 = float(bv.gains1[i])
-        bv.gains1 += (2.0 * s[i]) * bv.split.mat1[i] * s
+        np.multiply(bv.split.mat1[i], scale, out=update)
+        bv.gains1 += update
         bv.gains1[i] = -d1
         bv.value1 += d1
         if split is not None:
             out = (d1, delta - d1)
-    z[i] = 1.0 - z[i]
+    s[i] = -s[i]
+    bv.bits[i] = 1.0 - bv.bits[i]
     bv.cached_value += delta
     return out
 

@@ -265,11 +265,12 @@ class FlipNeighborhood:
         """Gains of every flip of the neighbors ks, one row each, and their values.
 
         Row i equals deltas() of neighbor(bv, ks[i]) bit for bit: it applies
-        flip_delta_and_update's gain update with the same operands in the same
-        order, without copying the solution. d holds bv's own gains.
+        flip_delta_and_update's gain update, q_kj scaled by exactly +-2 and
+        added to the same gains, without copying the solution. d holds bv's
+        own gains.
         """
-        s = 1.0 - 2.0 * bv.bits
-        out = self.inst.q.take(ks, axis=0)  # += and *= commute bit for bit
+        s = bv.signs
+        out = self.inst.q.take(ks, axis=0)
         out *= (2.0 * s[ks])[:, None]
         out *= s
         out += bv.gains
@@ -397,15 +398,6 @@ def random_flip_perturbation(inst: QuboInstance, bv: BitVector, fraction: float,
 # tabu search (UBQP)
 
 
-@dataclass
-class TabuState:
-    """Tabu bookkeeping: tenure K and the last flip iteration per variable."""
-
-    tenure: int
-    last_flip: np.ndarray
-    nonimproving_limit: int
-
-
 def sample_tenure(n: int, rng: np.random.Generator) -> int:
     """Tenure drawn uniformly from [n/100 + 1, n/100 + 10] (integer division)."""
     base = n // 100
@@ -418,27 +410,36 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
 
     A flipped variable is frozen for K moves (K resampled per call). With
     aspiration on, a frozen flip is allowed when it would beat the best
-    solution of this call. Stops after 20n moves without improving that best,
-    or on budget exhaustion. Every move charges n FEs.
+    solution of this call; when every flip is frozen and none aspirates, all
+    are allowed. Stops after 20n moves without improving that best, or on
+    budget exhaustion. Every move charges n FEs.
+
+    Each move flips one bit, so the frozen set is the bits flipped by the
+    last K - 1 moves, held in a ring of that length. A move takes the global
+    argmax of the gains when it aspirates. Otherwise no flip aspirates: float
+    addition is monotone, so value + gain of every flip is at most that of
+    the argmax. The move is then the argmax over the gains with the frozen
+    bits masked out, which is the global argmax itself when that is not
+    frozen, since argmax returns the first maximum.
     """
     n = inst.n
-    state = TabuState(tenure=sample_tenure(n, rng),
-                      last_flip=np.full(n, -(21 * n), dtype=np.int64),
-                      nonimproving_limit=20 * n)
+    frozen = np.empty(sample_tenure(n, rng) - 1, dtype=np.intp)
+    masked = np.empty(n)
     best = bv.copy()
     since_improve = 0
     t = 0
-    while since_improve < state.nonimproving_limit and not budget.exhausted():
+    while since_improve < 20 * n and not budget.exhausted():
         budget.charge(n)
-        allowed = state.last_flip + state.tenure <= t
-        if use_aspiration:
-            allowed |= bv.cached_value + bv.gains > best.cached_value
-        if not np.any(allowed):
-            allowed = np.ones(n, dtype=bool)  # everything frozen: unfreeze all
-        masked = np.where(allowed, bv.gains, -np.inf)
-        k = int(np.argmax(masked))
+        k = int(bv.gains.argmax())
+        if not (use_aspiration and bv.cached_value + bv.gains[k] > best.cached_value):
+            np.copyto(masked, bv.gains)
+            masked[frozen[:t]] = -np.inf
+            j = int(masked.argmax())
+            if masked[j] > -np.inf:  # else everything is frozen: unfreeze all
+                k = j
         flip_delta_and_update(inst, bv, k)
-        state.last_flip[k] = t
+        if frozen.size:
+            frozen[t % frozen.size] = k
         t += 1
         if bv.cached_value > best.cached_value:
             best = bv.copy()

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sumparts.cli import main
+from sumparts.cli import _merge_negative_values, build_parser, main
 from sumparts.instances import load_bundled_tsp, synthetic_orlib_text
 
 
@@ -127,3 +127,38 @@ def test_usage_error_exit_code():
 
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("argv, merged", [
+    (["solve", "--a", "-2"], ["solve", "--a=-2"]),
+    (["solve", "--a=-2"], ["solve", "--a=-2"]),
+    (["solve", "--a", "2"], ["solve", "--a", "2"]),
+    (["solve", "--target", "-5.5"], ["solve", "--target=-5.5"]),
+    (["solve", "--penalty-cost", "-1"], ["solve", "--penalty-cost=-1"]),
+    (["sweep-a", "--a", "-12,0,10"], ["sweep-a", "--a=-12,0,10"]),
+    (["analyze", "--a", "-12,0,10", "--seed", "1"], ["analyze", "--a=-12,0,10", "--seed", "1"]),
+    (["solve", "--seed", "1", "--a"], ["solve", "--seed", "1", "--a"]),
+    (["solve", "--output", "-", "--seed", "-3"], ["solve", "--output", "-", "--seed", "-3"]),
+    (["solve", "--instance", "-x.tsp"], ["solve", "--instance", "-x.tsp"]),
+])
+def test_merge_negative_values(argv, merged):
+    assert _merge_negative_values(argv) == merged
+
+
+@pytest.mark.parametrize("command, a", [("sweep-a", "-12,0,10"), ("analyze", "-12,0,10")])
+def test_negative_shape_lists_parse(command, a):
+    args = build_parser().parse_args(
+        _merge_negative_values([command, "--instance", "x.tsp", "--a", a]))
+    assert args.a == a
+
+
+def test_negative_numeric_values_parse():
+    args = build_parser().parse_args(_merge_negative_values(
+        ["solve", "--instance", "x.tsp", "--alg", "ils", "--a", "-2", "--target", "-5.5",
+         "--penalty-cost", "-1"]))
+    assert (args.a, args.target, args.penalty_cost) == (-2.0, -5.5, -1.0)
+
+
+def test_numeric_flag_as_last_token_is_a_usage_error(capsys):
+    assert main(["solve", "--instance", "x.tsp", "--alg", "ils", "--a"]) == 2
+    assert "expected one argument" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sumparts.decomposition import SplitParams, half_split, sample_split
 from sumparts.instances import (
+    EVAL_REL_TOL,
     ParseError,
     QuboInstance,
     build_neighbor_lists,
@@ -291,3 +292,26 @@ def test_cumulative_flip_deltas_match_full_eval(n, seed):
     for _ in range(30):
         flip_delta_and_update(inst, bv, int(rng.integers(n)))
     assert bv.cached_value == pytest.approx(qubo_value(inst, bv.bits), abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40), seed=st.integers(min_value=0, max_value=10_000),
+       flips=st.lists(st.integers(min_value=0, max_value=10**6), max_size=300))
+def test_split_aware_flips_keep_caches_and_signs(n, seed, flips):
+    rng = np.random.default_rng(seed)
+    q = rng.integers(1, 101, (n, n)) * rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(0.5, 1.5, (n, n))
+    inst = QuboInstance(name="dense", n=n, q=np.triu(q) + np.triu(q, 1).T)
+    split = sample_split(inst, SplitParams(a=0.0, seed=seed))
+    bv = make_bitvector(inst, rng.integers(0, 2, n).astype(float), split)
+    for f in flips:
+        flip_delta_and_update(inst, bv, f % n)
+    assert np.array_equal(bv.signs, 1.0 - 2.0 * bv.bits)
+    fresh = make_bitvector(inst, bv.bits.copy(), split)
+    scale = EVAL_REL_TOL * (np.abs(inst.q).sum() + np.abs(split.mat1).sum())
+    np.testing.assert_allclose(bv.gains, fresh.gains, rtol=0, atol=scale)
+    np.testing.assert_allclose(bv.gains1, fresh.gains1, rtol=0, atol=scale)
+    assert bv.value1 == pytest.approx(fresh.value1, rel=0, abs=scale)
+    assert bv.cached_value == pytest.approx(fresh.cached_value, rel=0, abs=scale)
+    copy = bv.copy()
+    for name in ("bits", "gains", "gains1", "signs"):
+        assert not np.shares_memory(getattr(copy, name), getattr(bv, name))

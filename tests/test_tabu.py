@@ -1,0 +1,116 @@
+"""Tabu search against the full-mask loop it replaces.
+
+The reference below is the tabu loop as it was before the frozen set moved
+into a ring of the last K - 1 flips: a per-variable last-flip clock, an
+`allowed` mask built from it and the aspiration vector, an unfreeze-all
+fallback and a masked argmax. Its flip kernel rebuilds the signs from the
+bits on every flip. `tabu_search` must agree with it bit for bit: the same
+best solution and caches, the same final state of the searched solution,
+the same FE charges and the same RNG draws.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from sumparts.decomposition import SplitParams, sample_split
+from sumparts.instances import QuboInstance, make_bitvector
+from sumparts.search import Budget, sample_tenure, tabu_search
+
+
+def reference_flip(inst, bv, i):
+    """The flip kernel with signs rebuilt from the bits on every call."""
+    z = bv.bits
+    s = 1.0 - 2.0 * z
+    delta = float(bv.gains[i])
+    bv.gains += (2.0 * s[i]) * inst.q[i] * s
+    bv.gains[i] = -delta
+    if bv.gains1 is not None:
+        d1 = float(bv.gains1[i])
+        bv.gains1 += (2.0 * s[i]) * bv.split.mat1[i] * s
+        bv.gains1[i] = -d1
+        bv.value1 += d1
+    z[i] = 1.0 - z[i]
+    bv.signs = 1.0 - 2.0 * z
+    bv.cached_value += delta
+
+
+def reference_tabu(inst, bv, rng, budget, use_aspiration=True):
+    n = inst.n
+    tenure = sample_tenure(n, rng)
+    last_flip = np.full(n, -(21 * n), dtype=np.int64)
+    best = bv.copy()
+    since_improve = 0
+    t = 0
+    while since_improve < 20 * n and not budget.exhausted():
+        budget.charge(n)
+        allowed = last_flip + tenure <= t
+        if use_aspiration:
+            allowed |= bv.cached_value + bv.gains > best.cached_value
+        if not np.any(allowed):
+            allowed = np.ones(n, dtype=bool)  # everything frozen: unfreeze all
+        k = int(np.argmax(np.where(allowed, bv.gains, -np.inf)))
+        reference_flip(inst, bv, k)
+        last_flip[k] = t
+        t += 1
+        if bv.cached_value > best.cached_value:
+            best = bv.copy()
+            since_improve = 0
+        else:
+            since_improve += 1
+    return best
+
+
+def qubo(n, seed, integral):
+    """A dense UBQP; non-integral weights make any reordered sum show."""
+    rng = np.random.default_rng(seed)
+    q = rng.integers(1, 101, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+    if not integral:
+        q *= rng.uniform(0.5, 1.5, (n, n))
+    return QuboInstance(name=f"dense{n}-{seed}", n=n, q=np.triu(q) + np.triu(q, 1).T)
+
+
+def state(bv):
+    return (bv.bits.tobytes(), bv.cached_value, bv.gains.tobytes(), bv.signs.tobytes(),
+            bv.value1, None if bv.gains1 is None else bv.gains1.tobytes())
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(2, 60), seed=st.integers(0, 10_000), integral=st.booleans(),
+       with_split=st.booleans(), use_aspiration=st.booleans(),
+       cap=st.sampled_from(["before-first-move", "mid-run", "unbounded"]),
+       cap_seed=st.integers(0, 2**32 - 1))
+def test_tabu_matches_reference_loop(n, seed, integral, with_split, use_aspiration,
+                                     cap, cap_seed):
+    # With non-integral weights the cached value drifts by ulps as the search
+    # cycles, so it keeps "improving" on its best and the 20n stop may never
+    # come; an unbounded run therefore needs integral weights to end.
+    assume(integral or cap != "unbounded")
+    inst = qubo(n, seed, integral)
+    split = sample_split(inst, SplitParams(a=0.0, seed=seed)) if with_split else None
+    bits = np.random.default_rng(seed + 1).integers(0, 2, n).astype(np.float64)
+    max_fe = {"before-first-move": 0,
+              "mid-run": int(np.random.default_rng(cap_seed).integers(1, 60 * n * n)),
+              "unbounded": None}[cap]
+    runs = []
+    for search in (tabu_search, reference_tabu):
+        bv = make_bitvector(inst, bits.copy(), split)
+        budget = Budget(max_fe=max_fe)
+        rng = np.random.default_rng(cap_seed)
+        best = search(inst, bv, rng, budget, use_aspiration=use_aspiration)
+        runs.append((state(best), state(bv), budget.consumed_fe, rng.bit_generator.state))
+    assert runs[0] == runs[1]
+
+
+def test_unfreeze_all_when_every_flip_is_frozen():
+    # With n = 2 and a tenure of at least 3, both bits are frozen from the
+    # third move on, so without aspiration every later move unfreezes all.
+    seed = next(s for s in range(100) if sample_tenure(2, np.random.default_rng(s)) >= 3)
+    inst = qubo(2, seed=0, integral=False)
+    runs = []
+    for search in (tabu_search, reference_tabu):
+        bv = make_bitvector(inst, np.zeros(2))
+        budget = Budget(max_fe=2 * 20)
+        best = search(inst, bv, np.random.default_rng(seed), budget, use_aspiration=False)
+        runs.append((state(best), state(bv), budget.consumed_fe))
+    assert runs[0] == runs[1]
