@@ -9,7 +9,6 @@ campaign cell.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -17,15 +16,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import CampaignSpec, excess, load_instance, run_campaign, summary_csv
+from .bench import CampaignSpec, load_instance, run_campaign, summary_csv
 from .decomposition import SplitParams, sample_split, split_to_json, sweep_a
-from .escape import PenaltyConfig, ens, nds
+from .escape import PenaltyConfig
 from .instances import (
     ParseError,
-    QuboInstance,
-    TspInstance,
+    brute_force_qubo,
+    brute_force_tsp,
+    flip_delta_and_update,
     make_bitvector,
-    make_tour,
     qubo_value,
     random_qubo_instance,
     random_tsp_instance,
@@ -41,7 +40,7 @@ from .landscape import (
     table_csv,
 )
 from .metaheuristics import ALGORITHMS, SolverConfig, rng_stream, run
-from .search import Budget, descend, is_local_optimum, neighborhood_for, unlimited
+from .search import descend, is_local_optimum, neighborhood_for, unlimited
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 3
@@ -164,10 +163,7 @@ def cmd_bench(args) -> int:
 def _verify_tsp(n: int, seed: int) -> list[str]:
     failures = []
     inst = random_tsp_instance(n, seed)
-    best = None
-    for perm in itertools.permutations(range(1, n)):
-        cost = tour_cost(inst, np.asarray((0,) + perm))
-        best = cost if best is None or cost < best else best
+    best = brute_force_tsp(inst)
     view = neighborhood_for(inst)
     for s in range(5):
         t = view.random_solution(rng_stream(seed + s, "init"))
@@ -191,16 +187,11 @@ def _verify_tsp(n: int, seed: int) -> list[str]:
 def _verify_qubo(n: int, seed: int) -> list[str]:
     failures = []
     inst = random_qubo_instance(n, seed, density=0.5)
-    bits = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
-    values = np.einsum("ij,jk,ik->i", bits, inst.q, bits)
-    best = float(values.max())
+    best = brute_force_qubo(inst)
     rng = rng_stream(seed, "init")
     bv = make_bitvector(inst, rng.integers(0, 2, size=n).astype(np.float64))
     for _ in range(200):
-        i = int(rng.integers(n))
-        from .instances import flip_delta_and_update
-
-        flip_delta_and_update(inst, bv, i)
+        flip_delta_and_update(inst, bv, int(rng.integers(n)))
     if abs(bv.cached_value - qubo_value(inst, bv.bits)) > 1e-9 * max(1.0, abs(bv.cached_value)):
         failures.append("qubo cached value drifted after flips")
     config = SolverConfig(algorithm="its", seed=seed, max_fe=2e6, target=best)

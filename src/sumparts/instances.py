@@ -7,6 +7,7 @@ with full recomputation to EVAL_REL_TOL relative tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -469,6 +470,25 @@ def random_qubo_instance(n: int, seed: int, density: float = 0.1,
     q[iu[mask], ju[mask]] = vals[mask]
     q[ju[mask], iu[mask]] = vals[mask]
     return QuboInstance(name=f"randq{n}-{seed}", n=n, q=q)
+
+
+def brute_force_tsp(inst: TspInstance) -> float:
+    """Exact optimum of a symmetric TSP over all (n-1)!/2 tours (small n only)."""
+    best = None
+    for perm in itertools.permutations(range(1, inst.n)):
+        if perm[0] > perm[-1]:
+            continue  # each direction once
+        cost = tour_cost(inst, np.asarray((0,) + perm))
+        if best is None or cost < best:
+            best = cost
+    return best
+
+
+def brute_force_qubo(inst: QuboInstance) -> float:
+    """Exact optimum of a UBQP over all 2^n bit vectors (vectorized, small n only)."""
+    n = inst.n
+    bits = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    return float(np.einsum("ij,jk,ik->i", bits, inst.q, bits).max())
 
 
 def synthetic_orlib_text(n: int, seed: int, density: float = 0.1,

@@ -1,7 +1,13 @@
-"""The solver drivers: iterated local search, tabu search and Lin-Kernighan,
+"""The solver driver: iterated local search, tabu search and Lin-Kernighan,
 plain and with the non-dominance escape/exploitation variants.
 
-Every driver consumes named RNG streams derived from one master seed (init,
+All eight algorithms run through one loop in `run`: improve the current
+solution (descent, tabu search or LK), try the algorithm's escape step
+(NDS, ENS, penalty exploitation or nothing), and perturb when the escape
+leaves the solution unchanged. The step functions are looked up as module
+globals when they are called, so a tracer or a test can wrap them here.
+
+Every run consumes named RNG streams derived from one master seed (init,
 perturb, penalty, tabu), so variants sharing a seed also share their random
 starts and kicks and can be compared pairwise. Runs emit a RunTrace: the
 best-so-far value at every improvement plus geometric FE checkpoints.
@@ -17,7 +23,6 @@ import numpy as np
 from .decomposition import SplitCosts, SplitParams, sample_split
 from .escape import PenaltyConfig, dominated_mask, ens, further_exploit, nds
 from .instances import (
-    MAXIMIZE,
     MINIMIZE,
     QuboInstance,
     Tour,
@@ -159,210 +164,117 @@ def _budget_fraction_done(budget: Budget) -> float:
     return frac
 
 
-def run(config: SolverConfig, inst) -> RunTrace:
-    """Dispatch a solver run for a TSP or UBQP instance."""
-    alg = config.algorithm
-    if isinstance(inst, TspInstance):
-        if alg not in TSP_ALGORITHMS:
-            raise ValueError(f"{alg} does not apply to TSP instances")
-        if alg.startswith("ilk"):
-            return _run_ilk_family(config, inst)
-        return _run_ils_family(config, inst)
-    if isinstance(inst, QuboInstance):
-        if alg not in QUBO_ALGORITHMS:
-            raise ValueError(f"{alg} does not apply to UBQP instances")
-        if alg.startswith("its"):
-            return _run_its_family(config, inst)
-        return _run_ils_family(config, inst)
-    raise TypeError(f"unsupported instance type: {type(inst).__name__}")
-
-
 def _solution_state(sol):
     if isinstance(sol, Tour):
         return sol.order.copy()
     return sol.bits.copy().astype(np.int8)
 
 
-def _run_ils_family(config: SolverConfig, inst) -> RunTrace:
-    """Iterated local search; optional two-hop escape before the perturbation.
+def run(config: SolverConfig, inst) -> RunTrace:
+    """Run one solver on a TSP or UBQP instance and return its seeded trace.
 
-    Mode "ils_nds"/"ils_ens": after each local optimum, attempt the escape;
-    its result (when it improves) becomes the next starting point and is
-    locally searched at the next loop head, otherwise perturb as plain ILS.
+    One loop drives all eight algorithms. Each round takes the current
+    solution through up to three steps:
+
+    - improve: `descend` (ils*), `tabu_search` (its*) or `lk_search` (ilk*);
+    - escape: `nds` (ils_nds, its_nds), `ens` (ils_ens), `further_exploit`
+      (ilk_e, and ilk_nde when the incumbent best does not dominate the LK
+      optimum under (f1, f2); neither during the warmup share of the
+      budget), or nothing;
+    - perturb: when the escape returns the solution unchanged, kick it
+      (1 FE). ILK's LK after a kick restarts only from the kicked cities.
+
+    Two ordering rules fix where the budget can stop a run:
+
+    - ILK improves a start or a kicked tour at once, so its first event
+      comes after the cold LK, and an LK started with the budget spent still
+      charges its 1 FE. An exploit result counts toward the best at once.
+    - ILS and ITS improve at the loop head, after the budget and target
+      check, so an escaped or kicked solution is dropped when the budget
+      runs out before its descent or tabu search.
     """
-    alg = config.algorithm
-    needs_split = alg == "ils_nds"
-    split = _resolve_split(config, inst) if (needs_split or config.split is not None
-                                             or config.split_params is not None) else None
+    alg, family = config.algorithm, config.algorithm[:3]
     if isinstance(inst, TspInstance):
+        kind, allowed = "TSP", TSP_ALGORITHMS
+    elif isinstance(inst, QuboInstance):
+        kind, allowed = "UBQP", QUBO_ALGORITHMS
+    else:
+        raise TypeError(f"unsupported instance type: {type(inst).__name__}")
+    if alg not in allowed:
+        raise ValueError(f"{alg} does not apply to {kind} instances")
+    split = _resolve_split(config, inst)
+    if kind == "TSP":
         view = TwoOptNeighborhood(inst, split)
     else:
         view = FlipNeighborhood(inst, split, config.flip_fraction)
-    init_rng = rng_stream(config.seed, "init")
-    perturb_rng = rng_stream(config.seed, "perturb")
-    budget = Budget(max_fe=config.max_fe, max_wall=config.max_wall)
-    budget.start_clock()
-    recorder = _Recorder(budget, config.checkpoint_growth)
-    trace = RunTrace(algorithm=alg, seed=config.seed,
-                     rho=None if split is None else split.rho)
-
-    sol = view.random_solution(init_rng)
-    budget.charge(1)
-    best_val = view.value(sol)
-    best_state = _solution_state(sol)
-    recorder.record(best_val, force=True)
-
-    while not budget.exhausted() and not _target_reached(view.sense, best_val, config.target):
-        descend(view, sol, budget)
-        if better(view.sense, view.value(sol), best_val):
-            best_val = view.value(sol)
-            best_state = _solution_state(sol)
-        recorder.record(best_val)
-        if budget.exhausted() or _target_reached(view.sense, best_val, config.target):
-            break
-        if alg == "ils_nds":
-            escaped = nds(sol, view, budget)
-        elif alg == "ils_ens":
-            escaped = ens(sol, view, budget)
-        else:
-            escaped = sol
-        if escaped is not sol:
-            sol = escaped  # locally searched at the next loop head
-            continue
-        sol = view.perturb(sol, perturb_rng)
-        budget.charge(1)
-
-    trace.final_best = best_state
-    recorder.record(best_val, force=True)
-    trace.events = recorder.events
-    trace.final_value = float(best_val)
-    trace.consumed_fe = budget.consumed_fe
-    trace.wall_time = budget.elapsed()
-    return trace
-
-
-def _run_its_family(config: SolverConfig, inst: QuboInstance) -> RunTrace:
-    """Iterated tabu search; optional non-dominance escape between phases."""
-    alg = config.algorithm
-    split = _resolve_split(config, inst) if (alg == "its_nds" or config.split is not None
-                                             or config.split_params is not None) else None
-    view = FlipNeighborhood(inst, split, config.flip_fraction)
+    neighbors = build_neighbor_lists(inst, config.neighbor_k) if family == "ilk" else None
     init_rng = rng_stream(config.seed, "init")
     perturb_rng = rng_stream(config.seed, "perturb")
     tabu_rng = rng_stream(config.seed, "tabu")
-    budget = Budget(max_fe=config.max_fe, max_wall=config.max_wall)
-    budget.start_clock()
-    recorder = _Recorder(budget, config.checkpoint_growth)
-    trace = RunTrace(algorithm=alg, seed=config.seed,
-                     rho=None if split is None else split.rho)
-
-    sol = view.random_solution(init_rng)
-    budget.charge(1)
-    best_val = view.value(sol)
-    best_state = _solution_state(sol)
-    recorder.record(best_val, force=True)
-
-    while not budget.exhausted() and not _target_reached(view.sense, best_val, config.target):
-        sol = tabu_search(inst, sol, tabu_rng, budget)
-        if better(view.sense, view.value(sol), best_val):
-            best_val = view.value(sol)
-            best_state = _solution_state(sol)
-        recorder.record(best_val)
-        if budget.exhausted() or _target_reached(view.sense, best_val, config.target):
-            break
-        if alg == "its_nds":
-            escaped = nds(sol, view, budget)
-        else:
-            escaped = sol
-        if escaped is not sol:
-            sol = escaped
-            continue
-        sol = view.perturb(sol, perturb_rng)
-        budget.charge(1)
-
-    trace.final_best = best_state
-    recorder.record(best_val, force=True)
-    trace.events = recorder.events
-    trace.final_value = float(best_val)
-    trace.consumed_fe = budget.consumed_fe
-    trace.wall_time = budget.elapsed()
-    return trace
-
-
-def _run_ilk_family(config: SolverConfig, inst: TspInstance) -> RunTrace:
-    """Iterated Lin-Kernighan; optional penalty exploitation of LK optima.
-
-    "ilk_e" exploits every LK optimum; "ilk_nde" only those the incumbent
-    best does not dominate under (f1, f2). With warmup_fraction > 0 the first
-    share of the budget runs as plain ILK.
-    """
-    alg = config.algorithm
-    split = _resolve_split(config, inst) if (alg == "ilk_nde" or config.split is not None
-                                             or config.split_params is not None) else None
-    penalty = config.penalty if config.penalty is not None else PenaltyConfig()
-    neighbors = build_neighbor_lists(inst, config.neighbor_k)
-    init_rng = rng_stream(config.seed, "init")
-    perturb_rng = rng_stream(config.seed, "perturb")
     penalty_rng = rng_stream(config.seed, "penalty")
     budget = Budget(max_fe=config.max_fe, max_wall=config.max_wall)
     budget.start_clock()
     recorder = _Recorder(budget, config.checkpoint_growth)
-    trace = RunTrace(algorithm=alg, seed=config.seed,
-                     rho=None if split is None else split.rho)
-    view = TwoOptNeighborhood(inst)  # for random start and perturbation only
 
-    sol = view.random_solution(init_rng)
-    budget.charge(1)
-    sol, _ = lk_search(inst, neighbors, sol, budget)
-    best_val = sol.cached_cost
-    best_state = _solution_state(sol)
-    best_pair = None
-    if split is not None:
-        best_pair = tour_cost(inst, sol, split)
-        budget.charge(1)
-    recorder.record(best_val, force=True)
+    def improve(x, kicked_from=None):
+        if family == "ils":
+            descend(view, x, budget)
+            return x
+        if family == "its":
+            return tabu_search(inst, x, tabu_rng, budget)
+        active = None if kicked_from is None else new_edge_endpoints(kicked_from.order, x.order)
+        return lk_search(inst, neighbors, x, budget, active=active)[0]
 
-    def perturb_and_search(tour: Tour) -> Tour:
-        # LK restarts only from the cities the kick touched
-        kicked = view.perturb(tour, perturb_rng)
-        budget.charge(1)
-        return lk_search(inst, neighbors, kicked, budget,
-                         active=new_edge_endpoints(tour.order, kicked.order))[0]
-
-    while not budget.exhausted() and not _target_reached(MINIMIZE, best_val, config.target):
-        in_warmup = _budget_fraction_done(budget) < config.warmup_fraction
-        if alg == "ilk" or in_warmup:
-            nxt = perturb_and_search(sol)
-        elif alg == "ilk_e":
-            nxt = further_exploit(sol, inst, neighbors, penalty, budget, penalty_rng)
-            if nxt is sol:
-                nxt = perturb_and_search(sol)
-        else:  # ilk_nde
-            pair = tour_cost(inst, sol, split)
+    def escape(x):
+        if alg in ("ils_nds", "its_nds"):
+            return nds(x, view, budget)
+        if alg == "ils_ens":
+            return ens(x, view, budget)
+        if alg in ("ils", "its", "ilk") or _budget_fraction_done(budget) < config.warmup_fraction:
+            return x
+        if alg == "ilk_nde":
+            pair = tour_cost(inst, x, split)
             budget.charge(1)
             d1 = pair[0] - best_pair[0]
             d2 = pair[1] - best_pair[1]
-            best_dominates = bool(dominated_mask(MINIMIZE, np.asarray([d1]),
-                                                 np.asarray([d2]))[0])
-            if not best_dominates:
-                nxt = further_exploit(sol, inst, neighbors, penalty, budget, penalty_rng)
-                if nxt is sol:
-                    nxt = perturb_and_search(sol)
-            else:
-                nxt = perturb_and_search(sol)
-        sol = nxt
-        if sol.cached_cost < best_val:
-            best_val = sol.cached_cost
-            best_state = _solution_state(sol)
-            if split is not None:
-                best_pair = tour_cost(inst, sol, split)
-                budget.charge(1)
-        recorder.record(best_val)
+            if dominated_mask(MINIMIZE, np.asarray([d1]), np.asarray([d2]))[0]:
+                return x
+        return further_exploit(x, inst, neighbors, config.penalty, budget, penalty_rng)
 
-    trace.final_best = best_state
+    best_val = best_state = best_pair = None
+
+    def keep(x, force=False):
+        nonlocal best_val, best_state, best_pair
+        if force or better(view.sense, view.value(x), best_val):
+            best_val, best_state = view.value(x), _solution_state(x)
+            if family == "ilk" and split is not None:
+                best_pair = tour_cost(inst, x, split)
+                budget.charge(1)
+        recorder.record(best_val, force=force)
+
+    sol = view.random_solution(init_rng)
+    budget.charge(1)
+    if family == "ilk":
+        sol = improve(sol)
+    keep(sol, force=True)
+    while not budget.exhausted() and not _target_reached(view.sense, best_val, config.target):
+        if family != "ilk":
+            sol = improve(sol)
+            keep(sol)
+            if budget.exhausted() or _target_reached(view.sense, best_val, config.target):
+                break
+        nxt = escape(sol)
+        if nxt is sol:
+            nxt = view.perturb(sol, perturb_rng)
+            budget.charge(1)
+            if family == "ilk":
+                nxt = improve(nxt, kicked_from=sol)
+        sol = nxt
+        if family == "ilk":
+            keep(sol)
+
     recorder.record(best_val, force=True)
-    trace.events = recorder.events
-    trace.final_value = float(best_val)
-    trace.consumed_fe = budget.consumed_fe
-    trace.wall_time = budget.elapsed()
-    return trace
+    return RunTrace(algorithm=alg, seed=config.seed, events=recorder.events,
+                    final_best=best_state, final_value=float(best_val),
+                    consumed_fe=budget.consumed_fe, wall_time=budget.elapsed(),
+                    rho=None if split is None else split.rho)

@@ -41,6 +41,7 @@ from .instances import (
     flip_delta_and_update,
     make_bitvector,
     tour_cost,
+    two_opt_delta,
 )
 
 
@@ -116,14 +117,17 @@ class TwoOptNeighborhood:
         self._succ = np.roll(np.arange(inst.n), -1)
         self._scratch = None  # two_hop_deltas' temporaries, reused across calls
 
-    def deltas(self, tour: Tour, budget: Budget | None = None) -> np.ndarray:
-        """f deltas of every move, charging one FE per move."""
+    def _gather(self, tour: Tour, *mats) -> list[np.ndarray]:
+        """Deltas of every move under each cost matrix, as in two_opt_delta."""
         t = tour.order
         nxt = np.roll(t, -1)
         a, b = t[self.p], nxt[self.p]
         c, d = t[self.q], nxt[self.q]
-        m = self.inst.costs
-        out = m[a, c] + m[b, d] - m[a, b] - m[c, d]
+        return [m[a, c] + m[b, d] - m[a, b] - m[c, d] for m in mats]
+
+    def deltas(self, tour: Tour, budget: Budget | None = None) -> np.ndarray:
+        """f deltas of every move, charging one FE per move."""
+        (out,) = self._gather(tour, self.inst.costs)
         if budget is not None:
             budget.charge(self.size)
         return out
@@ -134,15 +138,7 @@ class TwoOptNeighborhood:
         The f delta comes from the original cost matrix, not from d1 + d2,
         so downstream cache arithmetic stays exact on integer instances.
         """
-        t = tour.order
-        nxt = np.roll(t, -1)
-        a, b = t[self.p], nxt[self.p]
-        c, d = t[self.q], nxt[self.q]
-        m = self.inst.costs
-        m1, m2 = self.split.mat1, self.split.mat2
-        d0 = m[a, c] + m[b, d] - m[a, b] - m[c, d]
-        d1 = m1[a, c] + m1[b, d] - m1[a, b] - m1[c, d]
-        d2 = m2[a, c] + m2[b, d] - m2[a, b] - m2[c, d]
+        d0, d1, d2 = self._gather(tour, self.inst.costs, self.split.mat1, self.split.mat2)
         if budget is not None:
             budget.charge(self.size)
         return d0, d1, d2
@@ -197,13 +193,7 @@ class TwoOptNeighborhood:
         return out, tour.cached_cost + d[ks]
 
     def move_delta(self, tour: Tour, k: int) -> float:
-        t = tour.order
-        n = t.shape[0]
-        p, q = int(self.p[k]), int(self.q[k])
-        a, b = t[p], t[p + 1]
-        c, d = t[q], t[(q + 1) % n]
-        m = self.inst.costs
-        return float(m[a, c] + m[b, d] - m[a, b] - m[c, d])
+        return two_opt_delta(self.inst, tour, int(self.p[k]), int(self.q[k]))
 
     def apply(self, tour: Tour, k: int, delta: float | None = None):
         if delta is None:

@@ -1,30 +1,9 @@
-import itertools
-
-import numpy as np
 import pytest
 
-from sumparts.instances import load_bundled_tsp, tour_cost
+# the oracles live in the package; re-exported for `from conftest import brute_force_*`
+from sumparts.instances import brute_force_qubo, brute_force_tsp, load_bundled_tsp  # noqa: F401
 
 
 @pytest.fixture(scope="session")
 def eil51():
     return load_bundled_tsp("eil51")
-
-
-def brute_force_tsp(inst) -> float:
-    """Exhaustive optimum over (n-1)!/2 distinct tours (small n only)."""
-    best = None
-    for perm in itertools.permutations(range(1, inst.n)):
-        if perm[0] > perm[-1]:
-            continue  # each direction once
-        cost = tour_cost(inst, np.asarray((0,) + perm))
-        if best is None or cost < best:
-            best = cost
-    return best
-
-
-def brute_force_qubo(inst) -> float:
-    """Exhaustive optimum over all 2^n bit vectors (vectorized)."""
-    n = inst.n
-    bits = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
-    return float(np.einsum("ij,jk,ik->i", bits, inst.q, bits).max())

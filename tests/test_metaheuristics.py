@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,12 @@ import sumparts.metaheuristics as mh
 from conftest import brute_force_qubo, brute_force_tsp
 from sumparts.decomposition import SplitParams, half_split, sample_split
 from sumparts.escape import PenaltyConfig
-from sumparts.instances import random_qubo_instance, random_tsp_instance, tour_cost
+from sumparts.instances import (
+    load_bundled_tsp,
+    random_qubo_instance,
+    random_tsp_instance,
+    tour_cost,
+)
 from sumparts.metaheuristics import SolverConfig, run
 
 
@@ -287,3 +294,144 @@ class TestDeterminism:
         cfg = SolverConfig(algorithm="its_nds", seed=5, max_fe=5e4,
                            split_params=SplitParams(a=0.0, seed=2))
         assert run(cfg, inst).to_csv() == run(cfg, inst).to_csv()
+
+
+# sha256 of run(cfg, inst).to_csv() at seed 1, recorded before the ILS, ITS
+# and ILK driver families were merged into one loop. Rows are (algorithm,
+# max_fe, warmup_fraction, with split, target, digest). Caps 0 stop before
+# the loop; the others stop mid-descent, mid-nds (ils_nds 123457 and 400003),
+# mid-ens (ils_ens 123457), mid-tabu (its*), mid-LK (ilk*; ilk_e and ilk_nde
+# at 89034, ilk_e at 62025 with warmup, ilk_nde at 137050 with warmup) or
+# mid-exploit (the other ilk_e and ilk_nde rows), and a target ends four runs.
+# On tsp25 an exploit result becomes the new best without warmup.
+_PINNED_INSTANCES = {
+    "eil51": lambda: load_bundled_tsp("eil51"),
+    "tsp40": lambda: random_tsp_instance(40, seed=3),
+    "tsp25": lambda: random_tsp_instance(25, seed=0),
+    "qubo150": lambda: random_qubo_instance(150, seed=2, density=0.1),
+}
+_PINNED_SPLITS = {
+    "eil51": SplitParams(a=-12.0, seed=0),
+    "tsp40": SplitParams(a=2.0, seed=9),
+    "tsp25": SplitParams(a=2.0, seed=9),
+    "qubo150": SplitParams(a=0.0, seed=1),
+}
+_PINNED_TRACES = {
+    "eil51": [
+        ("ils", 0, 0.0, True, None, "1cddd6f5053b8eb09a5ba9ee66573a57020a2321377eac28f4bb41857c2f3e84"),
+        ("ils", 20011, 0.0, True, None, "8a08e38b4ba3334418e50b00003ed7590d1b3a5cf019901ab0100a038f4527fc"),
+        ("ils", 123457, 0.0, True, None, "585840599306709b81b27544a035ac1bd3b61d66026d4b0b492a18dcd1ab587e"),
+        ("ils", 400003, 0.0, True, None, "730c40593707813290dd8da18ae7af0f70ee825ead1040fab446b2ba68f5e71a"),
+        ("ils_nds", 0, 0.0, True, None, "d634e83c799b1c71ec9b06e15c07ef28568d4c92c2fd238da790a0c6461d7f66"),
+        ("ils_nds", 20011, 0.0, True, None, "84dafc87e0810273992c37e2ed3e288cd0415a03746527e58f8e74da4d748beb"),
+        ("ils_nds", 123457, 0.0, True, None, "0aafbdb668d31031da41b7c11d15fae7eb0f4a62b4028011065a14a9235e40ca"),
+        ("ils_nds", 400003, 0.0, True, None, "c168dba4d3e98be0a329fa02b13a73f558967e7ef477d5c145727327b8596ee5"),
+        ("ils_ens", 0, 0.0, True, None, "533e40b51877d343d32e89c1255155c62898495752bb64fa30fea06ce398b14a"),
+        ("ils_ens", 20011, 0.0, True, None, "7774d8c87ead0f905792a2586672f87a5e892599da56ae391257b123eb5c9afc"),
+        ("ils_ens", 123457, 0.0, True, None, "168cb29042e5d31e5f87a7806f478f06e14c00d6c4dd2a121d17dd610f601df2"),
+        ("ils_ens", 400003, 0.0, True, None, "a66bf9cf662d82e60c2b148d4f763fd679190e178a10eeea892c7de80bf1f47e"),
+        ("ils", 123457, 0.0, False, None, "c804ee2bac399c00bea6effbbfea7d838c89a8cc43811db5a3daecd35315d771"),
+        ("ils", 1000000, 0.0, True, 434.0, "e0d6e24c9d9453928c4612367422d5a1a1da061af93506a390daab2e76bbac48"),
+    ],
+    "tsp40": [
+        ("ilk", 0, 0.0, True, None, "ea4329353903f2191eafa8581125d0a790af56331fd32ccece5f13c012fbccba"),
+        ("ilk", 30011, 0.0, True, None, "ecf0d8ff98e135d8a27ed84272f3ff5eab444558a497b684536f1865e5d14499"),
+        ("ilk", 89034, 0.0, True, None, "f1722f064556c8bb02c2aee2464f883555d4c2ef5499982c1e0a7335c5f93d54"),
+        ("ilk_e", 0, 0.0, True, None, "998a10c1f2493e12109b560366f0cab27f768a258f1c0c6ef2144da2ee9142c8"),
+        ("ilk_e", 30011, 0.0, True, None, "542248b81df3693c036d1da8ce28d0b27b02561c04df2d97a152d1246be7f515"),
+        ("ilk_e", 89034, 0.0, True, None, "e01fba444765446124e5d6160a83e0cc075731f06528e719c3bdb6f56e54f554"),
+        ("ilk_e", 30011, 0.3, True, None, "33610589f101b076a602bca42af8e6564e24f4624f192083a17f3a0eefb230fb"),
+        ("ilk_e", 62025, 0.3, True, None, "d9d53bacc0b9638bfbd446c2138ccfb09ac4c2660d72f910030001687c9fbb21"),
+        ("ilk_e", 137050, 0.3, True, None, "a3307cf6ebd0c64643f89cfb62b717d86c1124676803fe02961eeb666614a0db"),
+        ("ilk_nde", 0, 0.0, True, None, "f4977e10f7658bbfa57a5c7ddfb7d4d8365ddccb366d4bf338d36d5143fb32c9"),
+        ("ilk_nde", 30011, 0.0, True, None, "38f2eb3ca0736c274f75813e953ad732f2445fa3899beda19d2e18da4291fdb2"),
+        ("ilk_nde", 89034, 0.0, True, None, "4254260dc567489b54d6c956d043bb2dbc3cecabfa9da864d528aa0f3222b71c"),
+        ("ilk_nde", 30011, 0.3, True, None, "79eb0e8834f644fdc768a7d688604259227c0abb096849600a3821f6ea89277f"),
+        ("ilk_nde", 62025, 0.3, True, None, "3294513b063b68726937f7fe4369bd201cd9f5c700392316c89d01f33313b76d"),
+        ("ilk_nde", 137050, 0.3, True, None, "64711687113ce9b0b95a1a153ab6dfc4598097a733101bba54298b7f4374d361"),
+        ("ilk", 30011, 0.0, False, None, "21bf3c2dcf3825e79709326d9c5f98adb29c54d7f55d53fec5430fd39621a8b8"),
+        ("ilk_e", 30011, 0.0, False, None, "76c07caa226afc0915c584477be58cfbacc4072a2adfca4f37ab66d67a79a5be"),
+        ("ilk", 400003, 0.0, True, 5195.0, "d7b7e42fa73521914fc543ddee457ada85eb52dd1d634ef9b0bd38072c2c19d9"),
+    ],
+    "tsp25": [
+        ("ilk_e", 60000, 0.0, True, None, "e3082a5de99c60a74f92db8311e09ce73ac8f37dfcabe55ecc74d80ef60e414f"),
+        ("ilk_e", 60000, 0.3, True, None, "513ca65af9231f627d6a67df9c17f37711afd28e644e64c65f9b2e73e1cd9819"),
+        ("ilk_nde", 60000, 0.0, True, None, "938d31a404828eea4b484e352d01af9e09dd63eef36a8e527edd70e328d8c2cb"),
+        ("ilk_nde", 60000, 0.3, True, None, "6ed5d1bec6f09880e04eea1a1ebf9d3fb2849ce7b45f71a54a08faab00b3b859"),
+    ],
+    "qubo150": [
+        ("ils", 0, 0.0, True, None, "71ae2143bc2769dcd1a1052a76b7f5124a668be798159e596e949eac1a891a15"),
+        ("ils", 20011, 0.0, True, None, "44e7e784444aa637dbab2e3e70868c554d1a0c14979897f79a86872f753e820a"),
+        ("ils", 123457, 0.0, True, None, "d8fa9dde8c277ab2e9c33629a385d234b08dcdac8e30334280280b462d91c833"),
+        ("ils", 1000003, 0.0, True, None, "7462d13d9afab79e7715ed7aff0dc36be5184e824772879df27335fd6ec044b2"),
+        ("ils_nds", 0, 0.0, True, None, "effb83aac3e0e3e58224e86c3e0bd507c49a1587605a94de6224ab58c6f65234"),
+        ("ils_nds", 20011, 0.0, True, None, "f021a52d709305b6f8dc7262a88de7be61ce6fb8620ee72be4b50852fd371d7c"),
+        ("ils_nds", 123457, 0.0, True, None, "f1619776c9f9886f595fdcd6d04a95ae3e69296bbb6c82e88808f348a051b4a7"),
+        ("ils_nds", 1000003, 0.0, True, None, "0dd39ce957cf71be9c8baf36d2cc3ce3ee25ff9eec107d8b28c6b2bd649ecd5c"),
+        ("ils_ens", 0, 0.0, True, None, "e8c485d1da3997b441f36a4c4087636c2927f5fa81d0d0476d29e8af2cf97549"),
+        ("ils_ens", 20011, 0.0, True, None, "b8af5778d316fe2860433889f79c9c2fdaf7d899dbf24d1f58c974b3cb0fde9a"),
+        ("ils_ens", 123457, 0.0, True, None, "00a3eeb19e2c0ade2d77f4c41c0b51fa2308d40a1dd06376903f1a860e3e479c"),
+        ("ils_ens", 1000003, 0.0, True, None, "d6cfe21c4947bf7cab4327aa84628013f7a2b32cdf588a1d76ff6f98b549ab30"),
+        ("its", 0, 0.0, True, None, "60276ab0518cc6a64dda212ad62a31c6f6078999a5fd27a40163414d6adf6f68"),
+        ("its", 20011, 0.0, True, None, "e50ec1a6bde7aca2847d881e291d68b5f2a02727e58c910736394299a92de183"),
+        ("its", 123457, 0.0, True, None, "3576b8886a7d1feab17e297ee45c0e9f64cd63dac37c8a3214221a036868e6e1"),
+        ("its", 1000003, 0.0, True, None, "6fb85cc1833c5afa8e4e21c7975b8ea4e520f80e26eb573188c7c8e82f8d45e4"),
+        ("its_nds", 0, 0.0, True, None, "e647e62f4efd61030a4c1c45c3d28f65d52bd9cde364ccf78e17354ac5ca296e"),
+        ("its_nds", 20011, 0.0, True, None, "5e933c593194d5825d1e2dcb99cb9424aabdebc3927b2dc0196b92296d63df15"),
+        ("its_nds", 123457, 0.0, True, None, "2bb669ae2839b2169f0bbcd7f6afa8ee35beea1d08ab88eb23e29de0d5c8b43a"),
+        ("its_nds", 1000003, 0.0, True, None, "e133b2816788d4044f7aa226914cddf5a5d15c59b241f8297016e95595b7090e"),
+        ("its", 123457, 0.0, False, None, "f67268feec56c9d59f0e142e017bff2ed0ae85ac48a8631a88309a972692a9c3"),
+        ("ils_ens", 1000000, 0.0, True, 19390.0, "56f543d4c2e9998da74908bc624f1d4ac5bfe70a14afae46019cd381c583e529"),
+        ("its", 2000000, 0.0, True, 19390.0, "ce7d92b821e3477efbcaa1255556ca0db15241549a1aa239cf2973b492cb324d"),
+    ],
+}
+
+
+class TestPinnedTraces:
+    @pytest.mark.parametrize("name", sorted(_PINNED_TRACES))
+    def test_seeded_csv_digests(self, name):
+        inst = _PINNED_INSTANCES[name]()
+        changed = []
+        for alg, max_fe, warmup, with_split, target, digest in _PINNED_TRACES[name]:
+            cfg = SolverConfig(algorithm=alg, seed=1, max_fe=max_fe, target=target,
+                               warmup_fraction=warmup,
+                               split_params=_PINNED_SPLITS[name] if with_split else None,
+                               penalty=PenaltyConfig(rounds=5, k_edges=3), neighbor_k=8)
+            csv = run(cfg, inst).to_csv()
+            if hashlib.sha256(csv.encode()).hexdigest() != digest:
+                changed.append((alg, max_fe, warmup, with_split, target))
+        assert changed == []
+
+
+class TestStepLookup:
+    # The benchmark tracer wraps the step functions on this module, so run
+    # must look them up when it calls them, not capture them beforehand.
+    STEPS = ("descend", "tabu_search", "lk_search", "nds", "ens", "further_exploit")
+
+    @pytest.mark.parametrize("alg,expected", [
+        ("ils", {"descend"}),
+        ("ils_nds", {"descend", "nds"}),
+        ("ils_ens", {"descend", "ens"}),
+        ("its", {"tabu_search"}),
+        ("its_nds", {"tabu_search", "nds"}),
+        ("ilk", {"lk_search"}),
+        ("ilk_e", {"lk_search", "further_exploit"}),
+        ("ilk_nde", {"lk_search", "further_exploit"}),
+    ])
+    def test_run_calls_the_module_globals(self, monkeypatch, alg, expected):
+        calls = []
+        for name in self.STEPS:
+            def spy(*args, _real=getattr(mh, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mh, name, spy)
+        if alg.startswith("its"):
+            inst = random_qubo_instance(30, seed=1, density=0.3)
+        else:
+            inst = random_tsp_instance(20, seed=1)
+        cfg = SolverConfig(algorithm=alg, seed=0, max_fe=3e4, neighbor_k=8,
+                           split_params=SplitParams(a=0.0, seed=1),
+                           penalty=PenaltyConfig(rounds=2, k_edges=3))
+        run(cfg, inst)
+        assert set(calls) == expected
