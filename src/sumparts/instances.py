@@ -95,6 +95,12 @@ class QuboInstance:
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
+    @cached_property
+    def abs_weight_sum(self) -> float:
+        """Sum of |q_ij|, which bounds |z^T Q z| and every flip gain."""
+        # row by row: |Q| as one temporary would add its size to peak memory
+        return float(sum(np.abs(row).sum() for row in self.q))
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -269,10 +275,6 @@ def make_tour(inst: TspInstance, order) -> Tour:
     if sorted(order.tolist()) != list(range(inst.n)):
         raise ValueError("order is not a permutation of 0..n-1")
     return Tour(order, tour_cost(inst, order))
-
-
-def random_tour(inst: TspInstance, rng: np.random.Generator) -> Tour:
-    return make_tour(inst, rng.permutation(inst.n))
 
 
 def two_opt_delta(inst: TspInstance, tour: Tour, i: int, j: int, split=None):

@@ -247,7 +247,7 @@ def run(config: SolverConfig, inst) -> RunTrace:
         nonlocal best_val, best_state, best_pair
         if force or better(view.sense, view.value(x), best_val):
             best_val, best_state = view.value(x), _solution_state(x)
-            if family == "ilk" and split is not None:
+            if alg == "ilk_nde":
                 best_pair = tour_cost(inst, x, split)
                 budget.charge(1)
         recorder.record(best_val, force=force)

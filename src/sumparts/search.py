@@ -25,11 +25,12 @@ import time
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .instances import (
+    EVAL_REL_TOL,
     MAXIMIZE,
     MINIMIZE,
     BitVector,
@@ -404,6 +405,14 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
     are allowed. Stops after 20n moves without improving that best, or on
     budget exhaustion. Every move charges n FEs.
 
+    A solution counts as better than the best, for aspiration and for the
+    stop rule, only when its value exceeds the best's by more than
+    EVAL_REL_TOL times the weights' absolute sum. The cached value drifts by
+    ulps on non-integral weights, and without that margin a revisited
+    solution could read as a new best, so the stop rule would never fire.
+    On integral weights every real improvement is at least 1, above the
+    margin while the weights' absolute sum stays below 1e9.
+
     Each move flips one bit, so the frozen set is the bits flipped by the
     last K - 1 moves, held in a ring of that length. A move takes the global
     argmax of the gains when it aspirates. Otherwise no flip aspirates: float
@@ -415,13 +424,15 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
     n = inst.n
     frozen = np.empty(sample_tenure(n, rng) - 1, dtype=np.intp)
     masked = np.empty(n)
+    tol = EVAL_REL_TOL * inst.abs_weight_sum
     best = bv.copy()
+    bar = best.cached_value + tol
     since_improve = 0
     t = 0
     while since_improve < 20 * n and not budget.exhausted():
         budget.charge(n)
         k = int(bv.gains.argmax())
-        if not (use_aspiration and bv.cached_value + bv.gains[k] > best.cached_value):
+        if not (use_aspiration and bv.cached_value + bv.gains[k] > bar):
             np.copyto(masked, bv.gains)
             masked[frozen[:t]] = -np.inf
             j = int(masked.argmax())
@@ -431,8 +442,9 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
         if frozen.size:
             frozen[t % frozen.size] = k
         t += 1
-        if bv.cached_value > best.cached_value:
+        if bv.cached_value > bar:
             best = bv.copy()
+            bar = best.cached_value + tol
             since_improve = 0
         else:
             since_improve += 1
@@ -447,7 +459,7 @@ class PenalizedTspObjective:
     """A TSP cost view with a surcharge on chosen edges; the base is untouched.
 
     `rows` shares the instance's cost rows and copies only the rows of the
-    surcharged edges' endpoints; `matrix` is the same view as an array.
+    surcharged edges' endpoints.
     """
 
     def __init__(self, inst: TspInstance, edges, c_tilde: float):
@@ -464,17 +476,6 @@ class PenalizedTspObjective:
                     copied.add(a)
                 rows[a][b] += self.c_tilde
         self.rows = rows
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        matrix = np.array(self.rows)
-        matrix.setflags(write=False)
-        return matrix
-
-    def tour_cost(self, order) -> float:
-        order = list(order)
-        rows = self.rows
-        return float(sum(rows[a][b] for a, b in zip(order, order[1:] + order[:1])))
 
 
 LK_DEPTH = 10
@@ -506,6 +507,23 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
     The first level tries every gain-positive candidate, the second up to
     breadth2, deeper levels extend greedily.
 
+    Each move is a 2-Opt reversal of the order array: it removes (base, end)
+    and (t4, t3) and adds (end, t3) and (t4, base). It reverses [end .. t4]
+    when that segment does not wrap the array's end, else the complementary
+    [t3 .. base], which gives the same cycle in the other orientation. The
+    next level continues from the current succ(base) (pred(base) backwards),
+    read from the array. After the first branch that is t4, so the chain is a
+    sequential exchange. After the second it is base's former neighbour, not
+    t4, so the chain then departs from the sequential exchange described
+    above, and which way it goes depends on where the array is cut.
+
+    A failed chain is rolled back from snapshots, not by reversing its moves
+    again: one of the tour at the chain's start, refreshed after each commit,
+    and one after the current first-level move, taken before its second-level
+    trials. A failed second-level trial restores the second, a failed
+    first-level candidate the first. Committing a prefix of k >= 2 moves
+    shorter than the chain restores the second and replays moves 2..k.
+
     Chains are driven by a queue of active (city, direction) pairs, the
     don't-look bits of Bentley's 2-Opt. `active` lists the cities queued
     first, both directions each; None (a cold start) queues every city in
@@ -531,6 +549,9 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
     pos = [0] * n
     for i, c in enumerate(order):
         pos[c] = i
+    # snapshots: the tour at the chain's start, and after its first move
+    order0, pos0 = order[:], pos[:]
+    order1, pos1 = order[:], pos[:]
     raw_cost = tour.cached_cost
     budget.charge(1)
 
@@ -540,13 +561,8 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
     pen_sum = [0.0]
     raw_sum = pen_sum if plain else [0.0]
     fe = 0
-
-    def succ(c: int) -> int:
-        p = pos[c] + 1
-        return order[p] if p < n else order[0]
-
-    def pred(c: int) -> int:
-        return order[pos[c] - 1]
+    # order[i + 1 - n] and order[i - 1] are the cities after and before
+    # position i: the negative indices wrap around the array's ends
 
     def reverse(lo: int, hi: int):
         order[lo:hi + 1] = order[hi:lo - 1 if lo else None:-1]
@@ -555,7 +571,8 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
 
     def do_move(base: int, end: int, t3: int, forward: bool) -> bool:
         # chained 2-Opt: remove (base,end),(t4,t3); add (end,t3),(t4,base)
-        t4 = pred(t3) if forward else succ(t3)
+        p3 = pos[t3]
+        t4 = order[p3 - 1] if forward else order[p3 + 1 - n]
         if t4 == base or t4 == end:
             return False
         pen_sum.append(pen_sum[-1] + (pen[end][t3] + pen[t4][base]
@@ -565,31 +582,36 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
                                           - raw[base][end] - raw[t4][t3]))
         pe, p4 = pos[end], pos[t4]
         if forward:
-            lo, hi = (pe, p4) if pe <= p4 else (pos[t3], pos[base])
+            lo, hi = (pe, p4) if pe <= p4 else (p3, pos[base])
         else:
-            lo, hi = (p4, pe) if p4 <= pe else (pos[base], pos[t3])
+            lo, hi = (p4, pe) if p4 <= pe else (pos[base], p3)
         reverse(lo, hi)
         moves.append((lo, hi))
         ends.extend((end, t3, t4))
         return True
 
-    def undo_to(k: int):
-        while len(moves) > k:
-            lo, hi = moves.pop()
-            del ends[-3:]
-            pen_sum.pop()
-            if not plain:
-                raw_sum.pop()
-            reverse(lo, hi)
+    def rollback(k: int):
+        # the tour after the chain's first k moves, from the nearest snapshot
+        if k:
+            order[:], pos[:] = order1, pos1
+            for lo, hi in moves[1:k]:
+                reverse(lo, hi)
+        else:
+            order[:], pos[:] = order0, pos0
+        del moves[k:], ends[3 * k:], pen_sum[k + 1:]
+        if not plain:
+            del raw_sum[k + 1:]
 
     def extend_greedy(base: int, forward: bool, best_k: int, best_pen: float):
         # deeper levels: first acceptable candidate, no alternatives
         nonlocal fe
         for _ in range(3, depth + 1):
-            end = succ(base) if forward else pred(base)
+            i = pos[base]
+            end = order[i + 1 - n] if forward else order[i - 1]
             bound = pen[base][end] - pen_sum[-1]
             row = pen[end]
-            s_end, p_end = succ(end), pred(end)
+            i = pos[end]
+            s_end, p_end = order[i + 1 - n], order[i - 1]
             for t3 in cand[end]:
                 fe += 1
                 if row[t3] >= bound:
@@ -610,10 +632,12 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
         Returns the number of moves committed (0 when none improves).
         """
         nonlocal fe
-        e0 = succ(base) if forward else pred(base)
+        i = pos[base]
+        e0 = order[i + 1 - n] if forward else order[i - 1]
         g0 = pen[base][e0]
         row0 = pen[e0]
-        s0, p0 = succ(e0), pred(e0)
+        i = pos[e0]
+        s0, p0 = order[i + 1 - n], order[i - 1]
         for t3 in cand[e0]:
             fe += 1
             if row0[t3] >= g0:
@@ -624,11 +648,14 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
                 continue
             if pen_sum[1] < -1e-12:
                 return 1  # improving 2-Opt move, commit immediately
+            order1[:], pos1[:] = order, pos
             # second level: try a few alternatives, each extended greedily
-            e1 = succ(base) if forward else pred(base)
+            i = pos[base]
+            e1 = order[i + 1 - n] if forward else order[i - 1]
             bound1 = pen[base][e1] - pen_sum[1]
             row1 = pen[e1]
-            s1, p1 = succ(e1), pred(e1)
+            i = pos[e1]
+            s1, p1 = order[i + 1 - n], order[i - 1]
             tried = 0
             for t5 in cand[e1]:
                 fe += 1
@@ -642,12 +669,13 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
                 best_k, best_pen = (2, pen_sum[2]) if pen_sum[2] < -1e-12 else (-1, 0.0)
                 best_k, best_pen = extend_greedy(base, forward, best_k, best_pen)
                 if best_pen < -1e-12:
-                    undo_to(best_k)
+                    if best_k < len(moves):
+                        rollback(best_k)
                     return best_k
-                undo_to(1)
+                rollback(1)
                 if tried >= breadth2:
                     break
-            undo_to(0)
+            rollback(0)
         return 0
 
     queue = deque()
@@ -677,6 +705,7 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
             ends.clear()
             del pen_sum[1:]
             del raw_sum[1:]
+            order0[:], pos0[:] = order, pos
 
     tour.order[:] = order
     tour.cached_cost = raw_cost

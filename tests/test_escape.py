@@ -181,6 +181,12 @@ class TestEns:
             assert b1.consumed_fe <= b2.consumed_fe
 
 
+def penalized_cost(pen, order):
+    """Length of the tour `order` under a penalized view, summed from its rows."""
+    n = len(order)
+    return float(sum(pen.rows[order[i]][order[(i + 1) % n]] for i in range(n)))
+
+
 class TestAddRandomPenalty:
     def test_penalized_tour_cost(self):
         inst = random_tsp_instance(12, seed=3)
@@ -188,7 +194,7 @@ class TestAddRandomPenalty:
         t = view.random_solution(np.random.default_rng(2))
         cfg = PenaltyConfig(rounds=10, k_edges=5, c_tilde=77.0)
         pen = add_random_penalty(t, inst, cfg, np.random.default_rng(4))
-        assert pen.tour_cost(t.order) == pytest.approx(t.cached_cost + 5 * 77.0, rel=1e-12)
+        assert penalized_cost(pen, t.order) == pytest.approx(t.cached_cost + 5 * 77.0, rel=1e-12)
 
     def test_unaffected_tour_unchanged(self):
         inst = random_tsp_instance(10, seed=1)
@@ -200,7 +206,7 @@ class TestAddRandomPenalty:
         other_edges = {frozenset((int(other.order[i]), int(other.order[(i + 1) % 10])))
                        for i in range(10)}
         if not any(frozenset(e) in other_edges for e in pen.edges):
-            assert pen.tour_cost(other.order) == pytest.approx(other.cached_cost, rel=1e-12)
+            assert penalized_cost(pen, other.order) == pytest.approx(other.cached_cost, rel=1e-12)
 
     def test_all_edges_penalized(self):
         inst = random_tsp_instance(9, seed=2)
@@ -208,7 +214,7 @@ class TestAddRandomPenalty:
         t = view.random_solution(np.random.default_rng(3))
         cfg = PenaltyConfig(rounds=1, k_edges=9, c_tilde=10.0)
         pen = add_random_penalty(t, inst, cfg, np.random.default_rng(0))
-        assert pen.tour_cost(t.order) == pytest.approx(t.cached_cost + 9 * 10.0, rel=1e-12)
+        assert penalized_cost(pen, t.order) == pytest.approx(t.cached_cost + 9 * 10.0, rel=1e-12)
 
     def test_original_instance_untouched(self):
         inst = random_tsp_instance(8, seed=0)
@@ -223,7 +229,7 @@ class TestAddRandomPenalty:
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(1))
         cfg = PenaltyConfig(rounds=1, k_edges=4, c_tilde=13.0)
         pen = add_random_penalty(t, inst, cfg, np.random.default_rng(2))
-        diff = pen.matrix - inst.costs
+        diff = np.array(pen.rows) - inst.costs
         changed = np.argwhere(np.triu(diff) != 0)
         assert len(changed) == 4
         assert np.all(diff[diff != 0] == 13.0)
