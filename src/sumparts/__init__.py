@@ -19,14 +19,11 @@ from .decomposition import (
     sweep_a,
 )
 from .escape import (
-    ObjectivePair,
     PenaltyConfig,
     add_random_penalty,
-    dominates,
     ens,
     further_exploit,
     nds,
-    non_dominated,
 )
 from .instances import (
     BitVector,
@@ -59,8 +56,6 @@ from .search import (
     Budget,
     double_bridge,
     lk_search,
-    local_search_1flip,
-    local_search_2opt,
     random_flip_perturbation,
     tabu_search,
 )

@@ -7,7 +7,6 @@ budgets are inherently machine-dependent).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -16,7 +15,6 @@ import numpy as np
 
 from .instances import (
     QuboInstance,
-    TspInstance,
     bundled_optima,
     load_bundled_tsp,
     parse_orlib_bqp,
@@ -155,10 +153,6 @@ def load_instance(name: str, path: str):
     return QuboInstance(name=name, n=inst.n, q=inst.q)
 
 
-def default_target(name: str) -> float | None:
-    return bundled_optima().get(name)
-
-
 def run_campaign(spec: CampaignSpec, instances: dict | None = None) -> list[ExcessSummary]:
     """Run every (instance, algorithm, seed) cell and summarize final excess.
 
@@ -180,7 +174,7 @@ def run_campaign(spec: CampaignSpec, instances: dict | None = None) -> list[Exce
     summaries: list[ExcessSummary] = []
     by_key: dict[tuple[str, str], ExcessSummary] = {}
     for name, inst in loaded.items():
-        target = spec.targets.get(name, default_target(name))
+        target = spec.targets.get(name, bundled_optima().get(name))
         for config in spec.algorithms:
             finals = []
             errors = []

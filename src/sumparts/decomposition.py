@@ -118,53 +118,46 @@ def _rng_for(params: SplitParams) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(params.seed), a_bits]))
 
 
+def _units(inst):
+    """(kind, full cost matrix, unit rows, unit cols) of a TSP or UBQP instance.
+
+    TSP units are the edges i < j; UBQP units are the nonzero cells i <= j.
+    """
+    if isinstance(inst, TspInstance):
+        iu, ju = np.triu_indices(inst.n, k=1)
+        return "tsp", inst.costs, iu, ju
+    if isinstance(inst, QuboInstance):
+        iu, ju = np.nonzero(np.triu(inst.q != 0.0))
+        return "qubo", inst.q, iu, ju
+    raise TypeError(f"unsupported instance type: {type(inst).__name__}")
+
+
+def _assemble(kind, mat, iu, ju, c, c1, params, rho=None) -> SplitCosts:
+    """The split of unit costs c into c1 and c - c1; rho is measured unless given."""
+    n = mat.shape[0]
+    mat1 = np.zeros((n, n))
+    mat1[iu, ju] = c1
+    mat1[ju, iu] = c1
+    split = SplitCosts(kind=kind, n=n, unit_i=iu, unit_j=ju, c1=c1, c2=c - c1,
+                       rho=rho, source_params=params, mat1=mat1, mat2=mat - mat1)
+    if rho is None:
+        split.rho = measure_rho(split)
+    return split
+
+
 def sample_split(inst, params: SplitParams) -> SplitCosts:
     """Draw one split of every unit cost of a TSP or UBQP instance.
 
     Deterministic given (instance, params). Symmetric cells share one draw.
     """
-    if isinstance(inst, TspInstance):
-        return _sample_split_tsp(inst, params)
-    if isinstance(inst, QuboInstance):
-        return _sample_split_qubo(inst, params)
-    raise TypeError(f"unsupported instance type: {type(inst).__name__}")
-
-
-def _sample_split_tsp(inst: TspInstance, params: SplitParams) -> SplitCosts:
-    n = inst.n
-    iu, ju = np.triu_indices(n, k=1)
-    c = inst.costs[iu, ju]
-    rng = _rng_for(params)
-    u = rng.random(c.shape[0])
-    c1 = np.where(c > 0.0, c * _inv_cdf_unit(params.a, u), 0.0)
-    c2 = c - c1
-    mat1 = np.zeros((n, n))
-    mat1[iu, ju] = c1
-    mat1[ju, iu] = c1
-    mat2 = inst.costs - mat1
-    split = SplitCosts(kind="tsp", n=n, unit_i=iu, unit_j=ju, c1=c1, c2=c2,
-                       rho=0.0, source_params=params, mat1=mat1, mat2=mat2)
-    split.rho = measure_rho(split)
-    return split
-
-
-def _sample_split_qubo(inst: QuboInstance, params: SplitParams) -> SplitCosts:
-    n = inst.n
-    iu, ju = np.nonzero(np.triu(inst.q != 0.0))
-    q = inst.q[iu, ju]
-    rng = _rng_for(params)
-    u = rng.random(q.shape[0])
-    width = 2.0 * params.q_prime
-    c1 = q / 2.0 - params.q_prime + width * _inv_cdf_unit(params.a, u)
-    c2 = q - c1
-    mat1 = np.zeros((n, n))
-    mat1[iu, ju] = c1
-    mat1[ju, iu] = c1
-    mat2 = inst.q - mat1
-    split = SplitCosts(kind="qubo", n=n, unit_i=iu, unit_j=ju, c1=c1, c2=c2,
-                       rho=0.0, source_params=params, mat1=mat1, mat2=mat2)
-    split.rho = measure_rho(split)
-    return split
+    kind, mat, iu, ju = _units(inst)
+    c = mat[iu, ju]
+    u = _rng_for(params).random(c.shape[0])
+    if kind == "tsp":
+        c1 = np.where(c > 0.0, c * _inv_cdf_unit(params.a, u), 0.0)
+    else:
+        c1 = c / 2.0 - params.q_prime + 2.0 * params.q_prime * _inv_cdf_unit(params.a, u)
+    return _assemble(kind, mat, iu, ju, c, c1, params)
 
 
 def measure_rho(split: SplitCosts) -> float:
@@ -202,19 +195,9 @@ def sweep_a(inst, a_values, seed: int = 0) -> list[tuple[float, float]]:
 
 def half_split(inst) -> SplitCosts:
     """The degenerate c1 = c2 = c/2 decomposition (rho = 1 when costs vary)."""
-    if isinstance(inst, TspInstance):
-        kind, mat, n = "tsp", inst.costs, inst.n
-        iu, ju = np.triu_indices(n, k=1)
-    elif isinstance(inst, QuboInstance):
-        kind, mat, n = "qubo", inst.q, inst.n
-        iu, ju = np.nonzero(np.triu(mat != 0.0))
-    else:
-        raise TypeError(f"unsupported instance type: {type(inst).__name__}")
+    kind, mat, iu, ju = _units(inst)
     c = mat[iu, ju]
-    split = SplitCosts(kind=kind, n=n, unit_i=iu, unit_j=ju, c1=c / 2.0, c2=c / 2.0,
-                       rho=1.0, source_params=SplitParams(a=float("nan")),
-                       mat1=mat / 2.0, mat2=mat - mat / 2.0)
-    return split
+    return _assemble(kind, mat, iu, ju, c, c / 2.0, SplitParams(a=float("nan")), rho=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +220,24 @@ def split_to_json(split: SplitCosts) -> str:
 
 
 def split_from_json(text: str, inst) -> SplitCosts:
-    """Rebuild a persisted split against its instance; c2 = c - c1 recomputed."""
+    """Rebuild a persisted split against its instance; c2 = c - c1 recomputed.
+
+    Raises ValueError when the sidecar does not fit the instance: another
+    size, kind or unit set, or a TSP c1 outside [0, c].
+    """
     payload = json.loads(text)
-    kind = payload["kind"]
-    base = inst.costs if kind == "tsp" else inst.q
+    kind, mat, iu, ju = _units(inst)
     n = int(payload["n"])
     if n != inst.n:
         raise ValueError(f"split n={n} does not match instance n={inst.n}")
-    iu = np.asarray(payload["unit_i"], dtype=np.intp)
-    ju = np.asarray(payload["unit_j"], dtype=np.intp)
+    if payload["kind"] != kind:
+        raise ValueError(f"split kind {payload['kind']!r} does not match a {kind} instance")
+    if not (np.array_equal(payload["unit_i"], iu) and np.array_equal(payload["unit_j"], ju)):
+        raise ValueError("split units do not match the instance's units")
+    c = mat[iu, ju]
     c1 = np.asarray(payload["c1"], dtype=np.float64)
-    c = base[iu, ju]
-    c2 = c - c1
-    mat1 = np.zeros((n, n))
-    mat1[iu, ju] = c1
-    mat1[ju, iu] = c1
+    if kind == "tsp" and not np.all((c1 >= 0.0) & (c1 <= c)):
+        raise ValueError("split c1 lies outside [0, c] on some edge of the instance")
     params = SplitParams(a=payload["a"], q_prime=payload["q_prime"],
                          seed=payload["seed"])
-    return SplitCosts(kind=kind, n=n, unit_i=iu, unit_j=ju, c1=c1, c2=c2,
-                      rho=float(payload["rho"]), source_params=params,
-                      mat1=mat1, mat2=base - mat1)
+    return _assemble(kind, mat, iu, ju, c, c1, params, rho=float(payload["rho"]))

@@ -26,36 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import MAXIMIZE, MINIMIZE, Tour, TspInstance
+from .instances import MINIMIZE, Tour, TspInstance
 from .search import Budget, NeighborList, PenalizedTspObjective, lk_search, unlimited
-
-
-@dataclass(frozen=True)
-class ObjectivePair:
-    """A solution's (f1, f2) values under its instance's optimization sense."""
-
-    v1: float
-    v2: float
-    sense: int = MINIMIZE
-
-
-def dominates(u: ObjectivePair, v: ObjectivePair) -> bool:
-    """Componentwise dominance; reversed for maximization. Irreflexive."""
-    if u.sense != v.sense:
-        raise ValueError("cannot compare objective pairs with different senses")
-    if u.sense == MINIMIZE:
-        return u.v1 <= v.v1 and u.v2 <= v.v2 and (u.v1 < v.v1 or u.v2 < v.v2)
-    return u.v1 >= v.v1 and u.v2 >= v.v2 and (u.v1 > v.v1 or u.v2 > v.v2)
-
-
-def non_dominated(u: ObjectivePair, v: ObjectivePair) -> bool:
-    return not dominates(u, v) and not dominates(v, u)
 
 
 def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Which neighbors a local optimum dominates, from sub-objective deltas.
 
     d1/d2 are f1/f2 changes of each neighbor relative to the optimum.
+    Dominance is componentwise and strict in at least one component, so it
+    is irreflexive; the sense reverses it for maximization.
     """
     if sense == MINIMIZE:
         return (d1 >= 0.0) & (d2 >= 0.0) & ((d1 > 0.0) | (d2 > 0.0))

@@ -8,7 +8,6 @@ with full recomputation to EVAL_REL_TOL relative tolerance.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -277,27 +276,23 @@ def make_tour(inst: TspInstance, order) -> Tour:
     return Tour(order, tour_cost(inst, order))
 
 
-def two_opt_delta(inst: TspInstance, tour: Tour, i: int, j: int, split=None):
+def two_opt_delta(inst: TspInstance, tour: Tour, i: int, j: int) -> float:
     """Cost change of reversing tour positions [i+1..j] (a 2-Opt move).
 
     The move removes edges (t[i], t[i+1]) and (t[j], t[j+1]) and adds
     (t[i], t[j]) and (t[i+1], t[j+1]). Degenerate position pairs that
-    recreate the same tour yield 0. With a split, returns (delta1, delta2).
+    recreate the same tour yield 0.
     """
     n = tour.n
     if not (0 <= i < j <= n - 1):
         raise ValueError(f"need 0 <= i < j <= n-1, got ({i}, {j})")
     t = tour.order
     if j == i + 1 or (i == 0 and j == n - 1):
-        return (0.0, 0.0) if split is not None else 0.0
+        return 0.0
     a, b = t[i], t[i + 1]
     c, d = t[j], t[(j + 1) % n]
-    if split is None:
-        m = inst.costs
-        return float(m[a, c] + m[b, d] - m[a, b] - m[c, d])
-    d1 = float(split.mat1[a, c] + split.mat1[b, d] - split.mat1[a, b] - split.mat1[c, d])
-    d2 = float(split.mat2[a, c] + split.mat2[b, d] - split.mat2[a, b] - split.mat2[c, d])
-    return d1, d2
+    m = inst.costs
+    return float(m[a, c] + m[b, d] - m[a, b] - m[c, d])
 
 
 def apply_two_opt(tour: Tour, i: int, j: int, delta: float):
@@ -366,8 +361,8 @@ def make_bitvector(inst: QuboInstance, bits, split=None) -> BitVector:
     return bv
 
 
-def flip_delta_and_update(inst: QuboInstance, bv: BitVector, i: int, split=None):
-    """Flip bit i in place; returns its pre-flip gain (pair when split given).
+def flip_delta_and_update(inst: QuboInstance, bv: BitVector, i: int) -> float:
+    """Flip bit i in place; returns its pre-flip gain.
 
     All n gains are refreshed in O(n) after the flip: gains[j] moves by
     q_ij * 2 s_i s_j (s = signs before the flip). The factor 2 s_i s_j is
@@ -377,27 +372,22 @@ def flip_delta_and_update(inst: QuboInstance, bv: BitVector, i: int, split=None)
     """
     if not 0 <= i < bv.n:
         raise ValueError(f"bit index {i} out of range")
-    if split is not None and bv.gains1 is None:
-        raise ValueError("BitVector was built without a split")
     s = bv.signs
     scale = s * (2.0 * s[i])
     delta = float(bv.gains[i])
     update = inst.q[i] * scale
     bv.gains += update
     bv.gains[i] = -delta
-    out = delta
     if bv.gains1 is not None:
         d1 = float(bv.gains1[i])
         np.multiply(bv.split.mat1[i], scale, out=update)
         bv.gains1 += update
         bv.gains1[i] = -d1
         bv.value1 += d1
-        if split is not None:
-            out = (d1, delta - d1)
     s[i] = -s[i]
     bv.bits[i] = 1.0 - bv.bits[i]
     bv.cached_value += delta
-    return out
+    return delta
 
 
 # ---------------------------------------------------------------------------

@@ -55,11 +55,11 @@ class NeighborStats:
         }
 
 
-def collect_local_optima(inst, count: int, rng: np.random.Generator, split=None) -> list:
+def collect_local_optima(inst, count: int, rng: np.random.Generator) -> list:
     """Locally optimal solutions from independent random starts (duplicates kept)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    view = neighborhood_for(inst, split)
+    view = neighborhood_for(inst)
     out = []
     for _ in range(count):
         sol = view.random_solution(rng)
@@ -122,20 +122,19 @@ def aggregate_stats(stats: list[NeighborStats]) -> NeighborStats:
     )
 
 
-def expected_fe_nds(stats: NeighborStats, n_moves: int | None = None) -> float:
+def expected_fe_nds(stats: NeighborStats) -> float:
     """Expected evaluations until the filtered two-hop escape finds an improvement.
 
     (ND * N + D) / P&ND over proportions; infinite when P&ND is zero.
     """
-    n = stats.neighborhood_size if n_moves is None else n_moves
     if stats.p_nd <= 0.0:
         return float("inf")
-    return (stats.nd * n + stats.d) / stats.p_nd
+    return (stats.nd * stats.neighborhood_size + stats.d) / stats.p_nd
 
 
-def expected_fe_plain(stats: NeighborStats, n_moves: int | None = None) -> float:
+def expected_fe_plain(stats: NeighborStats) -> float:
     """Expected evaluations for the unfiltered exhaustive scan: N^2 / P."""
-    n = stats.neighborhood_size if n_moves is None else n_moves
+    n = stats.neighborhood_size
     if stats.p <= 0.0:
         return float("inf")
     return n * n / stats.p

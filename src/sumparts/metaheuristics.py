@@ -32,11 +32,10 @@ from .instances import (
 )
 from .search import (
     Budget,
-    FlipNeighborhood,
-    TwoOptNeighborhood,
     better,
     descend,
     lk_search,
+    neighborhood_for,
     new_edge_endpoints,
     tabu_search,
 )
@@ -45,7 +44,10 @@ TSP_ALGORITHMS = ("ils", "ils_nds", "ils_ens", "ilk", "ilk_e", "ilk_nde")
 QUBO_ALGORITHMS = ("ils", "ils_nds", "ils_ens", "its", "its_nds")
 ALGORITHMS = ("ils", "ils_nds", "ils_ens", "its", "its_nds", "ilk", "ilk_e", "ilk_nde")
 
-_STREAM_TAGS = {"init": 1, "perturb": 2, "split": 3, "penalty": 4, "tabu": 5}
+_STREAM_TAGS = {"init": 1, "perturb": 2, "penalty": 4, "tabu": 5}
+
+# Ratio between successive FE checkpoints of a trace.
+CHECKPOINT_GROWTH = 1.3
 
 
 def rng_stream(seed: int, name: str) -> np.random.Generator:
@@ -67,11 +69,16 @@ class SolverConfig:
     flip_fraction: float = 0.25
     neighbor_k: int = 20
     warmup_fraction: float = 0.0  # ILK+E/NDE: plain ILK for this budget share
-    checkpoint_growth: float = 1.3
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if not 0 < self.flip_fraction <= 1:
+            raise ValueError("flip_fraction must be in (0, 1]")
+        if not 0 <= self.warmup_fraction <= 1:
+            raise ValueError("warmup_fraction must be in [0, 1]")
+        if self.neighbor_k < 2:
+            raise ValueError("neighbor_k must be >= 2")
         if self.algorithm in ("ils_nds", "its_nds", "ilk_nde"):
             if self.split is None and self.split_params is None:
                 raise ValueError(f"{self.algorithm} requires split_params or a split")
@@ -118,9 +125,8 @@ class RunTrace:
 class _Recorder:
     """Collects best-so-far events: every improvement plus geometric checkpoints."""
 
-    def __init__(self, budget: Budget, growth: float):
+    def __init__(self, budget: Budget):
         self.budget = budget
-        self.growth = growth
         self.events: list[tuple[int, float]] = []
         self.next_cp = 1.0
         self.last_best: float | None = None
@@ -132,7 +138,7 @@ class _Recorder:
             return
         self.last_best = best
         while self.next_cp <= fe:
-            self.next_cp = max(self.next_cp * self.growth, self.next_cp + 1.0)
+            self.next_cp = max(self.next_cp * CHECKPOINT_GROWTH, self.next_cp + 1.0)
         if self.events and self.events[-1][0] == fe:
             self.events[-1] = (fe, best)
         else:
@@ -203,10 +209,7 @@ def run(config: SolverConfig, inst) -> RunTrace:
     if alg not in allowed:
         raise ValueError(f"{alg} does not apply to {kind} instances")
     split = _resolve_split(config, inst)
-    if kind == "TSP":
-        view = TwoOptNeighborhood(inst, split)
-    else:
-        view = FlipNeighborhood(inst, split, config.flip_fraction)
+    view = neighborhood_for(inst, split, config.flip_fraction)
     neighbors = build_neighbor_lists(inst, config.neighbor_k) if family == "ilk" else None
     init_rng = rng_stream(config.seed, "init")
     perturb_rng = rng_stream(config.seed, "perturb")
@@ -214,7 +217,7 @@ def run(config: SolverConfig, inst) -> RunTrace:
     penalty_rng = rng_stream(config.seed, "penalty")
     budget = Budget(max_fe=config.max_fe, max_wall=config.max_wall)
     budget.start_clock()
-    recorder = _Recorder(budget, config.checkpoint_growth)
+    recorder = _Recorder(budget)
 
     def improve(x, kicked_from=None):
         if family == "ils":

@@ -290,11 +290,12 @@ class FlipNeighborhood:
         return random_flip_perturbation(self.inst, bv, self.flip_fraction, rng)
 
 
-def neighborhood_for(inst, split=None):
+def neighborhood_for(inst, split=None, flip_fraction: float = 0.25):
+    """The 2-Opt view of a TSP or the 1-bit-flip view (kicking flip_fraction) of a UBQP."""
     if isinstance(inst, TspInstance):
         return TwoOptNeighborhood(inst, split)
     if isinstance(inst, QuboInstance):
-        return FlipNeighborhood(inst, split)
+        return FlipNeighborhood(inst, split, flip_fraction)
     raise TypeError(f"unsupported instance type: {type(inst).__name__}")
 
 
@@ -315,20 +316,6 @@ def descend(view, sol, budget: Budget) -> bool:
         if k is None:
             return True
         view.apply(sol, k)
-
-
-def local_search_2opt(inst: TspInstance, tour: Tour, budget: Budget | None = None):
-    """2-Opt first-improvement descent; returns (tour, locally_optimal)."""
-    budget = budget if budget is not None else unlimited()
-    converged = descend(TwoOptNeighborhood(inst), tour, budget)
-    return tour, converged
-
-
-def local_search_1flip(inst: QuboInstance, bv: BitVector, budget: Budget | None = None):
-    """1-bit-flip first-improvement ascent; returns (bv, locally_optimal)."""
-    budget = budget if budget is not None else unlimited()
-    converged = descend(FlipNeighborhood(inst), bv, budget)
-    return bv, converged
 
 
 def is_local_optimum(view, sol) -> bool:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from sumparts import cli
 from sumparts.cli import _merge_negative_values, build_parser, main
 from sumparts.instances import load_bundled_tsp, synthetic_orlib_text
 
@@ -123,6 +124,26 @@ def test_verify_passes():
 def test_usage_error_exit_code():
     assert main(["solve", "--alg", "nope", "--instance", "x"]) == 2
     assert main(["solve", "--instance", "missing-file.tsp", "--alg", "ils"]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--warmup-fraction", "2.0"), ("--flip-fraction", "0"), ("--neighbor-k", "1"),
+])
+def test_out_of_range_setting_exits_before_any_run(eil51_path, monkeypatch, capsys,
+                                                   flag, value):
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("a run started"))
+    assert main(["solve", "--alg", "ilk_e", "--instance", eil51_path, flag, value]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_bench_out_of_range_setting_exits_before_any_run(tmp_path, eil51_path, monkeypatch):
+    campaign = {"instances": {"eil51": eil51_path},
+                "algorithms": [{"algorithm": "ilk_e", "warmup_fraction": 2.0}],
+                "seeds": [0]}
+    spec_path = tmp_path / "campaign.json"
+    spec_path.write_text(json.dumps(campaign))
+    monkeypatch.setattr(cli, "run_campaign", lambda *args: pytest.fail("a run started"))
+    assert main(["bench", "--campaign", str(spec_path)]) == 2
 
 
 def test_missing_subcommand_is_usage_error():

@@ -222,6 +222,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match="does not match"):
             split_from_json(split_to_json(split), other)
 
+    def test_other_kind_rejected(self):
+        tsp, qubo = random_tsp_instance(20, seed=1), random_qubo_instance(20, seed=1)
+        for src, dst in ((tsp, qubo), (qubo, tsp)):
+            text = split_to_json(sample_split(src, SplitParams(a=0.0, seed=0)))
+            with pytest.raises(ValueError, match="kind"):
+                split_from_json(text, dst)
+
+    def test_other_units_rejected(self):
+        src, dst = random_qubo_instance(20, seed=1), random_qubo_instance(20, seed=2)
+        text = split_to_json(sample_split(src, SplitParams(a=0.0, seed=0)))
+        with pytest.raises(ValueError, match="units"):
+            split_from_json(text, dst)
+
+    def test_sub_costs_outside_edge_costs_rejected(self):
+        # same n and units, but c1 drawn for other edge costs: c2 would go negative
+        src, dst = random_tsp_instance(20, seed=1), random_tsp_instance(20, seed=2)
+        text = split_to_json(sample_split(src, SplitParams(a=0.0, seed=0)))
+        with pytest.raises(ValueError, match=r"outside \[0, c\]"):
+            split_from_json(text, dst)
+
     def test_json_is_plain_data(self, eil51):
         payload = json.loads(split_to_json(sample_split(eil51, SplitParams(a=1.0, seed=0))))
         assert payload["kind"] == "tsp"

@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_tsp
+from conftest import brute_force_tsp, lk_chain_bound
 from sumparts.decomposition import SplitParams, sample_split
 from sumparts.escape import (
-    ObjectivePair,
     PenaltyConfig,
     add_random_penalty,
-    dominates,
+    dominated_mask,
     ens,
     further_exploit,
     nds,
-    non_dominated,
 )
 from sumparts.instances import (
+    EVAL_REL_TOL,
     MAXIMIZE,
     MINIMIZE,
     build_neighbor_lists,
+    qubo_value,
     random_qubo_instance,
     random_tsp_instance,
     tour_cost,
@@ -25,46 +27,47 @@ from sumparts.search import (
     Budget,
     FlipNeighborhood,
     TwoOptNeighborhood,
+    better,
     descend,
     lk_search,
+    neighborhood_for,
     unlimited,
 )
 
 
+def dominates(sense, u, v):
+    """u dominates v: dominated_mask on v's deltas relative to u."""
+    return bool(dominated_mask(sense, np.asarray([v[0] - u[0]]), np.asarray([v[1] - u[1]]))[0])
+
+
 class TestDominates:
     def test_basic_minimization(self):
-        assert dominates(ObjectivePair(1, 2), ObjectivePair(2, 3))
-        assert not dominates(ObjectivePair(1, 2), ObjectivePair(1, 2))
-        a, b = ObjectivePair(1, 3), ObjectivePair(2, 2)
-        assert not dominates(a, b) and not dominates(b, a)
-        assert non_dominated(a, b)
+        assert dominates(MINIMIZE, (1, 2), (2, 3))
+        assert not dominates(MINIMIZE, (1, 2), (1, 2))
+        a, b = (1, 3), (2, 2)
+        assert not dominates(MINIMIZE, a, b) and not dominates(MINIMIZE, b, a)
 
     def test_maximization_reversed(self):
-        hi = ObjectivePair(5, 5, sense=MAXIMIZE)
-        lo = ObjectivePair(4, 5, sense=MAXIMIZE)
-        assert dominates(hi, lo)
-        assert not dominates(lo, hi)
-
-    def test_mixed_senses_rejected(self):
-        with pytest.raises(ValueError):
-            dominates(ObjectivePair(1, 2, MINIMIZE), ObjectivePair(1, 2, MAXIMIZE))
+        assert dominates(MAXIMIZE, (5, 5), (4, 5))
+        assert not dominates(MAXIMIZE, (4, 5), (5, 5))
+        rng = np.random.default_rng(1)
+        d1, d2 = rng.integers(-3, 4, (2, 500)).astype(float)
+        np.testing.assert_array_equal(dominated_mask(MAXIMIZE, d1, d2),
+                                      dominated_mask(MINIMIZE, -d1, -d2))
 
     def test_irreflexive_asymmetric(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            u = ObjectivePair(*rng.integers(0, 4, 2).tolist())
-            v = ObjectivePair(*rng.integers(0, 4, 2).tolist())
-            assert not dominates(u, u)
-            assert not (dominates(u, v) and dominates(v, u))
-            assert non_dominated(u, v) == non_dominated(v, u)
+        d1, d2 = rng.integers(-3, 4, (2, 500)).astype(float)
+        for sense in (MINIMIZE, MAXIMIZE):
+            zero = np.zeros(3)
+            assert not dominated_mask(sense, zero, zero).any()
+            assert not (dominated_mask(sense, d1, d2) & dominated_mask(sense, -d1, -d2)).any()
 
 
 def two_hop_oracle(view, x_star):
     """Exhaustive truth: (exists improving two-hop, exists behind an ND neighbor)."""
     f_star = view.value(x_star)
     d, d1, d2 = view.split_deltas(x_star)
-    from sumparts.escape import dominated_mask
-
     dom = dominated_mask(view.sense, d1, d2)
     any_improving = False
     behind_nd = False
@@ -111,15 +114,35 @@ class TestNds:
         assert out is not t
         assert out.cached_cost < t.cached_cost
 
-    def test_return_contract_xor(self):
-        inst = random_tsp_instance(7, seed=2)
-        split = sample_split(inst, SplitParams(a=-2.0, seed=3))
-        view = TwoOptNeighborhood(inst, split)
-        for s in range(15):
-            t = view.random_solution(np.random.default_rng(s))
-            descend(view, t, unlimited())
-            out = nds(t, view)
-            assert (out is t) != (out.cached_cost < t.cached_cost)
+    @settings(max_examples=60, deadline=None)
+    @given(qubo=st.booleans(), n=st.integers(5, 12), seed=st.integers(0, 10_000),
+           a=st.sampled_from([-5.0, -2.0, 0.0, 2.0]),
+           max_fe=st.one_of(st.none(), st.integers(0, 3000)))
+    def test_return_contract_xor(self, qubo, n, seed, a, max_fe):
+        """nds and ens return their input object, or a strictly better solution
+        whose cached value matches a full evaluation within EVAL_REL_TOL."""
+        if qubo:
+            inst = random_qubo_instance(n + 4, seed=seed, density=0.5)
+        else:
+            inst = random_tsp_instance(n, seed=seed)
+        split = sample_split(inst, SplitParams(a=a, seed=seed))
+        view = neighborhood_for(inst, split)
+        sol = view.random_solution(np.random.default_rng(seed))
+        descend(view, sol, unlimited())
+        f = view.value(sol)
+        for escape in (nds, ens):
+            out = escape(sol, view, Budget(max_fe=max_fe))
+            assert view.value(sol) == f
+            if out is sol:
+                continue
+            assert better(view.sense, view.value(out), f)
+            if qubo:
+                exact = qubo_value(inst, out.bits)
+                exact1 = qubo_value(inst, out.bits, split.mat1)
+                assert abs(out.value1 - exact1) <= EVAL_REL_TOL * max(1.0, abs(exact1))
+            else:
+                exact = tour_cost(inst, out)
+            assert abs(view.value(out) - exact) <= EVAL_REL_TOL * max(1.0, abs(exact))
 
     def test_requires_split(self):
         inst = random_tsp_instance(6, seed=0)
@@ -245,6 +268,29 @@ class TestFurtherExploit:
         out = further_exploit(t, inst, nl, PenaltyConfig(rounds=5, k_edges=3),
                               budget, np.random.default_rng(0))
         assert out is t
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(8, 25), seed=st.integers(0, 10_000), k=st.integers(2, 10),
+           max_fe=st.integers(0, 4000))
+    def test_fe_cap_overshoot(self, n, seed, k, max_fe):
+        """Under an FE cap the overshoot is at most one LK chain plus 1 FE.
+
+        further_exploit checks the budget before each round and lk_search
+        before each chain, so the last chain starts below the cap. A chain
+        charges at most lk_chain_bound(k): k first-level candidates, each
+        followed by k second-level ones and the greedy extension of breadth2
+        of those through the remaining depth - 2 levels of k candidates. When
+        that chain belongs to the penalized LK, the plain LK that follows
+        still charges its 1-FE start.
+        """
+        inst = random_tsp_instance(n, seed=seed)
+        nl = build_neighbor_lists(inst, k=k)
+        t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(seed))
+        lk_search(inst, nl, t)
+        budget = Budget(max_fe=max_fe)
+        further_exploit(t, inst, nl, PenaltyConfig(k_edges=3), budget,
+                        np.random.default_rng(seed))
+        assert budget.consumed_fe - max_fe <= lk_chain_bound(nl.k) + 1
 
     def test_output_contract_xor(self):
         inst = random_tsp_instance(10, seed=13)

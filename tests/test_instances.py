@@ -178,10 +178,18 @@ class TestTwoOptDelta:
 
     def test_split_delta_pair(self, eil51):
         split = sample_split(eil51, SplitParams(a=2.0, seed=4))
+        view = TwoOptNeighborhood(eil51, split)
         t = make_tour(eil51, np.random.default_rng(1).permutation(51))
-        d1, d2 = two_opt_delta(eil51, t, 5, 20, split)
-        d = two_opt_delta(eil51, t, 5, 20)
-        assert d1 + d2 == pytest.approx(d, abs=1e-9)
+        k = int(np.flatnonzero((view.p == 5) & (view.q == 20))[0])
+        d, d1, d2 = view.split_deltas(t)
+        assert d[k] == two_opt_delta(eil51, t, 5, 20)
+        assert d1[k] + d2[k] == pytest.approx(d[k], abs=1e-9)
+        moved = t.copy()
+        view.apply(moved, k)
+        f1, f2 = tour_cost(eil51, t, split)
+        g1, g2 = tour_cost(eil51, moved, split)
+        assert d1[k] == pytest.approx(g1 - f1, abs=1e-9)
+        assert d2[k] == pytest.approx(g2 - f2, abs=1e-9)
 
 
 class TestFlipDelta:
@@ -211,9 +219,12 @@ class TestFlipDelta:
         split = sample_split(inst, SplitParams(a=0.0, seed=1))
         bv = make_bitvector(inst, np.ones(15), split)
         gain_before = float(bv.gains[3])
-        d1, d2 = flip_delta_and_update(inst, bv, 3, split)
-        assert d1 + d2 == pytest.approx(gain_before, abs=1e-9)
-        assert bv.value1 == pytest.approx(qubo_value(inst, bv.bits, split.mat1), abs=1e-9)
+        d1 = float(bv.gains1[3])
+        f1_before = qubo_value(inst, bv.bits, split.mat1)
+        assert flip_delta_and_update(inst, bv, 3) == gain_before
+        f1_after = qubo_value(inst, bv.bits, split.mat1)
+        assert d1 == pytest.approx(f1_after - f1_before, abs=1e-9)
+        assert bv.value1 == pytest.approx(f1_after, abs=1e-9)
 
     def test_neighborhood_size_is_n(self):
         text = synthetic_orlib_text(1000, seed=1)

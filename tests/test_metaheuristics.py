@@ -89,6 +89,20 @@ class TestIlsNds:
         assert trace.rho is not None
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"flip_fraction": 0.0}, {"flip_fraction": -3.0}, {"flip_fraction": 1.5},
+        {"warmup_fraction": 2.0}, {"warmup_fraction": -0.1}, {"neighbor_k": 1},
+    ])
+    def test_out_of_range_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SolverConfig(algorithm="ilk_e", **kwargs)
+
+    def test_range_ends_accepted(self):
+        SolverConfig(algorithm="ilk_e", flip_fraction=1.0, warmup_fraction=1.0, neighbor_k=2)
+        SolverConfig(algorithm="ilk_e", warmup_fraction=0.0)
+
+
 class TestIlsEns:
     def test_zero_budget(self):
         inst = random_tsp_instance(10, seed=1)

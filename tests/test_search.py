@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_qubo, brute_force_tsp
+from conftest import brute_force_qubo, brute_force_tsp, lk_chain_bound
 from sumparts import metaheuristics
 from sumparts.instances import (
     EVAL_REL_TOL,
@@ -16,8 +16,6 @@ from sumparts.instances import (
     tour_cost,
 )
 from sumparts.search import (
-    LK_BREADTH2,
-    LK_DEPTH,
     Budget,
     FlipNeighborhood,
     PenalizedTspObjective,
@@ -26,8 +24,6 @@ from sumparts.search import (
     double_bridge,
     is_local_optimum,
     lk_search,
-    local_search_1flip,
-    local_search_2opt,
     new_edge_endpoints,
     pair_swap_kick,
     random_flip_perturbation,
@@ -44,12 +40,12 @@ def tour_edges(order):
 
 class TestLocalSearch2Opt:
     def test_local_optimum_unchanged_one_scan(self, eil51):
-        t = TwoOptNeighborhood(eil51).random_solution(np.random.default_rng(0))
-        local_search_2opt(eil51, t)
+        view = TwoOptNeighborhood(eil51)
+        t = view.random_solution(np.random.default_rng(0))
+        descend(view, t, unlimited())
         budget = Budget()
         before = t.order.copy()
-        _, converged = local_search_2opt(eil51, t, budget)
-        assert converged
+        assert descend(view, t, budget)
         assert np.array_equal(t.order, before)
         assert budget.consumed_fe == 1224  # exactly one full scan
 
@@ -59,7 +55,7 @@ class TestLocalSearch2Opt:
         for s in range(10):
             t = view.random_solution(np.random.default_rng(s))
             start = t.cached_cost
-            local_search_2opt(inst, t)
+            descend(view, t, unlimited())
             assert t.cached_cost <= start
 
     def test_1000_random_starts_all_locally_optimal(self, eil51):
@@ -67,16 +63,15 @@ class TestLocalSearch2Opt:
         rng = np.random.default_rng(42)
         for _ in range(1000):
             t = view.random_solution(rng)
-            _, converged = local_search_2opt(eil51, t)
-            assert converged
+            assert descend(view, t, unlimited())
             assert is_local_optimum(view, t)
         # cached cost still exact after the whole batch
         assert t.cached_cost == pytest.approx(tour_cost(eil51, t), rel=1e-9)
 
     def test_budget_exhaustion_flags_not_optimal(self, eil51):
-        t = TwoOptNeighborhood(eil51).random_solution(np.random.default_rng(3))
-        _, converged = local_search_2opt(eil51, t, Budget(max_fe=10))
-        assert not converged
+        view = TwoOptNeighborhood(eil51)
+        t = view.random_solution(np.random.default_rng(3))
+        assert not descend(view, t, Budget(max_fe=10))
 
     def test_fe_count_matches_sequential_oracle(self, eil51):
         # oracle: literal sequential first-improvement scan, counting evals
@@ -95,7 +90,7 @@ class TestLocalSearch2Opt:
                 break
             view.apply(ref, found)
         budget = Budget()
-        local_search_2opt(eil51, t, budget)
+        descend(view, t, budget)
         assert budget.consumed_fe == fes
         assert np.array_equal(t.order, ref.order)
 
@@ -104,7 +99,8 @@ class TestLocalSearch1Flip:
     def test_nonpositive_gains_unchanged(self):
         inst = random_qubo_instance(12, seed=0, density=0.5)
         bv = make_bitvector(inst, np.zeros(12))
-        bv2, _ = local_search_1flip(inst, make_bitvector(inst, np.zeros(12)))
+        bv2 = make_bitvector(inst, np.zeros(12))
+        descend(FlipNeighborhood(inst), bv2, unlimited())
         if np.all(bv.gains <= 0):
             assert np.array_equal(bv2.bits, bv.bits)
 
@@ -113,8 +109,7 @@ class TestLocalSearch1Flip:
         view = FlipNeighborhood(inst)
         for s in range(10):
             bv = view.random_solution(np.random.default_rng(s))
-            _, converged = local_search_1flip(inst, bv)
-            assert converged
+            assert descend(view, bv, unlimited())
             fresh = make_bitvector(inst, bv.bits)
             assert np.all(fresh.gains <= 0)
 
@@ -123,7 +118,7 @@ class TestLocalSearch1Flip:
         view = FlipNeighborhood(inst)
         bv = view.random_solution(np.random.default_rng(1))
         start = bv.cached_value
-        local_search_1flip(inst, bv)
+        descend(view, bv, unlimited())
         assert bv.cached_value >= start
 
 
@@ -365,13 +360,6 @@ class TestLkSearch:
         assert np.median(post_kick) < np.median(sweeps)
 
 
-def _lk_chain_bound(k: int) -> int:
-    """Most FEs one LK chain can charge: k first-level candidates, each followed
-    by k second-level ones and the greedy extension of breadth2 of those
-    through the remaining depth - 2 levels of k candidates."""
-    return k * (1 + k + LK_BREADTH2 * (LK_DEPTH - 2) * k)
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=8, max_value=30), seed=st.integers(min_value=0, max_value=10_000),
        k=st.integers(min_value=2, max_value=12), penalized=st.booleans(), kicked=st.booleans(),
@@ -399,15 +387,16 @@ def test_lk_permutation_cache_and_overshoot(n, seed, k, penalized, kicked, max_f
     exact = tour_cost(inst, out)
     assert abs(out.cached_cost - exact) <= EVAL_REL_TOL * exact
     if max_fe is not None:
-        assert budget.consumed_fe - max_fe <= _lk_chain_bound(nl.k)
+        assert budget.consumed_fe - max_fe <= lk_chain_bound(nl.k)
 
 
 class TestFeDeterminism:
     def test_identical_seeded_descents_identical_fe(self, eil51):
         counts = []
         for _ in range(2):
-            t = TwoOptNeighborhood(eil51).random_solution(np.random.default_rng(123))
+            view = TwoOptNeighborhood(eil51)
+            t = view.random_solution(np.random.default_rng(123))
             budget = Budget()
-            local_search_2opt(eil51, t, budget)
+            descend(view, t, budget)
             counts.append(budget.consumed_fe)
         assert counts[0] == counts[1]
