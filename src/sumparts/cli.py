@@ -198,6 +198,11 @@ def _verify_qubo(n: int, seed: int) -> list[str]:
     trace = run(config, inst)
     if trace.final_value != best:
         failures.append(f"its missed brute-force optimum {best} (got {trace.final_value})")
+    config = SolverConfig(algorithm="its_nds", seed=seed, max_fe=2e6, target=best,
+                          split_params=SplitParams(a=0.0, seed=seed))
+    trace = run(config, inst)
+    if trace.final_value != best:
+        failures.append(f"its_nds missed brute-force optimum {best} (got {trace.final_value})")
     return failures
 
 

@@ -305,19 +305,15 @@ def apply_two_opt(tour: Tour, i: int, j: int, delta: float):
 class BitVector:
     """A UBQP solution: bits, cached objective value and per-bit flip gains.
 
-    gains[i] is f(flip_i(z)) - f(z) and is kept current through flips.
-    When built with a split, value1/gains1 track the first sub-objective the
-    same way (the second follows by subtraction); the split is kept so flips
-    can maintain them and rebuilds can restore them. signs[i] = 1 - 2 bits[i]
-    (exactly +1 or -1) is kept current too, for the flip gain updates.
+    gains[i] is f(flip_i(z)) - f(z) and is kept current through flips, and so
+    is signs[i] = 1 - 2 bits[i] (exactly +1 or -1), for the gain updates. A
+    BitVector holds no sub-objective state: a split-aware FlipNeighborhood
+    computes the (f1, f2) gains from the bits when it needs them.
     """
 
     bits: np.ndarray
     cached_value: float
     gains: np.ndarray
-    value1: float | None = None
-    gains1: np.ndarray | None = None
-    split: object | None = None  # the SplitCosts value1/gains1 follow
     signs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -326,9 +322,7 @@ class BitVector:
 
     def copy(self) -> "BitVector":
         return BitVector(self.bits.copy(), self.cached_value, self.gains.copy(),
-                         self.value1,
-                         None if self.gains1 is None else self.gains1.copy(),
-                         self.split, self.signs.copy())
+                         self.signs.copy())
 
     @property
     def n(self) -> int:
@@ -342,23 +336,20 @@ def qubo_value(inst: QuboInstance, bits, mat: np.ndarray | None = None) -> float
     return float(z @ m @ z)
 
 
-def _flip_gains(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+def flip_gains(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Gains of every 1-bit flip of z under z^T M z (M = Q or a split sub-matrix)."""
     # delta_i = s_i * (q_ii + 2 * sum_{j != i} q_ij z_j), s_i = 1 - 2 z_i
     diag = np.diag(mat)
     s = 1.0 - 2.0 * z
     return s * (diag + 2.0 * (mat @ z - diag * z))
 
 
-def make_bitvector(inst: QuboInstance, bits, split=None) -> BitVector:
+def make_bitvector(inst: QuboInstance, bits) -> BitVector:
+    """A BitVector of bits with its value and gains computed in full from Q."""
     z = np.asarray(bits, dtype=np.float64)
     if z.shape != (inst.n,) or not np.all((z == 0.0) | (z == 1.0)):
         raise ValueError("bits must be a 0/1 vector of length n")
-    bv = BitVector(z, qubo_value(inst, z), _flip_gains(inst.q, z))
-    if split is not None:
-        bv.value1 = qubo_value(inst, z, split.mat1)
-        bv.gains1 = _flip_gains(split.mat1, z)
-        bv.split = split
-    return bv
+    return BitVector(z, qubo_value(inst, z), flip_gains(inst.q, z))
 
 
 def flip_delta_and_update(inst: QuboInstance, bv: BitVector, i: int) -> float:
@@ -367,23 +358,15 @@ def flip_delta_and_update(inst: QuboInstance, bv: BitVector, i: int) -> float:
     All n gains are refreshed in O(n) after the flip: gains[j] moves by
     q_ij * 2 s_i s_j (s = signs before the flip). The factor 2 s_i s_j is
     exactly +-2, so the update is the same in every bit however the product
-    is grouped. A BitVector built with a split keeps its sub-objective gains
-    current on every flip.
+    is grouped. Only f's gains are kept; sub-objective gains are computed
+    from the bits on demand (FlipNeighborhood.split_deltas).
     """
     if not 0 <= i < bv.n:
         raise ValueError(f"bit index {i} out of range")
     s = bv.signs
-    scale = s * (2.0 * s[i])
     delta = float(bv.gains[i])
-    update = inst.q[i] * scale
-    bv.gains += update
+    bv.gains += inst.q[i] * (s * (2.0 * s[i]))
     bv.gains[i] = -delta
-    if bv.gains1 is not None:
-        d1 = float(bv.gains1[i])
-        np.multiply(bv.split.mat1[i], scale, out=update)
-        bv.gains1 += update
-        bv.gains1[i] = -d1
-        bv.value1 += d1
     s[i] = -s[i]
     bv.bits[i] = 1.0 - bv.bits[i]
     bv.cached_value += delta

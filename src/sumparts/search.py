@@ -40,6 +40,7 @@ from .instances import (
     TspInstance,
     apply_two_opt,
     flip_delta_and_update,
+    flip_gains,
     make_bitvector,
     tour_cost,
     two_opt_delta,
@@ -236,11 +237,14 @@ class FlipNeighborhood:
         return bv.gains.copy()
 
     def split_deltas(self, bv: BitVector, budget: Budget | None = None):
-        if bv.gains1 is None:
-            raise ValueError("BitVector was built without a split")
+        """(f, f1, f2) gains of every flip; each (f1, f2) pair counts as one FE.
+
+        The BitVector keeps only f's gains; f1's come from the split's mat1
+        and the bits in one O(n^2) product, and f2's as f's minus f1's.
+        """
         if budget is not None:
             budget.charge(self.size)
-        d1 = bv.gains1.copy()
+        d1 = flip_gains(self.split.mat1, bv.bits)
         return bv.gains.copy(), d1, bv.gains - d1
 
     def first_improvement(self, bv: BitVector, threshold: float, budget: Budget):
@@ -284,7 +288,7 @@ class FlipNeighborhood:
 
     def random_solution(self, rng: np.random.Generator) -> BitVector:
         bits = rng.integers(0, 2, size=self.inst.n).astype(np.float64)
-        return make_bitvector(self.inst, bits, self.split)
+        return make_bitvector(self.inst, bits)
 
     def perturb(self, bv: BitVector, rng: np.random.Generator) -> BitVector:
         return random_flip_perturbation(self.inst, bv, self.flip_fraction, rng)
@@ -369,7 +373,7 @@ def random_flip_perturbation(inst: QuboInstance, bv: BitVector, fraction: float,
     positions = rng.choice(n, size=count, replace=False)
     bits = bv.bits.copy()
     bits[positions] = 1.0 - bits[positions]
-    return make_bitvector(inst, bits, bv.split)
+    return make_bitvector(inst, bits)
 
 
 # ---------------------------------------------------------------------------

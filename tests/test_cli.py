@@ -68,9 +68,18 @@ def test_decompose_sidecar(eil51_path, tmp_path):
     assert split.rho == payload["rho"]
 
 
-def test_analyze_table(eil51_path, tmp_path):
+@pytest.fixture(scope="module")
+def ubqp60_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "synth60.sparse"
+    path.write_text(synthetic_orlib_text(60, seed=1))
+    return str(path)
+
+
+@pytest.mark.parametrize("instance", ["eil51_path", "ubqp60_path"],
+                         ids=["eil51", "ubqp60"])
+def test_analyze_table(instance, request, tmp_path):
     out = tmp_path / "table.csv"
-    assert main(["analyze", "--instance", eil51_path, "--a", "0,2",
+    assert main(["analyze", "--instance", request.getfixturevalue(instance), "--a", "0,2",
                  "--optima", "3", "--seed", "2", "-o", str(out)]) == 0
     lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     assert lines[0].split(",")[:4] == ["instance", "a", "rho", "sample_size"]

@@ -21,7 +21,13 @@ from sumparts.instances import (
     tour_cost,
     two_opt_delta,
 )
-from sumparts.search import TwoOptNeighborhood
+from sumparts.search import (
+    Budget,
+    FlipNeighborhood,
+    TwoOptNeighborhood,
+    random_flip_perturbation,
+    tabu_search,
+)
 
 UNIT_SQUARE = """NAME : square
 TYPE : TSP
@@ -214,18 +220,6 @@ class TestFlipDelta:
             assert delta == pytest.approx(after - before, abs=1e-9)
             assert bv.cached_value == pytest.approx(after, abs=1e-9)
 
-    def test_split_pair_returned(self):
-        inst = random_qubo_instance(15, seed=1, density=0.5)
-        split = sample_split(inst, SplitParams(a=0.0, seed=1))
-        bv = make_bitvector(inst, np.ones(15), split)
-        gain_before = float(bv.gains[3])
-        d1 = float(bv.gains1[3])
-        f1_before = qubo_value(inst, bv.bits, split.mat1)
-        assert flip_delta_and_update(inst, bv, 3) == gain_before
-        f1_after = qubo_value(inst, bv.bits, split.mat1)
-        assert d1 == pytest.approx(f1_after - f1_before, abs=1e-9)
-        assert bv.value1 == pytest.approx(f1_after, abs=1e-9)
-
     def test_neighborhood_size_is_n(self):
         text = synthetic_orlib_text(1000, seed=1)
         inst = parse_orlib_bqp(text)
@@ -234,14 +228,12 @@ class TestFlipDelta:
 
     def test_gains_after_1000_random_flips(self):
         inst = random_qubo_instance(30, seed=9, density=0.3)
-        split = sample_split(inst, SplitParams(a=2.0, seed=0))
         rng = np.random.default_rng(4)
-        bv = make_bitvector(inst, rng.integers(0, 2, 30).astype(float), split)
+        bv = make_bitvector(inst, rng.integers(0, 2, 30).astype(float))
         for _ in range(1000):
             flip_delta_and_update(inst, bv, int(rng.integers(30)))
-        fresh = make_bitvector(inst, bv.bits, split)
+        fresh = make_bitvector(inst, bv.bits)
         np.testing.assert_allclose(bv.gains, fresh.gains, atol=1e-8)
-        np.testing.assert_allclose(bv.gains1, fresh.gains1, atol=1e-8)
         assert bv.cached_value == pytest.approx(fresh.cached_value, abs=1e-8)
 
 
@@ -307,22 +299,37 @@ def test_cumulative_flip_deltas_match_full_eval(n, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=2, max_value=40), seed=st.integers(min_value=0, max_value=10_000),
-       flips=st.lists(st.integers(min_value=0, max_value=10**6), max_size=300))
-def test_split_aware_flips_keep_caches_and_signs(n, seed, flips):
+       steps=st.lists(st.one_of(st.integers(min_value=0, max_value=10**6),
+                                st.sampled_from(["kick", "tabu"])), max_size=300))
+def test_split_deltas_after_any_flip_sequence(n, seed, steps):
+    """After any mix of flips, kicks and tabu moves, the caches match a rebuild
+    and a split-aware view's (f, f1, f2) gains match each flip's full change."""
     rng = np.random.default_rng(seed)
     q = rng.integers(1, 101, (n, n)) * rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(0.5, 1.5, (n, n))
     inst = QuboInstance(name="dense", n=n, q=np.triu(q) + np.triu(q, 1).T)
     split = sample_split(inst, SplitParams(a=0.0, seed=seed))
-    bv = make_bitvector(inst, rng.integers(0, 2, n).astype(float), split)
-    for f in flips:
-        flip_delta_and_update(inst, bv, f % n)
+    view = FlipNeighborhood(inst, split)
+    bv = make_bitvector(inst, rng.integers(0, 2, n).astype(float))
+    for step in steps:
+        if step == "kick":
+            bv = random_flip_perturbation(inst, bv, float(rng.uniform(0.01, 1.0)), rng)
+        elif step == "tabu":
+            bv = tabu_search(inst, bv, rng, Budget(max_fe=int(rng.integers(0, 40)) * n))
+        else:
+            gain = float(bv.gains[step % n])
+            assert flip_delta_and_update(inst, bv, step % n) == gain
     assert np.array_equal(bv.signs, 1.0 - 2.0 * bv.bits)
-    fresh = make_bitvector(inst, bv.bits.copy(), split)
-    scale = EVAL_REL_TOL * (np.abs(inst.q).sum() + np.abs(split.mat1).sum())
+    fresh = make_bitvector(inst, bv.bits.copy())
+    scale = EVAL_REL_TOL * np.abs(inst.q).sum()
     np.testing.assert_allclose(bv.gains, fresh.gains, rtol=0, atol=scale)
-    np.testing.assert_allclose(bv.gains1, fresh.gains1, rtol=0, atol=scale)
-    assert bv.value1 == pytest.approx(fresh.value1, rel=0, abs=scale)
     assert bv.cached_value == pytest.approx(fresh.cached_value, rel=0, abs=scale)
+    d0, d1, d2 = view.split_deltas(bv)
+    assert np.array_equal(d0, bv.gains)
+    for mat, d in ((split.mat1, d1), (split.mat2, d2)):
+        before = qubo_value(inst, bv.bits, mat)
+        change = [qubo_value(inst, np.where(np.arange(n) == i, 1.0 - bv.bits, bv.bits), mat)
+                  - before for i in range(n)]
+        np.testing.assert_allclose(d, change, rtol=0, atol=EVAL_REL_TOL * np.abs(mat).sum())
     copy = bv.copy()
-    for name in ("bits", "gains", "gains1", "signs"):
+    for name in ("bits", "gains", "signs"):
         assert not np.shares_memory(getattr(copy, name), getattr(bv, name))

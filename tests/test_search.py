@@ -24,6 +24,7 @@ from sumparts.search import (
     double_bridge,
     is_local_optimum,
     lk_search,
+    neighborhood_for,
     new_edge_endpoints,
     pair_swap_kick,
     random_flip_perturbation,
@@ -388,6 +389,34 @@ def test_lk_permutation_cache_and_overshoot(n, seed, k, penalized, kicked, max_f
     assert abs(out.cached_cost - exact) <= EVAL_REL_TOL * exact
     if max_fe is not None:
         assert budget.consumed_fe - max_fe <= lk_chain_bound(nl.k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(qubo=st.booleans(), n=st.integers(min_value=5, max_value=30),
+       seed=st.integers(min_value=0, max_value=10_000),
+       max_fe=st.integers(min_value=0, max_value=5000))
+def test_descend_overshoots_by_at_most_one_scan(qubo, n, seed, max_fe):
+    if qubo:
+        inst = random_qubo_instance(n, seed=seed, density=0.5)
+    else:
+        inst = random_tsp_instance(n, seed=seed)
+    view = neighborhood_for(inst)
+    sol = view.random_solution(np.random.default_rng(seed))
+    budget = Budget(max_fe=max_fe)
+    descend(view, sol, budget)
+    assert budget.consumed_fe - max_fe <= view.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40), seed=st.integers(min_value=0, max_value=10_000),
+       max_fe=st.integers(min_value=0, max_value=20_000), use_aspiration=st.booleans())
+def test_tabu_overshoots_by_at_most_one_move(n, seed, max_fe, use_aspiration):
+    inst = random_qubo_instance(n, seed=seed, density=0.5)
+    rng = np.random.default_rng(seed)
+    bv = FlipNeighborhood(inst).random_solution(rng)
+    budget = Budget(max_fe=max_fe)
+    tabu_search(inst, bv, rng, budget, use_aspiration=use_aspiration)
+    assert budget.consumed_fe - max_fe <= n
 
 
 class TestFeDeterminism:

@@ -15,7 +15,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumparts.decomposition import SplitParams, sample_split
 from sumparts.instances import EVAL_REL_TOL, QuboInstance, make_bitvector, qubo_value
 from sumparts.search import Budget, sample_tenure, tabu_search
 
@@ -27,11 +26,6 @@ def reference_flip(inst, bv, i):
     delta = float(bv.gains[i])
     bv.gains += (2.0 * s[i]) * inst.q[i] * s
     bv.gains[i] = -delta
-    if bv.gains1 is not None:
-        d1 = float(bv.gains1[i])
-        bv.gains1 += (2.0 * s[i]) * bv.split.mat1[i] * s
-        bv.gains1[i] = -d1
-        bv.value1 += d1
     z[i] = 1.0 - z[i]
     bv.signs = 1.0 - 2.0 * z
     bv.cached_value += delta
@@ -74,26 +68,23 @@ def qubo(n, seed, integral):
 
 
 def state(bv):
-    return (bv.bits.tobytes(), bv.cached_value, bv.gains.tobytes(), bv.signs.tobytes(),
-            bv.value1, None if bv.gains1 is None else bv.gains1.tobytes())
+    return bv.bits.tobytes(), bv.cached_value, bv.gains.tobytes(), bv.signs.tobytes()
 
 
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(2, 60), seed=st.integers(0, 10_000), integral=st.booleans(),
-       with_split=st.booleans(), use_aspiration=st.booleans(),
+       use_aspiration=st.booleans(),
        cap=st.sampled_from(["before-first-move", "mid-run", "unbounded"]),
        cap_seed=st.integers(0, 2**32 - 1))
-def test_tabu_matches_reference_loop(n, seed, integral, with_split, use_aspiration,
-                                     cap, cap_seed):
+def test_tabu_matches_reference_loop(n, seed, integral, use_aspiration, cap, cap_seed):
     inst = qubo(n, seed, integral)
-    split = sample_split(inst, SplitParams(a=0.0, seed=seed)) if with_split else None
     bits = np.random.default_rng(seed + 1).integers(0, 2, n).astype(np.float64)
     max_fe = {"before-first-move": 0,
               "mid-run": int(np.random.default_rng(cap_seed).integers(1, 60 * n * n)),
               "unbounded": None}[cap]
     runs = []
     for search in (tabu_search, reference_tabu):
-        bv = make_bitvector(inst, bits.copy(), split)
+        bv = make_bitvector(inst, bits.copy())
         budget = Budget(max_fe=max_fe)
         rng = np.random.default_rng(cap_seed)
         best = search(inst, bv, rng, budget, use_aspiration=use_aspiration)

@@ -68,8 +68,7 @@ def sequential_promising_flags(x_star, view):
 def solution_state(sol):
     if hasattr(sol, "order"):
         return sol.order.tobytes(), sol.cached_cost
-    return (sol.bits.tobytes(), sol.cached_value, sol.gains.tobytes(),
-            None if sol.gains1 is None else sol.gains1.tobytes(), sol.value1)
+    return sol.bits.tobytes(), sol.cached_value, sol.gains.tobytes()
 
 
 def assert_same_as_sequential(fast, slow, sol, view, max_fe):
@@ -81,6 +80,7 @@ def assert_same_as_sequential(fast, slow, sol, view, max_fe):
     assert b_fast.consumed_fe == b_slow.consumed_fe
     assert (got is sol) == (want is sol)
     assert solution_state(got) == solution_state(want)
+    return b_fast.consumed_fe
 
 
 def boundary_caps(view, full_fe, rows):
@@ -179,7 +179,8 @@ class TestScansMatchSequentialLoop:
                 rng = np.random.default_rng(cap_seed)
                 caps.append(int(rng.integers(0, full.consumed_fe + 1)))
                 for cap in [None, *caps]:
-                    assert_same_as_sequential(fast, slow, sol, view, cap)
+                    fe = assert_same_as_sequential(fast, slow, sol, view, cap)
+                    assert cap is None or fe - cap <= view.size
 
     def test_eil51_default_blocks_under_caps(self, eil51):
         split = sample_split(eil51, SplitParams(a=-12.0, seed=0))
