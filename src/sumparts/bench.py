@@ -83,8 +83,9 @@ def verdict_vs_reference(reference_excess, other_excess, alpha: float = 0.05) ->
 
     Worse means larger excess by rank; anything not significant is "=".
     """
-    u, p = rank_sum_test(other_excess, reference_excess)
-    n1n2 = len(list(other_excess)) * len(list(reference_excess))
+    other, reference = list(other_excess), list(reference_excess)
+    u, p = rank_sum_test(other, reference)
+    n1n2 = len(other) * len(reference)
     if p < alpha and u > n1n2 / 2.0:
         return "-"
     return "="

@@ -160,6 +160,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _promising_by_loop(view, x_star) -> np.ndarray:
+    """promising_flags' oracle: build every neighbor and score its moves."""
+    f_star = view.value(x_star)
+    d = view.deltas(x_star)
+    flags = []
+    for k in range(view.size):
+        cand = view.neighbor(x_star, k, float(d[k]))
+        flags.append(bool(np.any(view.deltas(cand) < f_star - view.value(cand))))
+    return np.asarray(flags)
+
+
 def _verify_tsp(n: int, seed: int) -> list[str]:
     failures = []
     inst = random_tsp_instance(n, seed)
@@ -171,6 +182,8 @@ def _verify_tsp(n: int, seed: int) -> list[str]:
             failures.append(f"tsp descent not locally optimal (seed {s})")
         if abs(t.cached_cost - tour_cost(inst, t)) > 1e-9 * max(1.0, t.cached_cost):
             failures.append(f"tsp cached cost drifted (seed {s})")
+        if not np.array_equal(promising_flags(t, view), _promising_by_loop(view, t)):
+            failures.append(f"tsp promising flags disagree with the neighbor loop (seed {s})")
     config = SolverConfig(algorithm="ils", seed=seed, max_fe=1e6, target=best)
     trace = run(config, inst)
     if trace.final_value != best:

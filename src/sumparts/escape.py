@@ -10,13 +10,15 @@ Scan order is the same fixed lexicographic order local search uses, so the
 filtered scan consumes a subset of the unfiltered scan's evaluations on the
 same input.
 
-Two-hop scans run in blocks: one numpy call scores the whole neighborhoods of
-a block of neighbors (`two_hop_deltas`), and only the winning solution is
-built. FE charges stay exactly those of a sequential neighbor-by-neighbor
-scan, and a block never starts more neighbors than that scan would before
-`max_fe` runs out, so an FE cap still overshoots by at most one scan. A
-`max_wall` budget is checked between blocks, so it can overrun by one block
-(under 1 ms on eil51).
+Two-hop scans run in blocks, and each neighbor's best move delta costs O(n)
+work (`two_hop_best`): a flip view takes the best of its n gains, and a
+2-Opt view reads O(n^2) tables built once per scan instead of scoring the
+neighbor's n(n-3)/2 moves. Only the first neighbor that succeeds has every move delta computed
+(`two_hop_deltas`), and only the winning solution is built. FE charges stay
+exactly those of a sequential neighbor-by-neighbor scan, and a block never
+starts more neighbors than that scan would before `max_fe` runs out, so an
+FE cap still overshoots by at most one scan. A `max_wall` budget is checked
+between blocks, so it can overrun by one block (under 2 ms on eil51).
 """
 
 from __future__ import annotations
@@ -42,26 +44,33 @@ def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return (d1 <= 0.0) & (d2 <= 0.0) & ((d1 < 0.0) | (d2 < 0.0))
 
 
-# Deltas scored per block of a two-hop scan: 13 neighbors on eil51, 16 on a
-# 1000-variable UBQP. Enough to amortize numpy's per-call cost, while each
-# 8-byte temporary stays under 128 kB, glibc's default threshold for giving
-# an allocation its own mapping. Twice the size scanned eil51 about 7% faster
-# but added 1.3 MB to peak memory.
+# A block of a two-hop scan holds BLOCK_DELTAS // n neighbors: 321 on eil51,
+# 16 on a 1000-variable UBQP. `two_hop_best` scores each neighbor through
+# arrays n wide, so each 8-byte temporary of a block stays under 128 kB,
+# glibc's default threshold for giving an allocation its own mapping, while
+# the block is large enough to amortize numpy's per-call cost. On eil51,
+# blocks of 13 neighbors made ens take twice as long as blocks of 64-321.
 BLOCK_DELTAS = 1 << 14
 
 
-def two_hop_blocks(view, sol, ks, d, budget: Budget | None = None):
-    """Score the neighborhoods of sol's neighbors ks, in order, a block at a time.
+def _beats(sense: int, deltas, threshold):
+    """Where deltas are strictly better than threshold under the given sense."""
+    return deltas < threshold if sense == MINIMIZE else deltas > threshold
 
-    d holds sol's own move deltas. Yields (block, hits): hits[i, j] says
-    whether move j of neighbor block[i] reaches a solution strictly better
-    than sol. With a budget, it is checked before every block, and a block
-    holds no more neighbors than a sequential scan would start before
-    max_fe runs out; the caller charges what it uses.
+
+def two_hop_blocks(view, sol, ks, d, budget: Budget | None = None):
+    """Flag, in order and a block at a time, which of sol's neighbors ks succeed.
+
+    d holds sol's own move deltas. Yields (block, hits): hits[i] says whether
+    neighbor block[i] succeeds, that is, whether one of its moves reaches a
+    solution strictly better than sol. With a budget, it is checked before
+    every block, and a block holds no more neighbors than a sequential scan
+    would start before max_fe runs out; the caller charges what it uses.
     """
     size = view.size
     f_star = view.value(sol)
-    cap = max(1, BLOCK_DELTAS // size)
+    best_of = view.two_hop_best(sol, d)
+    cap = max(1, BLOCK_DELTAS // view.inst.n)
     start = 0
     while start < len(ks):
         rows = cap
@@ -71,9 +80,8 @@ def two_hop_blocks(view, sol, ks, d, budget: Budget | None = None):
             if budget.max_fe is not None:
                 rows = min(rows, math.ceil((budget.max_fe - budget.consumed_fe) / size))
         block = ks[start:start + rows]
-        deltas, values = view.two_hop_deltas(sol, block, d)
-        threshold = (f_star - values)[:, None]
-        yield block, (deltas < threshold if view.sense == MINIMIZE else deltas > threshold)
+        best, values = best_of(block)
+        yield block, _beats(view.sense, best, f_star - values)
         start += len(block)
 
 
@@ -81,17 +89,20 @@ def _first_two_hop(view, sol, ks, d, budget: Budget):
     """The first solution two hops from sol strictly better than it, else sol.
 
     Charges what a sequential scan evaluates: a whole neighborhood per
-    neighbor that fails, and up to the hit in the one that succeeds.
+    neighbor that fails, and up to the hit in the one that succeeds. Only
+    that one has every move delta computed, to find the hit.
     """
     for block, hits in two_hop_blocks(view, sol, ks, d, budget):
-        first = int(hits.argmax())
-        if not hits.flat[first]:
-            budget.charge(hits.size)
+        i = int(hits.argmax())
+        if not hits[i]:
+            budget.charge(len(block) * view.size)
             continue
-        budget.charge(first + 1)
-        k = int(block[first // view.size])
+        deltas, values = view.two_hop_deltas(sol, block[i:i + 1], d)
+        j = int(_beats(view.sense, deltas[0], view.value(sol) - values[0]).argmax())
+        budget.charge(i * view.size + j + 1)
+        k = int(block[i])
         cand = view.neighbor(sol, k, float(d[k]))
-        view.apply(cand, first % view.size)
+        view.apply(cand, j)
         return cand
     return sol
 

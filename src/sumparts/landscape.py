@@ -76,7 +76,7 @@ def promising_flags(x_star, view) -> np.ndarray:
     Exhaustive two-hop scan; ties with the optimum do not count.
     """
     blocks = two_hop_blocks(view, x_star, np.arange(view.size), view.deltas(x_star))
-    return np.concatenate([hits.any(axis=1) for _, hits in blocks])
+    return np.concatenate([hits for _, hits in blocks])
 
 
 def classify_neighbors(x_star, view, promising: np.ndarray | None = None) -> NeighborStats:

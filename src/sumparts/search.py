@@ -6,11 +6,12 @@ overshoot its budget by at most one scan. First-improvement scans use a fixed
 lexicographic move order and restart from the first move after each accepted
 move, which makes every seeded run exactly reproducible.
 
-The two-hop escape scans (escape.py) run in blocks: `two_hop_deltas` scores
-the whole neighborhoods of several neighbors per numpy call. Their FE charges
-stay exactly those of a sequential scan, and an FE cap still overshoots by at
-most one scan; a `max_wall` budget is checked only between blocks, so it can
-overrun by one block (under 1 ms on eil51).
+The two-hop escape scans (escape.py) run in blocks: `two_hop_best` builds
+O(n^2) tables once per scan and then gives each neighbor's best move delta in
+O(n) work, and `two_hop_deltas` scores only the neighbor that succeeds. Their
+FE charges stay exactly those of a sequential scan, and an FE cap still
+overshoots by at most one scan; a `max_wall` budget is checked only between
+blocks, so it can overrun by one block (under 2 ms on eil51).
 
 Lin-Kernighan is the exception to full scans: its unit of work is one chain,
 anchored at a (city, direction) pair taken from a FIFO queue of active
@@ -93,6 +94,11 @@ def better(sense: int, a: float, b: float) -> bool:
 # charges match a sequential scan exactly.
 
 
+def _suffix_min(a: np.ndarray, axis: int) -> np.ndarray:
+    """Running minimum from the far end of the axis."""
+    return np.flip(np.minimum.accumulate(np.flip(a, axis), axis=axis), axis)
+
+
 @lru_cache(maxsize=32)
 def _two_opt_moves(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Position pairs (p, q) of all n(n-3)/2 distinct 2-Opt moves, lexicographic."""
@@ -117,7 +123,6 @@ class TwoOptNeighborhood:
         self.size = self.p.shape[0]
         self._p1 = self.p + 1
         self._succ = np.roll(np.arange(inst.n), -1)
-        self._scratch = None  # two_hop_deltas' temporaries, reused across calls
 
     def _gather(self, tour: Tour, *mats) -> list[np.ndarray]:
         """Deltas of every move under each cost matrix, as in two_opt_delta."""
@@ -159,40 +164,117 @@ class TwoOptNeighborhood:
         budget.charge(k + 1)
         return k
 
+    def _neighbor_tours(self, tour: Tour, ks: np.ndarray):
+        """Order, successor order and edge costs of each neighbor in ks, one row each.
+
+        Row i is the tour with neighbor ks[i]'s segment reversed, so no
+        neighbor is materialized.
+        """
+        lo = self._p1[ks, None]
+        hi = self.q[ks, None]
+        i = np.arange(self.inst.n)
+        t = tour.order[np.where((i >= lo) & (i <= hi), lo + hi - i, i)]
+        nxt = t.take(self._succ, axis=1)
+        return t, nxt, self.inst.costs.ravel().take(t * self.inst.n + nxt)
+
     def two_hop_deltas(self, tour: Tour, ks: np.ndarray, d: np.ndarray):
         """Deltas of every move of the neighbors ks, one row each, and their values.
 
         Row i equals deltas() of neighbor(tour, ks[i]) bit for bit: each row
         gathers the same costs and adds them in the same order, through the
-        position permutation that reverses the neighbor's segment, so no
-        neighbor is materialized. d holds the tour's own move deltas.
-        The index temporaries live in buffers kept between calls: allocated
-        per call, they page-faulted about 7 times per eil51 row.
+        position permutation that reverses the neighbor's segment. d holds
+        the tour's own move deltas.
         """
-        n, rows = self.inst.n, len(ks)
-        if self._scratch is None or self._scratch[0].shape[0] < rows:
-            self._scratch = (np.empty((rows, self.size), dtype=np.intp),
-                             np.empty((rows, self.size), dtype=np.intp),
-                             np.empty((rows, self.size)))
-        idx, tmp, cost = (a[:rows] for a in self._scratch)
-        lo = self._p1[ks, None]
-        hi = self.q[ks, None]
-        i = np.arange(n)
-        t = tour.order[np.where((i >= lo) & (i <= hi), lo + hi - i, i)]
-        nxt = t.take(self._succ, axis=1)
+        n = self.inst.n
+        t, nxt, edge = self._neighbor_tours(tour, ks)
         tn = t * n
         costs = self.inst.costs.ravel()
-        edge = costs.take(tn + nxt)
         # m[a, c] + m[b, d] - m[a, b] - m[c, d], as in deltas()
-        tn.take(self.p, axis=1, out=idx, mode="clip")
-        idx += t.take(self.q, axis=1, out=tmp, mode="clip")
-        out = costs.take(idx)
-        tn.take(self._p1, axis=1, out=idx, mode="clip")
-        idx += nxt.take(self.q, axis=1, out=tmp, mode="clip")
-        out += costs.take(idx, out=cost, mode="clip")
-        out -= edge.take(self.p, axis=1, out=cost, mode="clip")
-        out -= edge.take(self.q, axis=1, out=cost, mode="clip")
+        out = costs.take(tn.take(self.p, axis=1) + t.take(self.q, axis=1))
+        out += costs.take(tn.take(self._p1, axis=1) + nxt.take(self.q, axis=1))
+        out -= edge.take(self.p, axis=1)
+        out -= edge.take(self.q, axis=1)
         return out, tour.cached_cost + d[ks]
+
+    def two_hop_best(self, tour: Tour, d: np.ndarray):
+        """A function of neighbors ks giving each one's best move delta, and their values.
+
+        Neighbor k's best delta equals two_hop_deltas(tour, [k], d).min() bit
+        for bit. Neighbor k = (P, Q) keeps the tour's edges at positions
+        L = [0, P-1] and H = [Q+1, n-1], reverses those at R = [P+1, Q-1] and
+        adds new ones at P and Q. With b[x, y] = m[t[x], t[y]] and
+        e[x] = b[x, x+1], a move of k that removes two of the tour's edges,
+        at tour positions x < y (an edge in R counted at its place in the
+        tour, not in k), reads:
+        - the tour's own delta d when both lie in L or H;
+        - X[x, y] = ((b[x, y+1] + b[x+1, y]) - e[x]) - e[y] when one lies in R;
+        - Z[x, y] = ((b[x+1, y+1] + b[x, y]) - e[y]) - e[x] when both do.
+        Each adds and subtracts the costs two_hop_deltas gathers, in its
+        order: the cost matrix is bitwise symmetric and float addition
+        commutes. Their minima over each neighbor's rectangles and triangles
+        come from O(n^2) cumulative-min tables built once here, of which one
+        value per move is kept. The function then scores only the ~2n moves
+        through each neighbor's two new edges, so a neighbor costs O(n).
+        Building the tables holds about seven (n+2)^2 float arrays at its peak.
+        """
+        n, w = self.inst.n, self.inst.n + 2
+        s = self._succ
+        b = self.inst.costs[tour.order][:, tour.order]
+        e = b[np.arange(n), s]
+        # d, X and Z padded by a border of inf, so position x is index x + 1
+        # and an empty range reads inf; entries with y < x + 2 are no move
+        # and are left out of every minimum
+        dm, x, z = np.full((3, w, w), np.inf)
+        dm[self._p1, self.q + 1] = d
+        inner = x[1:-1, 1:-1]
+        np.add(b[:, s], b[s], out=inner)
+        inner -= e[:, None]
+        inner -= e
+        inner = z[1:-1, 1:-1]
+        np.add(b[s][:, s], b, out=inner)
+        inner -= e
+        inner -= e[:, None]
+        del b, inner
+        i = np.arange(w)
+        near = np.subtract.outer(i, i) > -2
+        z[near] = np.inf
+        P, Q = self.p, self.q
+        static = np.minimum(np.minimum.accumulate(dm.min(axis=0))[P],  # L x L
+                            _suffix_min(dm.min(axis=1), axis=0)[Q + 2])  # H x H
+        corner = np.minimum.accumulate(_suffix_min(dm, axis=1), axis=0)  # x <= a, y >= b
+        np.minimum(static, corner[P, Q + 2], out=static)  # L x H
+        corner = _suffix_min(np.minimum.accumulate(z, axis=1), axis=0)  # x >= a, y <= b
+        np.minimum(static, corner[P + 2, Q], out=static)  # R x R
+        corner = np.minimum.accumulate(x, axis=0)  # x' <= x
+        corner[near] = np.inf
+        np.minimum(static, np.minimum.accumulate(corner, axis=1)[P, Q], out=static)  # L x R
+        corner = _suffix_min(x, axis=1)  # y' >= y
+        corner[near] = np.inf
+        np.minimum(static, _suffix_min(corner, axis=0)[P + 2, Q + 2], out=static)  # R x H
+        del dm, x, z, corner
+        costs = self.inst.costs.ravel()
+        pos = np.arange(n)
+        step = np.array([-1, 0, 1])
+
+        def best(ks: np.ndarray):
+            t, nxt, edge = self._neighbor_tours(tour, ks)
+            out = static[ks]
+            rows = np.arange(len(ks))[:, None]
+            for new in (P[ks, None], Q[ks, None]):
+                # moves (j, new) and (new, j): by symmetry the two costs
+                # two_hop_deltas adds, then the edge at the lower position
+                # subtracted first, as there
+                delta = costs.take(t[rows, new] * n + t)
+                delta += costs.take(nxt[rows, new] * n + nxt)
+                before = pos < new
+                ec = edge[rows, new]
+                delta -= np.where(before, edge, ec)
+                delta -= np.where(before, ec, edge)
+                delta[rows, (new + step) % n] = np.inf  # adjacent edges: no move
+                np.minimum(out, delta.min(axis=1), out=out)
+            return out, tour.cached_cost + d[ks]
+
+        return best
 
     def move_delta(self, tour: Tour, k: int) -> float:
         return two_opt_delta(self.inst, tour, int(self.p[k]), int(self.q[k]))
@@ -271,6 +353,18 @@ class FlipNeighborhood:
         out += bv.gains
         out[np.arange(len(ks)), ks] = -bv.gains[ks]
         return out, bv.cached_value + d[ks]
+
+    def two_hop_best(self, bv: BitVector, d: np.ndarray):
+        """A function of neighbors ks giving each one's best flip gain, and their values.
+
+        The best gain is the row max of two_hop_deltas: a flip's neighborhood
+        shares no structure worth tabulating, so each neighbor costs O(n).
+        """
+        def best(ks: np.ndarray):
+            rows, values = self.two_hop_deltas(bv, ks, d)
+            return rows.max(axis=1), values
+
+        return best
 
     def move_delta(self, bv: BitVector, k: int) -> float:
         return float(bv.gains[k])

@@ -94,6 +94,12 @@ class TestRankSum:
         assert verdict_vs_reference(ref, worse) == "-"
         assert verdict_vs_reference(worse, ref) == "="  # better is not "-"
 
+    def test_verdict_reads_iterators_once(self):
+        better = [0.0, 0.0, 0.01, 0.0, 0.0, 0.01, 0.0, 0.11]  # beats one pair: U = 1
+        worse = [0.1, 0.2, 0.15, 0.12, 0.3, 0.2, 0.25, 0.18]
+        assert verdict_vs_reference(iter(better), iter(worse)) == "-"
+        assert verdict_vs_reference(iter(worse), iter(better)) == "="
+
 
 class TestCampaign:
     def test_single_cell(self, tmp_path):

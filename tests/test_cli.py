@@ -130,6 +130,13 @@ def test_verify_passes():
     assert main(["verify", "--n", "7", "--seed", "3"]) == 0
 
 
+def test_verify_fails_on_wrong_promising_flags(monkeypatch, capsys):
+    real = cli.promising_flags
+    monkeypatch.setattr(cli, "promising_flags", lambda x_star, view: ~real(x_star, view))
+    assert main(["verify", "--n", "7", "--seed", "3"]) == 3
+    assert "promising flags" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert main(["solve", "--alg", "nope", "--instance", "x"]) == 2
     assert main(["solve", "--instance", "missing-file.tsp", "--alg", "ils"]) == 2

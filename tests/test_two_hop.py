@@ -10,7 +10,7 @@ a block boundary.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumparts import escape
@@ -216,3 +216,72 @@ class TestScansMatchSequentialLoop:
         flags = promising_flags(tour, view)
         assert flags.any()
         assert np.array_equal(flags, sequential_promising_flags(tour, view))
+
+
+def tsp_costs_view(n, seed, costs):
+    """A 2-Opt view with integral, non-integral or tie-heavy (thirds) costs."""
+    inst = random_tsp_instance(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    if costs == "integral":
+        return TwoOptNeighborhood(inst)
+    if costs == "real":
+        c = inst.costs * rng.uniform(0.5, 1.5, (n, n))
+    else:
+        c = np.round(rng.uniform(0.0, 2.0, (n, n)) * 3.0) / 3.0
+    c = np.triu(c, 1) + np.triu(c, 1).T
+    return TwoOptNeighborhood(TspInstance(name=inst.name, n=n, costs=c, metric_tag="EXPLICIT"))
+
+
+class TestTwoHopBest:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(4, 40), seed=st.integers(0, 10_000),
+           costs=st.sampled_from(["integral", "real", "thirds"]), descended=st.booleans())
+    # these fail when the two subtractions of X or of Z are swapped
+    @example(n=8, seed=25, costs="real", descended=False)
+    @example(n=8, seed=2, costs="thirds", descended=False)
+    @example(n=9, seed=0, costs="thirds", descended=False)
+    def test_two_opt_best_equals_row_min(self, n, seed, costs, descended):
+        view = tsp_costs_view(n, seed, costs)
+        tour = view.random_solution(np.random.default_rng(seed))
+        if descended:  # capped: on thirds a move and its inverse can both read just below 0
+            descend(view, tour, Budget(max_fe=100 * view.size))
+        d = view.deltas(tour)
+        # every neighbor, so also those with lo = 1 and with hi = n - 1
+        ks = np.random.default_rng(seed + 1).permutation(view.size)
+        rows, values = view.two_hop_deltas(tour, ks, d)
+        best, best_values = view.two_hop_best(tour, d)(ks)
+        assert np.array_equal(best, rows.min(axis=1))
+        assert np.array_equal(best_values, values)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(8, 40), seed=st.integers(0, 10_000))
+    def test_flip_best_equals_row_max(self, n, seed):
+        view = flip_view(n, seed)
+        bv = view.random_solution(np.random.default_rng(seed))
+        d = view.deltas(bv)
+        ks = np.random.default_rng(seed + 1).permutation(n)
+        rows, values = view.two_hop_deltas(bv, ks, d)
+        best, best_values = view.two_hop_best(bv, d)(ks)
+        assert np.array_equal(best, rows.max(axis=1))
+        assert np.array_equal(best_values, values)
+
+    def test_eil51_caps_at_real_block_edges(self, eil51):
+        """nds/ens against the per-neighbor loop with caps on and next to the
+        edges of the blocks the 2-Opt scan really uses on eil51."""
+        split = sample_split(eil51, SplitParams(a=-12.0, seed=0))
+        view = TwoOptNeighborhood(eil51, split)
+        rows = escape.BLOCK_DELTAS // eil51.n
+        assert rows < view.size  # a full scan spans more than one block
+        past_first_block = set()
+        for seed in (3, 5):
+            tour = view.random_solution(np.random.default_rng(seed))
+            descend(view, tour, unlimited())
+            for fast, slow in ((nds, sequential_nds), (ens, sequential_ens)):
+                full = Budget()
+                slow(tour, view, full)
+                if full.consumed_fe > view.size * (1 + rows):
+                    past_first_block.add(fast)
+                for cap in [None, *boundary_caps(view, full.consumed_fe, rows)]:
+                    fe = assert_same_as_sequential(fast, slow, tour, view, cap)
+                    assert cap is None or fe - cap <= view.size
+        assert past_first_block == {nds, ens}
