@@ -29,6 +29,7 @@ from .instances import (
     random_qubo_instance,
     random_tsp_instance,
     tour_cost,
+    two_opt_delta,
 )
 from .landscape import (
     aggregate_stats,
@@ -182,6 +183,9 @@ def _verify_tsp(n: int, seed: int) -> list[str]:
             failures.append(f"tsp descent not locally optimal (seed {s})")
         if abs(t.cached_cost - tour_cost(inst, t)) > 1e-9 * max(1.0, t.cached_cost):
             failures.append(f"tsp cached cost drifted (seed {s})")
+        moves = zip(view.p.tolist(), view.q.tolist())
+        if not np.array_equal(view.deltas(t), [two_opt_delta(inst, t, p, q) for p, q in moves]):
+            failures.append(f"tsp 2-Opt deltas disagree with two_opt_delta (seed {s})")
         if not np.array_equal(promising_flags(t, view), _promising_by_loop(view, t)):
             failures.append(f"tsp promising flags disagree with the neighbor loop (seed {s})")
     config = SolverConfig(algorithm="ils", seed=seed, max_fe=1e6, target=best)

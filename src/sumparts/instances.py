@@ -59,7 +59,7 @@ class TspInstance:
         c.setflags(write=False)
         object.__setattr__(self, "costs", c)
 
-    @property
+    @cached_property
     def max_cost(self) -> float:
         return float(self.costs.max())
 
@@ -263,10 +263,13 @@ def tour_cost(inst: TspInstance, tour, split=None):
     Accepts a Tour or a bare order array.
     """
     order = tour.order if isinstance(tour, Tour) else np.asarray(tour)
-    nxt = np.roll(order, -1)
+    # flat indices of the edges (order[i], order[i + 1]), the last one wrapping
+    at = order * inst.n
+    at[:-1] += order[1:]
+    at[-1] += order[0]
     if split is None:
-        return float(inst.costs[order, nxt].sum())
-    return (float(split.mat1[order, nxt].sum()), float(split.mat2[order, nxt].sum()))
+        return float(inst.costs.ravel().take(at).sum())
+    return (float(split.mat1.ravel().take(at).sum()), float(split.mat2.ravel().take(at).sum()))
 
 
 def make_tour(inst: TspInstance, order) -> Tour:

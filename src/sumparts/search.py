@@ -92,23 +92,71 @@ def better(sense: int, a: float, b: float) -> bool:
 # A view exposes one instance's standard move set (2-Opt or 1-bit-flip) in a
 # fixed lexicographic order, with vectorized delta computation whose FE
 # charges match a sequential scan exactly.
+#
+# Every 2-Opt kernel gathers costs with `take` from the flat, C-contiguous
+# cost matrix, at index arrays cached once per n (`_two_opt_index`) and shared
+# by every view of that size; none indexes in 2D or rolls an array per call.
+# `deltas` and the two-hop tables first gather the wrapped position table
+# b[x, y] = m[t[x % n], t[y % n]] for x, y <= n, so a move's four costs sit at
+# fixed flat indices of b and successors are slices; the two-hop rows read b
+# at each neighbor's tour positions, its reversed segment included. Values
+# and the order they are added in are those of `two_opt_delta`'s
+# m[a, c] + m[b, d] - m[a, b] - m[c, d].
 
 
 def _suffix_min(a: np.ndarray, axis: int) -> np.ndarray:
-    """Running minimum from the far end of the axis."""
-    return np.flip(np.minimum.accumulate(np.flip(a, axis), axis=axis), axis)
+    """Running minimum from the far end of the axis (a reversed view)."""
+    rev = (slice(None),) * axis + (slice(None, None, -1),)
+    return np.minimum.accumulate(a[rev], axis=axis)[rev]
+
+
+@dataclass(frozen=True)
+class _TwoOptIndex:
+    """Read-only index arrays of the 2-Opt kernels for one n.
+
+    Move k removes the tour edges at positions p[k] and q[k]. The wrapped
+    position table b is (n+1)^2; the two-hop tables are (n+2)^2 with
+    position x at index x + 1. The at_* arrays are flat indices into them.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+    col: np.ndarray  # 0..n, the positions of a wrapped order
+    wrap: np.ndarray  # col % n
+    at_ac: np.ndarray  # b[p, q], the new edge (t[p], t[q])
+    at_bd: np.ndarray  # b[p+1, q+1]
+    at_ab: np.ndarray  # b[p, p+1], the removed edge at p
+    at_cd: np.ndarray  # b[q, q+1]
+    near: np.ndarray  # two-hop table entries (x, y) with y < x + 2, which are no move
+    at_d: np.ndarray  # [p+1, q+1] of a two-hop table
+    at_lh: np.ndarray  # [p, q+2]
+    at_rr: np.ndarray  # [p+2, q]
+    at_lr: np.ndarray  # [p, q]
+    at_rh: np.ndarray  # [p+2, q+2]
 
 
 @lru_cache(maxsize=32)
-def _two_opt_moves(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Position pairs (p, q) of all n(n-3)/2 distinct 2-Opt moves, lexicographic."""
+def _two_opt_index(n: int) -> _TwoOptIndex:
+    """Index arrays of the n(n-3)/2 distinct 2-Opt moves, in lexicographic order."""
     ps, qs = [], []
     for p in range(n - 2):
         hi = n - 1 if p > 0 else n - 2  # (0, n-1) recreates the same tour
         for q in range(p + 2, hi + 1):
             ps.append(p)
             qs.append(q)
-    return np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp)
+    p, q = np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp)
+    v, w = n + 1, n + 2
+    col = np.arange(v)
+    i = np.arange(w)
+    index = _TwoOptIndex(
+        p=p, q=q, col=col, wrap=col % n,
+        at_ac=p * v + q, at_bd=(p + 1) * v + q + 1, at_ab=p * v + p + 1, at_cd=q * v + q + 1,
+        near=np.subtract.outer(i, i) > -2,
+        at_d=(p + 1) * w + q + 1, at_lh=p * w + q + 2, at_rr=(p + 2) * w + q,
+        at_lr=p * w + q, at_rh=(p + 2) * w + q + 2)
+    for a in vars(index).values():
+        a.setflags(write=False)
+    return index
 
 
 class TwoOptNeighborhood:
@@ -119,18 +167,33 @@ class TwoOptNeighborhood:
     def __init__(self, inst: TspInstance, split=None):
         self.inst = inst
         self.split = split
-        self.p, self.q = _two_opt_moves(inst.n)
+        self._ix = _two_opt_index(inst.n)
+        self.p, self.q = self._ix.p, self._ix.q
         self.size = self.p.shape[0]
-        self._p1 = self.p + 1
-        self._succ = np.roll(np.arange(inst.n), -1)
+
+    @property
+    def tol(self) -> float:
+        """Least improvement descend counts: EVAL_REL_TOL of the largest edge cost."""
+        return EVAL_REL_TOL * self.inst.max_cost
+
+    def _table_index(self, tour: Tour) -> np.ndarray:
+        """Flat cost indices of the wrapped position table b, shape (n+1, n+1)."""
+        tw = tour.order.take(self._ix.wrap)
+        return np.add.outer(tw * self.inst.n, tw)
 
     def _gather(self, tour: Tour, *mats) -> list[np.ndarray]:
         """Deltas of every move under each cost matrix, as in two_opt_delta."""
-        t = tour.order
-        nxt = np.roll(t, -1)
-        a, b = t[self.p], nxt[self.p]
-        c, d = t[self.q], nxt[self.q]
-        return [m[a, c] + m[b, d] - m[a, b] - m[c, d] for m in mats]
+        ix = self._ix
+        at = self._table_index(tour).ravel()
+        out = []
+        for m in mats:
+            b = m.ravel().take(at)
+            x = b.take(ix.at_ac)
+            x += b.take(ix.at_bd)
+            x -= b.take(ix.at_ab)
+            x -= b.take(ix.at_cd)
+            out.append(x)
+        return out
 
     def deltas(self, tour: Tour, budget: Budget | None = None) -> np.ndarray:
         """f deltas of every move, charging one FE per move."""
@@ -155,46 +218,22 @@ class TwoOptNeighborhood:
 
         Charges exactly what a sequential scan would evaluate.
         """
-        d = self.deltas(tour, budget=None)
-        hits = np.flatnonzero(d < threshold)
-        if hits.shape[0] == 0:
+        hit = self.deltas(tour) < threshold
+        k = int(hit.argmax())
+        if not hit[k]:
             budget.charge(self.size)
             return None
-        k = int(hits[0])
         budget.charge(k + 1)
         return k
-
-    def _neighbor_tours(self, tour: Tour, ks: np.ndarray):
-        """Order, successor order and edge costs of each neighbor in ks, one row each.
-
-        Row i is the tour with neighbor ks[i]'s segment reversed, so no
-        neighbor is materialized.
-        """
-        lo = self._p1[ks, None]
-        hi = self.q[ks, None]
-        i = np.arange(self.inst.n)
-        t = tour.order[np.where((i >= lo) & (i <= hi), lo + hi - i, i)]
-        nxt = t.take(self._succ, axis=1)
-        return t, nxt, self.inst.costs.ravel().take(t * self.inst.n + nxt)
 
     def two_hop_deltas(self, tour: Tour, ks: np.ndarray, d: np.ndarray):
         """Deltas of every move of the neighbors ks, one row each, and their values.
 
-        Row i equals deltas() of neighbor(tour, ks[i]) bit for bit: each row
-        gathers the same costs and adds them in the same order, through the
-        position permutation that reverses the neighbor's segment. d holds
-        the tour's own move deltas.
+        Row i is deltas() of neighbor(tour, ks[i]); escapes call this only for
+        the one neighbor that succeeds. d holds the tour's own move deltas.
         """
-        n = self.inst.n
-        t, nxt, edge = self._neighbor_tours(tour, ks)
-        tn = t * n
-        costs = self.inst.costs.ravel()
-        # m[a, c] + m[b, d] - m[a, b] - m[c, d], as in deltas()
-        out = costs.take(tn.take(self.p, axis=1) + t.take(self.q, axis=1))
-        out += costs.take(tn.take(self._p1, axis=1) + nxt.take(self.q, axis=1))
-        out -= edge.take(self.p, axis=1)
-        out -= edge.take(self.q, axis=1)
-        return out, tour.cached_cost + d[ks]
+        rows = [self.deltas(self.neighbor(tour, int(k), float(d[k]))) for k in ks]
+        return np.reshape(rows, (len(ks), self.size)), tour.cached_cost + d[ks]
 
     def two_hop_best(self, tour: Tour, d: np.ndarray):
         """A function of neighbors ks giving each one's best move delta, and their values.
@@ -209,69 +248,85 @@ class TwoOptNeighborhood:
         - the tour's own delta d when both lie in L or H;
         - X[x, y] = ((b[x, y+1] + b[x+1, y]) - e[x]) - e[y] when one lies in R;
         - Z[x, y] = ((b[x+1, y+1] + b[x, y]) - e[y]) - e[x] when both do.
-        Each adds and subtracts the costs two_hop_deltas gathers, in its
-        order: the cost matrix is bitwise symmetric and float addition
-        commutes. Their minima over each neighbor's rectangles and triangles
-        come from O(n^2) cumulative-min tables built once here, of which one
-        value per move is kept. The function then scores only the ~2n moves
-        through each neighbor's two new edges, so a neighbor costs O(n).
-        Building the tables holds about seven (n+2)^2 float arrays at its peak.
+        Each adds and subtracts the costs deltas() gathers on the built
+        neighbor, in its order: the cost matrix is bitwise symmetric and
+        float addition commutes. Their minima over each neighbor's rectangles
+        and triangles come from O(n^2) cumulative-min tables built once here,
+        of which one value per move is kept. The function then scores only
+        the ~2n moves through each neighbor's two new edges, so a neighbor
+        costs O(n). Building the tables holds about seven (n+2)^2 float arrays
+        at its peak.
         """
-        n, w = self.inst.n, self.inst.n + 2
-        s = self._succ
-        b = self.inst.costs[tour.order][:, tour.order]
-        e = b[np.arange(n), s]
+        n, w, ix = self.inst.n, self.inst.n + 2, self._ix
+        costs = self.inst.costs.ravel()
+        # the wrapped position table: b's successor rows and columns are
+        # slices of it and e is a diagonal
+        bw = costs.take(self._table_index(tour))
+        b, e = bw[:-1, :-1], bw[:-1, 1:].diagonal()
         # d, X and Z padded by a border of inf, so position x is index x + 1
         # and an empty range reads inf; entries with y < x + 2 are no move
         # and are left out of every minimum
         dm, x, z = np.full((3, w, w), np.inf)
-        dm[self._p1, self.q + 1] = d
+        dm.ravel().put(ix.at_d, d)
         inner = x[1:-1, 1:-1]
-        np.add(b[:, s], b[s], out=inner)
+        np.add(bw[:-1, 1:], bw[1:, :-1], out=inner)
         inner -= e[:, None]
         inner -= e
         inner = z[1:-1, 1:-1]
-        np.add(b[s][:, s], b, out=inner)
+        np.add(bw[1:, 1:], b, out=inner)
         inner -= e
         inner -= e[:, None]
         del b, inner
-        i = np.arange(w)
-        near = np.subtract.outer(i, i) > -2
+        near = ix.near
         z[near] = np.inf
-        P, Q = self.p, self.q
-        static = np.minimum(np.minimum.accumulate(dm.min(axis=0))[P],  # L x L
-                            _suffix_min(dm.min(axis=1), axis=0)[Q + 2])  # H x H
+        P, Q = ix.p, ix.q
+        static = np.minimum(np.minimum.accumulate(dm.min(axis=0)).take(P),  # L x L
+                            _suffix_min(dm.min(axis=1), axis=0).take(Q + 2))  # H x H
         corner = np.minimum.accumulate(_suffix_min(dm, axis=1), axis=0)  # x <= a, y >= b
-        np.minimum(static, corner[P, Q + 2], out=static)  # L x H
+        np.minimum(static, corner.ravel().take(ix.at_lh), out=static)  # L x H
         corner = _suffix_min(np.minimum.accumulate(z, axis=1), axis=0)  # x >= a, y <= b
-        np.minimum(static, corner[P + 2, Q], out=static)  # R x R
+        np.minimum(static, corner.ravel().take(ix.at_rr), out=static)  # R x R
         corner = np.minimum.accumulate(x, axis=0)  # x' <= x
         corner[near] = np.inf
-        np.minimum(static, np.minimum.accumulate(corner, axis=1)[P, Q], out=static)  # L x R
+        corner = np.minimum.accumulate(corner, axis=1)
+        np.minimum(static, corner.ravel().take(ix.at_lr), out=static)  # L x R
         corner = _suffix_min(x, axis=1)  # y' >= y
         corner[near] = np.inf
-        np.minimum(static, _suffix_min(corner, axis=0)[P + 2, Q + 2], out=static)  # R x H
+        corner = _suffix_min(corner, axis=0)
+        np.minimum(static, corner.ravel().take(ix.at_rh), out=static)  # R x H
         del dm, x, z, corner
-        costs = self.inst.costs.ravel()
-        pos = np.arange(n)
-        step = np.array([-1, 0, 1])
+        v = n + 1
+        flat = bw.ravel()
+        col, wrap = ix.col[:, None], ix.wrap[:, None]
+        pos = col[:-1]
+        step = np.array([-1, 0, 1])[:, None]
 
         def best(ks: np.ndarray):
-            t, nxt, edge = self._neighbor_tours(tour, ks)
-            out = static[ks]
-            rows = np.arange(len(ks))[:, None]
-            for new in (P[ks, None], Q[ks, None]):
+            # column i: the tour positions of neighbor ks[i]'s cities, wrapped,
+            # with its segment [P+1, Q] reversed, so bw[at[j], at[j + 1]] is
+            # its edge at position j
+            pk, qk = P.take(ks), Q.take(ks)
+            lo = pk + 1
+            at = np.where((col >= lo) & (col <= qk), lo + qk - col, wrap)
+            edge = flat.take(at[:-1] * v + at[1:])
+            out = static.take(ks)
+            cols = np.arange(len(ks))
+            # neighbor k's new edge at its position P joins the cities at
+            # tour positions P and Q, the one at Q those at P+1 and Q+1
+            for new, pu, pv in ((pk, pk, qk), (qk, lo, qk + 1)):
                 # moves (j, new) and (new, j): by symmetry the two costs
-                # two_hop_deltas adds, then the edge at the lower position
-                # subtracted first, as there
-                delta = costs.take(t[rows, new] * n + t)
-                delta += costs.take(nxt[rows, new] * n + nxt)
+                # deltas() adds on the built neighbor, then the edge at the
+                # lower position subtracted first, as there
+                pu = pu * v
+                delta = flat.take(at[:-1] + pu)
+                delta += flat.take(at[1:] + pv * v)
                 before = pos < new
-                ec = edge[rows, new]
-                delta -= np.where(before, edge, ec)
-                delta -= np.where(before, ec, edge)
-                delta[rows, (new + step) % n] = np.inf  # adjacent edges: no move
-                np.minimum(out, delta.min(axis=1), out=out)
+                np.subtract(delta, edge, out=delta, where=before)
+                delta -= flat.take(pu + pv)
+                np.subtract(delta, edge, out=delta, where=~before)
+                # adjacent edges: no move
+                delta.ravel().put((new + step) % n * len(ks) + cols, np.inf)
+                np.minimum(out, delta.min(axis=0), out=out)
             return out, tour.cached_cost + d[ks]
 
         return best
@@ -313,6 +368,11 @@ class FlipNeighborhood:
         self.size = inst.n
         self.flip_fraction = flip_fraction
 
+    @property
+    def tol(self) -> float:
+        """Least improvement descend counts: EVAL_REL_TOL of the weights' absolute sum."""
+        return EVAL_REL_TOL * self.inst.abs_weight_sum
+
     def deltas(self, bv: BitVector, budget: Budget | None = None) -> np.ndarray:
         if budget is not None:
             budget.charge(self.size)
@@ -330,11 +390,11 @@ class FlipNeighborhood:
         return bv.gains.copy(), d1, bv.gains - d1
 
     def first_improvement(self, bv: BitVector, threshold: float, budget: Budget):
-        hits = np.flatnonzero(bv.gains > threshold)  # maximization
-        if hits.shape[0] == 0:
+        hit = bv.gains > threshold  # maximization
+        k = int(hit.argmax())
+        if not hit[k]:
             budget.charge(self.size)
             return None
-        k = int(hits[0])
         budget.charge(k + 1)
         return k
 
@@ -406,19 +466,26 @@ def descend(view, sol, budget: Budget) -> bool:
 
     Returns True when the final solution was verified locally optimal by a
     full scan, False when the budget ran out first.
+
+    A move counts as improving only when it improves by more than view.tol.
+    On non-integral costs a move and its inverse can both read a few ulps
+    better, and without that margin the descent could cycle between them
+    forever. On integral costs every real improvement is at least 1, above
+    the margin while the instance's scale stays below 1e9.
     """
+    threshold = -view.sense * view.tol
     while True:
         if budget.exhausted():
             return False
-        k = view.first_improvement(sol, 0.0, budget)
+        k = view.first_improvement(sol, threshold, budget)
         if k is None:
             return True
         view.apply(sol, k)
 
 
 def is_local_optimum(view, sol) -> bool:
-    d = view.deltas(sol)
-    return bool(np.all(d >= 0.0)) if view.sense == MINIMIZE else bool(np.all(d <= 0.0))
+    """True when no move improves by more than view.tol, as descend counts it."""
+    return bool(np.all(view.deltas(sol) * view.sense >= -view.tol))
 
 
 # ---------------------------------------------------------------------------

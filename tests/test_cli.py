@@ -7,6 +7,7 @@ import pytest
 from sumparts import cli
 from sumparts.cli import _merge_negative_values, build_parser, main
 from sumparts.instances import load_bundled_tsp, synthetic_orlib_text
+from sumparts.search import TwoOptNeighborhood
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +136,14 @@ def test_verify_fails_on_wrong_promising_flags(monkeypatch, capsys):
     monkeypatch.setattr(cli, "promising_flags", lambda x_star, view: ~real(x_star, view))
     assert main(["verify", "--n", "7", "--seed", "3"]) == 3
     assert "promising flags" in capsys.readouterr().err
+
+
+def test_verify_fails_on_wrong_two_opt_deltas(monkeypatch, capsys):
+    real = TwoOptNeighborhood.deltas
+    monkeypatch.setattr(TwoOptNeighborhood, "deltas",
+                        lambda self, tour, budget=None: real(self, tour, budget) + 0.5)
+    assert main(["verify", "--n", "7", "--seed", "3"]) == 3
+    assert "2-Opt deltas disagree with two_opt_delta" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

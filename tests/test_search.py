@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_qubo, brute_force_tsp, lk_chain_bound
 from sumparts import metaheuristics
+from sumparts.decomposition import SplitParams, sample_split
 from sumparts.instances import (
     EVAL_REL_TOL,
+    QuboInstance,
+    TspInstance,
     build_neighbor_lists,
     make_bitvector,
     make_tour,
@@ -14,6 +17,7 @@ from sumparts.instances import (
     random_qubo_instance,
     random_tsp_instance,
     tour_cost,
+    two_opt_delta,
 )
 from sumparts.search import (
     Budget,
@@ -73,6 +77,18 @@ class TestLocalSearch2Opt:
         view = TwoOptNeighborhood(eil51)
         t = view.random_solution(np.random.default_rng(3))
         assert not descend(view, t, Budget(max_fe=10))
+
+    def test_descend_ends_on_non_integral_costs(self):
+        # a move and its inverse both read a few ulps better here, so a
+        # descent that takes every negative delta cycles until the cap
+        rng = np.random.default_rng(2)
+        c = np.triu(np.round(rng.uniform(0.0, 2.0, (7, 7)) * 3.0) / 3.0, 1)
+        inst = TspInstance(name="thirds7", n=7, costs=c + c.T, metric_tag="EXPLICIT")
+        view = TwoOptNeighborhood(inst)
+        t = view.random_solution(np.random.default_rng(2))
+        assert descend(view, t, Budget(max_fe=2e5))
+        assert is_local_optimum(view, t)
+        assert t.cached_cost == pytest.approx(tour_cost(inst, t), rel=EVAL_REL_TOL)
 
     def test_fe_count_matches_sequential_oracle(self, eil51):
         # oracle: literal sequential first-improvement scan, counting evals
@@ -405,6 +421,64 @@ def test_descend_overshoots_by_at_most_one_scan(qubo, n, seed, max_fe):
     budget = Budget(max_fe=max_fe)
     descend(view, sol, budget)
     assert budget.consumed_fe - max_fe <= view.size
+
+
+def tsp_of_kind(n: int, seed: int, kind: str) -> TspInstance:
+    """A TSP with integral, uniform-float or thirds-rounded (tie-heavy) costs."""
+    if kind == "integral":
+        return random_tsp_instance(n, seed=seed)
+    c = np.random.default_rng(seed).uniform(0.0, 2.0, (n, n))
+    if kind == "thirds":
+        c = np.round(c * 3.0) / 3.0
+    c = np.triu(c, 1)
+    return TspInstance(name=f"{kind}{n}-{seed}", n=n, costs=c + c.T, metric_tag="EXPLICIT")
+
+
+def four_term(m, order, p, q):
+    """m[a, c] + m[b, d] - m[a, b] - m[c, d] of the 2-Opt move (p, q), scalar by scalar."""
+    a, b, c, d = order[p], order[p + 1], order[q], order[(q + 1) % len(order)]
+    return m[a, c] + m[b, d] - m[a, b] - m[c, d]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=4, max_value=40), seed=st.integers(min_value=0, max_value=10_000),
+       kind=st.sampled_from(["integral", "uniform", "thirds"]))
+def test_two_opt_kernels_match_scalar_loop(n, seed, kind):
+    inst = tsp_of_kind(n, seed, kind)
+    split = sample_split(inst, SplitParams(a=-2.0, seed=seed))
+    view = TwoOptNeighborhood(inst, split)
+    tour = view.random_solution(np.random.default_rng(seed))
+    moves = list(zip(view.p.tolist(), view.q.tolist()))
+    assert (n - 3, n - 1) in moves  # a move whose second edge wraps to t[0]
+    want = [two_opt_delta(inst, tour, p, q) for p, q in moves]
+    assert np.array_equal(view.deltas(tour), want)
+    for got, m in zip(view.split_deltas(tour), (inst.costs, split.mat1, split.mat2)):
+        assert np.array_equal(got, [four_term(m, tour.order, p, q) for p, q in moves])
+    # thresholds equal to delta values make ties, which a strict scan must skip
+    picks = np.random.default_rng(seed).choice(want, size=3)
+    for threshold in (0.0, -view.tol, min(want), max(want) + 1.0, *picks.tolist()):
+        budget = Budget()
+        k = view.first_improvement(tour, threshold, budget)
+        hits = [i for i, x in enumerate(want) if x < threshold]
+        assert k == (hits[0] if hits else None)
+        assert budget.consumed_fe == (hits[0] + 1 if hits else view.size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(qubo=st.booleans(), n=st.integers(min_value=5, max_value=16),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_descend_converges_on_non_integral_costs(qubo, n, seed):
+    """Under a cap far above any real descent, descend ends at a local optimum."""
+    if qubo:
+        q = random_qubo_instance(n, seed=seed, density=0.5).q
+        q = q * np.random.default_rng(seed).uniform(0.5, 1.5, (n, n)) / 3.0
+        inst = QuboInstance(name=f"real{n}-{seed}", n=n, q=np.triu(q) + np.triu(q, 1).T)
+    else:
+        inst = tsp_of_kind(n, seed, "thirds")
+    view = neighborhood_for(inst)
+    sol = view.random_solution(np.random.default_rng(seed))
+    assert descend(view, sol, Budget(max_fe=1000 * view.size))
+    assert is_local_optimum(view, sol)
 
 
 @settings(max_examples=40, deadline=None)
