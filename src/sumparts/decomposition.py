@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,12 +35,13 @@ class SplitParams:
 
 @dataclass
 class SplitCosts:
-    """A realized decomposition: per-unit cost pairs plus dense matrices.
+    """A realized decomposition: per-unit cost pairs.
 
     c1[u] + c2[u] reproduces the original unit cost; rho is the Pearson
     correlation of the two arrays over units with nonzero cost. unit_i/unit_j
-    give each unit's (row, col) cell with i <= j; mat1/mat2 are the full
-    mirrored matrices used by delta evaluation.
+    give each unit's (row, col) cell with i <= j. The dense mirrored f1
+    matrix mat1 is built on first read; f2 is never stored, and readers
+    derive its costs as the instance's minus mat1's.
     """
 
     kind: str  # "tsp" | "qubo"
@@ -50,8 +52,13 @@ class SplitCosts:
     c2: np.ndarray
     rho: float
     source_params: SplitParams
-    mat1: np.ndarray
-    mat2: np.ndarray
+
+    @cached_property
+    def mat1(self) -> np.ndarray:
+        mat1 = np.zeros((self.n, self.n))
+        mat1[self.unit_i, self.unit_j] = self.c1
+        mat1[self.unit_j, self.unit_i] = self.c1
+        return mat1
 
 
 def pdf_shape(t: float, c: float, a: float) -> float:
@@ -134,12 +141,8 @@ def _units(inst):
 
 def _assemble(kind, mat, iu, ju, c, c1, params, rho=None) -> SplitCosts:
     """The split of unit costs c into c1 and c - c1; rho is measured unless given."""
-    n = mat.shape[0]
-    mat1 = np.zeros((n, n))
-    mat1[iu, ju] = c1
-    mat1[ju, iu] = c1
-    split = SplitCosts(kind=kind, n=n, unit_i=iu, unit_j=ju, c1=c1, c2=c - c1,
-                       rho=rho, source_params=params, mat1=mat1, mat2=mat - mat1)
+    split = SplitCosts(kind=kind, n=mat.shape[0], unit_i=iu, unit_j=ju, c1=c1, c2=c - c1,
+                       rho=rho, source_params=params)
     if rho is None:
         split.rho = measure_rho(split)
     return split

@@ -13,8 +13,8 @@ same input.
 Two-hop scans run in blocks, and each neighbor's best move delta costs O(n)
 work (`two_hop_best`): a flip view takes the best of its n gains, and a
 2-Opt view reads O(n^2) tables built once per scan instead of scoring the
-neighbor's n(n-3)/2 moves. Only the first neighbor that succeeds has every move delta computed
-(`two_hop_deltas`), and only the winning solution is built. FE charges stay
+neighbor's n(n-3)/2 moves. Only the first neighbor that succeeds is built,
+and the view's own `first_improvement` finds its hit. FE charges stay
 exactly those of a sequential neighbor-by-neighbor scan, and a block never
 starts more neighbors than that scan would before `max_fe` runs out, so an
 FE cap still overshoots by at most one scan. A `max_wall` budget is checked
@@ -90,19 +90,17 @@ def _first_two_hop(view, sol, ks, d, budget: Budget):
 
     Charges what a sequential scan evaluates: a whole neighborhood per
     neighbor that fails, and up to the hit in the one that succeeds. Only
-    that one has every move delta computed, to find the hit.
+    that one is built, and its own first-improvement scan finds the hit.
     """
     for block, hits in two_hop_blocks(view, sol, ks, d, budget):
         i = int(hits.argmax())
         if not hits[i]:
             budget.charge(len(block) * view.size)
             continue
-        deltas, values = view.two_hop_deltas(sol, block[i:i + 1], d)
-        j = int(_beats(view.sense, deltas[0], view.value(sol) - values[0]).argmax())
-        budget.charge(i * view.size + j + 1)
+        budget.charge(i * view.size)
         k = int(block[i])
         cand = view.neighbor(sol, k, float(d[k]))
-        view.apply(cand, j)
+        view.apply(cand, view.first_improvement(cand, view.value(sol) - view.value(cand), budget))
         return cand
     return sol
 

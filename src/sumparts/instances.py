@@ -267,9 +267,11 @@ def tour_cost(inst: TspInstance, tour, split=None):
     at = order * inst.n
     at[:-1] += order[1:]
     at[-1] += order[0]
+    costs = inst.costs.ravel().take(at)
     if split is None:
-        return float(inst.costs.ravel().take(at).sum())
-    return (float(split.mat1.ravel().take(at).sum()), float(split.mat2.ravel().take(at).sum()))
+        return float(costs.sum())
+    c1 = split.mat1.ravel().take(at)
+    return float(c1.sum()), float((costs - c1).sum())
 
 
 def make_tour(inst: TspInstance, order) -> Tour:

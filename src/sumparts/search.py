@@ -6,12 +6,13 @@ overshoot its budget by at most one scan. First-improvement scans use a fixed
 lexicographic move order and restart from the first move after each accepted
 move, which makes every seeded run exactly reproducible.
 
-The two-hop escape scans (escape.py) run in blocks: `two_hop_best` builds
-O(n^2) tables once per scan and then gives each neighbor's best move delta in
-O(n) work, and `two_hop_deltas` scores only the neighbor that succeeds. Their
-FE charges stay exactly those of a sequential scan, and an FE cap still
-overshoots by at most one scan; a `max_wall` budget is checked only between
-blocks, so it can overrun by one block (under 2 ms on eil51).
+The two-hop escape scans (escape.py) run in blocks: `two_hop_best` gives each
+neighbor's best move delta in O(n) work (the 2-Opt view from O(n^2) tables
+built once per scan), and only the neighbor that succeeds is built and
+scanned with `first_improvement`. Their FE charges stay exactly those of a
+sequential scan, and an FE cap still overshoots by at most one scan; a
+`max_wall` budget is checked only between blocks, so it can overrun by one
+block (under 2 ms on eil51).
 
 Lin-Kernighan is the exception to full scans: its unit of work is one chain,
 anchored at a (city, direction) pair taken from a FIFO queue of active
@@ -26,7 +27,7 @@ import time
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -167,9 +168,15 @@ class TwoOptNeighborhood:
     def __init__(self, inst: TspInstance, split=None):
         self.inst = inst
         self.split = split
-        self._ix = _two_opt_index(inst.n)
-        self.p, self.q = self._ix.p, self._ix.q
-        self.size = self.p.shape[0]
+        self.size = inst.n * (inst.n - 3) // 2
+
+    @cached_property
+    def _ix(self) -> _TwoOptIndex:
+        """The kernels' index arrays, read on first use: LK runs never build them."""
+        return _two_opt_index(self.inst.n)
+
+    p = property(lambda self: self._ix.p)
+    q = property(lambda self: self._ix.q)
 
     @property
     def tol(self) -> float:
@@ -181,23 +188,18 @@ class TwoOptNeighborhood:
         tw = tour.order.take(self._ix.wrap)
         return np.add.outer(tw * self.inst.n, tw)
 
-    def _gather(self, tour: Tour, *mats) -> list[np.ndarray]:
-        """Deltas of every move under each cost matrix, as in two_opt_delta."""
+    def _moves(self, b: np.ndarray) -> np.ndarray:
+        """Deltas of every move from a flat wrapped position table, as in two_opt_delta."""
         ix = self._ix
-        at = self._table_index(tour).ravel()
-        out = []
-        for m in mats:
-            b = m.ravel().take(at)
-            x = b.take(ix.at_ac)
-            x += b.take(ix.at_bd)
-            x -= b.take(ix.at_ab)
-            x -= b.take(ix.at_cd)
-            out.append(x)
-        return out
+        x = b.take(ix.at_ac)
+        x += b.take(ix.at_bd)
+        x -= b.take(ix.at_ab)
+        x -= b.take(ix.at_cd)
+        return x
 
     def deltas(self, tour: Tour, budget: Budget | None = None) -> np.ndarray:
         """f deltas of every move, charging one FE per move."""
-        (out,) = self._gather(tour, self.inst.costs)
+        out = self._moves(self.inst.costs.ravel().take(self._table_index(tour).ravel()))
         if budget is not None:
             budget.charge(self.size)
         return out
@@ -207,11 +209,14 @@ class TwoOptNeighborhood:
 
         The f delta comes from the original cost matrix, not from d1 + d2,
         so downstream cache arithmetic stays exact on integer instances.
+        f2's costs are f's minus f1's, gathered at the same table.
         """
-        d0, d1, d2 = self._gather(tour, self.inst.costs, self.split.mat1, self.split.mat2)
+        at = self._table_index(tour).ravel()
+        b0 = self.inst.costs.ravel().take(at)
+        b1 = self.split.mat1.ravel().take(at)
         if budget is not None:
             budget.charge(self.size)
-        return d0, d1, d2
+        return self._moves(b0), self._moves(b1), self._moves(b0 - b1)
 
     def first_improvement(self, tour: Tour, threshold: float, budget: Budget):
         """Index of the first move improving past threshold, else None.
@@ -226,20 +231,12 @@ class TwoOptNeighborhood:
         budget.charge(k + 1)
         return k
 
-    def two_hop_deltas(self, tour: Tour, ks: np.ndarray, d: np.ndarray):
-        """Deltas of every move of the neighbors ks, one row each, and their values.
-
-        Row i is deltas() of neighbor(tour, ks[i]); escapes call this only for
-        the one neighbor that succeeds. d holds the tour's own move deltas.
-        """
-        rows = [self.deltas(self.neighbor(tour, int(k), float(d[k]))) for k in ks]
-        return np.reshape(rows, (len(ks), self.size)), tour.cached_cost + d[ks]
-
     def two_hop_best(self, tour: Tour, d: np.ndarray):
         """A function of neighbors ks giving each one's best move delta, and their values.
 
-        Neighbor k's best delta equals two_hop_deltas(tour, [k], d).min() bit
-        for bit. Neighbor k = (P, Q) keeps the tour's edges at positions
+        d holds the tour's own move deltas. Neighbor k's best delta equals
+        deltas(neighbor(tour, k, d[k])).min() bit for bit, and its value that
+        neighbor's value. Neighbor k = (P, Q) keeps the tour's edges at positions
         L = [0, P-1] and H = [Q+1, n-1], reverses those at R = [P+1, Q-1] and
         adds new ones at P and Q. With b[x, y] = m[t[x], t[y]] and
         e[x] = b[x, x+1], a move of k that removes two of the tour's edges,
@@ -398,31 +395,25 @@ class FlipNeighborhood:
         budget.charge(k + 1)
         return k
 
-    def two_hop_deltas(self, bv: BitVector, ks: np.ndarray, d: np.ndarray):
-        """Gains of every flip of the neighbors ks, one row each, and their values.
-
-        Row i equals deltas() of neighbor(bv, ks[i]) bit for bit: it applies
-        flip_delta_and_update's gain update, q_kj scaled by exactly +-2 and
-        added to the same gains, without copying the solution. d holds bv's
-        own gains.
-        """
-        s = bv.signs
-        out = self.inst.q.take(ks, axis=0)
-        out *= (2.0 * s[ks])[:, None]
-        out *= s
-        out += bv.gains
-        out[np.arange(len(ks)), ks] = -bv.gains[ks]
-        return out, bv.cached_value + d[ks]
-
     def two_hop_best(self, bv: BitVector, d: np.ndarray):
         """A function of neighbors ks giving each one's best flip gain, and their values.
 
-        The best gain is the row max of two_hop_deltas: a flip's neighborhood
-        shares no structure worth tabulating, so each neighbor costs O(n).
+        d holds bv's own gains. Neighbor k's best gain equals
+        deltas(neighbor(bv, k)).max() bit for bit: its row applies
+        flip_delta_and_update's gain update, q_kj scaled by exactly +-2 and
+        added to the same gains, without copying the solution. A flip's
+        neighborhood shares no structure worth tabulating, so each neighbor
+        costs O(n).
         """
+        s = bv.signs
+
         def best(ks: np.ndarray):
-            rows, values = self.two_hop_deltas(bv, ks, d)
-            return rows.max(axis=1), values
+            rows = self.inst.q.take(ks, axis=0)
+            rows *= (2.0 * s[ks])[:, None]
+            rows *= s
+            rows += bv.gains
+            rows[np.arange(len(ks)), ks] = -bv.gains[ks]
+            return rows.max(axis=1), bv.cached_value + d[ks]
 
         return best
 

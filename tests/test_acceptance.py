@@ -64,15 +64,14 @@ def test_criterion_1_sum_preservation(eil51_inst, bqp1000_synth):
     for a in A_SWEEP:
         split = sample_split(eil51_inst, SplitParams(a=a, seed=11))
         f = eil51_inst.costs[orders, nxt].sum(axis=1)
-        f1 = split.mat1[orders, nxt].sum(axis=1)
-        f2 = split.mat2[orders, nxt].sum(axis=1)
+        f1, f2 = np.array([tour_cost(eil51_inst, order, split) for order in orders]).T
         worst = max(worst, float(np.max(np.abs(f1 + f2 - f) / np.abs(f))))
     z = rng.integers(0, 2, size=(1000, 1000)).astype(np.float64)
     for a in A_SWEEP:
         split = sample_split(bqp1000_synth, SplitParams(a=a, seed=12))
         f = np.einsum("ij,ij->i", z @ bqp1000_synth.q, z)
         f1 = np.einsum("ij,ij->i", z @ split.mat1, z)
-        f2 = np.einsum("ij,ij->i", z @ split.mat2, z)
+        f2 = np.einsum("ij,ij->i", z @ (bqp1000_synth.q - split.mat1), z)
         denom = np.maximum(np.abs(f), 1e-30)
         worst = max(worst, float(np.max(np.abs(f1 + f2 - f) / denom)))
     report(1, worst <= 1e-9, f"max relative sum error {worst:.3e} (<= 1e-9)")

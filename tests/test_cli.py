@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sumparts import cli
+from sumparts import cli, decomposition
 from sumparts.cli import _merge_negative_values, build_parser, main
 from sumparts.instances import load_bundled_tsp, synthetic_orlib_text
 from sumparts.search import TwoOptNeighborhood
@@ -67,6 +67,24 @@ def test_decompose_sidecar(eil51_path, tmp_path):
 
     split = split_from_json(json.dumps(payload), load_bundled_tsp("eil51"))
     assert split.rho == payload["rho"]
+
+
+def test_sweep_a_and_decompose_leave_splits_sparse(eil51_path, tmp_path, monkeypatch):
+    """Neither command reads the dense f1 matrix, so neither builds it."""
+    real, splits = decomposition.sample_split, []
+
+    def recording(inst, params):
+        splits.append(real(inst, params))
+        return splits[-1]
+
+    monkeypatch.setattr(decomposition, "sample_split", recording)
+    monkeypatch.setattr(cli, "sample_split", recording)
+    assert main(["sweep-a", "--instance", eil51_path, "--a", "-12,10",
+                 "--seed", "1", "-o", str(tmp_path / "sweep.csv")]) == 0
+    assert main(["decompose", "--instance", eil51_path, "--a", "2",
+                 "--seed", "5", "-o", str(tmp_path / "split.json")]) == 0
+    assert len(splits) == 3
+    assert all("mat1" not in vars(split) for split in splits)
 
 
 @pytest.fixture(scope="module")

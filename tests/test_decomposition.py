@@ -104,8 +104,9 @@ class TestSampleSplit:
 
     def test_symmetric_units_share_one_draw(self, eil51):
         split = sample_split(eil51, SplitParams(a=0.0, seed=1))
+        mat2 = eil51.costs - split.mat1
         assert np.array_equal(split.mat1, split.mat1.T)
-        assert np.array_equal(split.mat2, split.mat2.T)
+        assert np.array_equal(mat2, mat2.T)
 
     def test_determinism(self, eil51):
         p = SplitParams(a=2.0, seed=99)
@@ -122,7 +123,7 @@ class TestSampleSplit:
         assert np.all(split.c1 < q / 2 + 100.0)
         zero_cells = inst.q == 0
         assert np.all(split.mat1[zero_cells] == 0.0)
-        assert np.all(split.mat2[zero_cells] == 0.0)
+        assert np.all((inst.q - split.mat1)[zero_cells] == 0.0)
 
     def test_uniform_split_rho_near_zero_shifted_by_cost_spread(self, eil51):
         # a = 0 on eil51 lands moderately negative; the sign flips positive
@@ -147,16 +148,14 @@ class TestMeasureRho:
         split = SplitCosts(kind="tsp", n=4,
                            unit_i=np.array([0, 0]), unit_j=np.array([1, 2]),
                            c1=np.array([1.0, 2.0]), c2=np.array([2.0, 1.0]),
-                           rho=0.0, source_params=SplitParams(a=0.0),
-                           mat1=np.zeros((4, 4)), mat2=np.zeros((4, 4)))
+                           rho=0.0, source_params=SplitParams(a=0.0))
         assert measure_rho(split) == pytest.approx(-1.0)
 
     def test_zero_variance_rejected(self):
         split = SplitCosts(kind="tsp", n=4,
                            unit_i=np.array([0, 0]), unit_j=np.array([1, 2]),
                            c1=np.array([1.0, 1.0]), c2=np.array([2.0, 3.0]),
-                           rho=0.0, source_params=SplitParams(a=0.0),
-                           mat1=np.zeros((4, 4)), mat2=np.zeros((4, 4)))
+                           rho=0.0, source_params=SplitParams(a=0.0))
         with pytest.raises(ValueError, match="variance"):
             measure_rho(split)
 
@@ -202,7 +201,7 @@ class TestSumPreservation:
             z = rng.integers(0, 2, 60).astype(float)
             f = qubo_value(inst, z)
             f1 = qubo_value(inst, z, split.mat1)
-            f2 = qubo_value(inst, z, split.mat2)
+            f2 = qubo_value(inst, z, inst.q - split.mat1)
             assert abs(f1 + f2 - f) <= 1e-9 * max(1.0, abs(f))
 
 

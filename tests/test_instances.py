@@ -325,7 +325,7 @@ def test_split_deltas_after_any_flip_sequence(n, seed, steps):
     assert bv.cached_value == pytest.approx(fresh.cached_value, rel=0, abs=scale)
     d0, d1, d2 = view.split_deltas(bv)
     assert np.array_equal(d0, bv.gains)
-    for mat, d in ((split.mat1, d1), (split.mat2, d2)):
+    for mat, d in ((split.mat1, d1), (inst.q - split.mat1, d2)):
         before = qubo_value(inst, bv.bits, mat)
         change = [qubo_value(inst, np.where(np.arange(n) == i, 1.0 - bv.bits, bv.bits), mat)
                   - before for i in range(n)]

@@ -14,6 +14,7 @@ from sumparts.instances import (
     tour_cost,
 )
 from sumparts.metaheuristics import SolverConfig, run
+from sumparts.search import _two_opt_index
 
 
 def monotone(events, sense_min=True):
@@ -452,3 +453,30 @@ class TestStepLookup:
                            penalty=PenaltyConfig(rounds=2, k_edges=3))
         run(cfg, inst)
         assert set(calls) == expected
+
+
+class TestLeanState:
+    """A run builds no state that its algorithm never reads."""
+
+    def test_ilk_family_builds_no_two_opt_tables(self):
+        inst = random_tsp_instance(30, seed=5)
+        _two_opt_index.cache_clear()
+        for alg in ("ilk", "ilk_e", "ilk_nde"):
+            cfg = SolverConfig(algorithm=alg, seed=0, max_fe=3e4, neighbor_k=8,
+                               split_params=SplitParams(a=2.0, seed=1),
+                               penalty=PenaltyConfig(rounds=2, k_edges=3))
+            run(cfg, inst)
+        assert _two_opt_index.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("alg", ["its", "ils", "ils_ens", "ilk", "ilk_e"])
+    def test_unread_split_is_never_made_dense(self, alg):
+        if alg == "its":
+            inst = random_qubo_instance(30, seed=5, density=0.5)
+        else:
+            inst = random_tsp_instance(30, seed=5)
+        split = sample_split(inst, SplitParams(a=2.0, seed=1))
+        cfg = SolverConfig(algorithm=alg, seed=0, max_fe=3e4, neighbor_k=8, split=split,
+                           penalty=PenaltyConfig(rounds=2, k_edges=3))
+        trace = run(cfg, inst)
+        assert trace.rho == split.rho
+        assert "mat1" not in vars(split)

@@ -452,7 +452,8 @@ def test_two_opt_kernels_match_scalar_loop(n, seed, kind):
     assert (n - 3, n - 1) in moves  # a move whose second edge wraps to t[0]
     want = [two_opt_delta(inst, tour, p, q) for p, q in moves]
     assert np.array_equal(view.deltas(tour), want)
-    for got, m in zip(view.split_deltas(tour), (inst.costs, split.mat1, split.mat2)):
+    mats = (inst.costs, split.mat1, inst.costs - split.mat1)
+    for got, m in zip(view.split_deltas(tour), mats):
         assert np.array_equal(got, [four_term(m, tour.order, p, q) for p, q in moves])
     # thresholds equal to delta values make ties, which a strict scan must skip
     picks = np.random.default_rng(seed).choice(want, size=3)
