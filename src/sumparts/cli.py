@@ -20,6 +20,7 @@ from .bench import CampaignSpec, load_instance, run_campaign, summary_csv
 from .decomposition import SplitParams, sample_split, split_to_json, sweep_a
 from .escape import PenaltyConfig
 from .instances import (
+    EVAL_REL_TOL,
     ParseError,
     brute_force_qubo,
     brute_force_tsp,
@@ -41,7 +42,7 @@ from .landscape import (
     table_csv,
 )
 from .metaheuristics import ALGORITHMS, SolverConfig, rng_stream, run
-from .search import descend, is_local_optimum, neighborhood_for, unlimited
+from .search import descend, is_local_optimum, neighborhood_for, tabu_search, unlimited
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 3
@@ -211,6 +212,14 @@ def _verify_qubo(n: int, seed: int) -> list[str]:
         flip_delta_and_update(inst, bv, int(rng.integers(n)))
     if abs(bv.cached_value - qubo_value(inst, bv.bits)) > 1e-9 * max(1.0, abs(bv.cached_value)):
         failures.append("qubo cached value drifted after flips")
+    returned = tabu_search(inst, bv, rng_stream(seed, "tabu"), unlimited())
+    tol = EVAL_REL_TOL * inst.abs_weight_sum
+    for label, x in (("returned", returned), ("searched", bv)):
+        full = make_bitvector(inst, x.bits)
+        if (not np.array_equal(x.signs, 1.0 - 2.0 * x.bits)
+                or abs(x.cached_value - full.cached_value) > tol
+                or np.abs(x.gains - full.gains).max() > tol):
+            failures.append(f"tabu_search left stale caches in its {label} solution")
     config = SolverConfig(algorithm="its", seed=seed, max_fe=2e6, target=best)
     trace = run(config, inst)
     if trace.final_value != best:

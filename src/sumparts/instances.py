@@ -361,20 +361,41 @@ def flip_delta_and_update(inst: QuboInstance, bv: BitVector, i: int) -> float:
     """Flip bit i in place; returns its pre-flip gain.
 
     All n gains are refreshed in O(n) after the flip: gains[j] moves by
-    q_ij * 2 s_i s_j (s = signs before the flip). The factor 2 s_i s_j is
-    exactly +-2, so the update is the same in every bit however the product
-    is grouped. Only f's gains are kept; sub-objective gains are computed
-    from the bits on demand (FlipNeighborhood.split_deltas).
+    q_ij * 2 s_i s_j (s = signs before the flip). The kernel forms
+    x_j = q_ij * 2 s_j, which is exact (a factor of +-2 only scales and
+    signs q_ij), then adds x to the gains when s_i = +1 and subtracts it
+    when s_i = -1. Since g - x equals g + (-x) bit for bit, every gain is
+    the one q_ij * (2 s_i s_j) gives, however that product is grouped. Only
+    f's gains are kept; sub-objective gains are computed from the bits on
+    demand (FlipNeighborhood.split_deltas).
     """
     if not 0 <= i < bv.n:
         raise ValueError(f"bit index {i} out of range")
-    s = bv.signs
-    delta = float(bv.gains[i])
-    bv.gains += inst.q[i] * (s * (2.0 * s[i]))
-    bv.gains[i] = -delta
-    s[i] = -s[i]
-    bv.bits[i] = 1.0 - bv.bits[i]
+    twice = 2.0 * bv.signs
+    delta = _flip(inst.q[i], bv.gains, bv.signs, twice, bv.bits, i, twice)
     bv.cached_value += delta
+    return delta
+
+
+def _flip(row, gains, signs, twice, bits, i, product) -> float:
+    """Flip bit i, with row = q_i and twice = 2 signs; returns its gain.
+
+    Writes q_i * twice into the row product, then updates gains, signs,
+    twice and bits in place but not the cached value; the caller adds the
+    returned gain. product may be twice itself when the caller drops twice
+    afterwards. The one copy of the flip arithmetic, shared by
+    flip_delta_and_update and tabu_search's caller-owned buffers.
+    """
+    delta, s = gains.item(i), signs.item(i)
+    np.multiply(row, twice, out=product)
+    if s > 0.0:
+        np.add(gains, product, out=gains)
+    else:
+        np.subtract(gains, product, out=gains)
+    gains[i] = -delta
+    signs[i] = -s
+    twice[i] = -2.0 * s
+    bits[i] = 1.0 - bits.item(i)
     return delta
 
 

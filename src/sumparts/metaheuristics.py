@@ -208,6 +208,9 @@ def run(config: SolverConfig, inst) -> RunTrace:
         raise TypeError(f"unsupported instance type: {type(inst).__name__}")
     if alg not in allowed:
         raise ValueError(f"{alg} does not apply to {kind} instances")
+    if kind == "UBQP" and round(config.flip_fraction * inst.n) == 0:
+        raise ValueError(f"flip_fraction {config.flip_fraction} kicks no bit of "
+                         f"{inst.n} (round(flip_fraction * n) == 0)")
     split = _resolve_split(config, inst)
     view = neighborhood_for(inst, split, config.flip_fraction)
     neighbors = build_neighbor_lists(inst, config.neighbor_k) if family == "ilk" else None

@@ -40,6 +40,7 @@ from .instances import (
     QuboInstance,
     Tour,
     TspInstance,
+    _flip,
     apply_two_opt,
     flip_delta_and_update,
     flip_gains,
@@ -557,16 +558,23 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
     margin while the weights' absolute sum stays below 1e9.
 
     Each move flips one bit, so the frozen set is the bits flipped by the
-    last K - 1 moves, held in a ring of that length. A move takes the global
-    argmax of the gains when it aspirates. Otherwise no flip aspirates: float
-    addition is monotone, so value + gain of every flip is at most that of
-    the argmax. The move is then the argmax over the gains with the frozen
-    bits masked out, which is the global argmax itself when that is not
-    frozen, since argmax returns the first maximum.
+    last K - 1 moves, held in a ring of that length with a count per bit: a
+    bit that aspiration or the unfreeze-all fallback flips while frozen
+    enters the ring twice and stays frozen until its last copy leaves. A
+    standing mask holds -inf at the frozen bits and 0 elsewhere. A move
+    takes the global argmax of the gains when it is not frozen (it is then
+    also the first maximum of gains + mask) or when it aspirates. Otherwise
+    no flip aspirates: float addition is monotone, so value + gain of every
+    flip is at most that of the argmax. The move is then the argmax of
+    gains + mask. The flip runs the kernel flip_delta_and_update uses, on
+    buffers allocated once per call.
     """
     n = inst.n
-    frozen = np.empty(sample_tenure(n, rng) - 1, dtype=np.intp)
-    masked = np.empty(n)
+    ring = [0] * (sample_tenure(n, rng) - 1)
+    count = [0] * n
+    q, gains, signs, bits = inst.q, bv.gains, bv.signs, bv.bits
+    twice = 2.0 * signs
+    product, masked, mask = np.empty(n), np.empty(n), np.zeros(n)
     tol = EVAL_REL_TOL * inst.abs_weight_sum
     best = bv.copy()
     bar = best.cached_value + tol
@@ -574,16 +582,23 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
     t = 0
     while since_improve < 20 * n and not budget.exhausted():
         budget.charge(n)
-        k = int(bv.gains.argmax())
-        if not (use_aspiration and bv.cached_value + bv.gains[k] > bar):
-            np.copyto(masked, bv.gains)
-            masked[frozen[:t]] = -np.inf
+        k = int(gains.argmax())
+        if mask.item(k) and not (use_aspiration and bv.cached_value + gains.item(k) > bar):
+            np.add(gains, mask, out=masked)
             j = int(masked.argmax())
-            if masked[j] > -np.inf:  # else everything is frozen: unfreeze all
+            if masked.item(j) > -np.inf:  # else everything is frozen: unfreeze all
                 k = j
-        flip_delta_and_update(inst, bv, k)
-        if frozen.size:
-            frozen[t % frozen.size] = k
+        bv.cached_value += _flip(q[k], gains, signs, twice, bits, k, product)
+        if ring:
+            slot = t % len(ring)
+            if t >= len(ring):
+                old = ring[slot]
+                count[old] -= 1
+                if not count[old]:
+                    mask[old] = 0.0
+            ring[slot] = k
+            count[k] += 1
+            mask[k] = -np.inf
         t += 1
         if bv.cached_value > bar:
             best = bv.copy()

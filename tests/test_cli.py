@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sumparts import cli, decomposition
+from sumparts import cli, decomposition, metaheuristics, search
 from sumparts.cli import _merge_negative_values, build_parser, main
 from sumparts.instances import load_bundled_tsp, synthetic_orlib_text
 from sumparts.search import TwoOptNeighborhood
@@ -114,6 +114,17 @@ def test_qubo_solve_from_sparse_file(tmp_path):
     assert "fe,best_f" in out.read_text()
 
 
+def test_kick_that_flips_no_bit_exits_before_any_run(tmp_path, monkeypatch, capsys):
+    # round(0.01 * 50) == 0: every kick would return the same bits
+    path = tmp_path / "synth50.sparse"
+    path.write_text(synthetic_orlib_text(50, seed=2))
+    monkeypatch.setattr(metaheuristics, "neighborhood_for",
+                        lambda *args: pytest.fail("a run started"))
+    assert main(["solve", "--alg", "its", "--instance", str(path),
+                 "--flip-fraction", "0.01"]) == 2
+    assert "kicks no bit" in capsys.readouterr().err
+
+
 def test_bench_campaign(tmp_path, eil51_path, capsys):
     campaign = {
         "instances": {"eil51": eil51_path},
@@ -162,6 +173,20 @@ def test_verify_fails_on_wrong_two_opt_deltas(monkeypatch, capsys):
                         lambda self, tour, budget=None: real(self, tour, budget) + 0.5)
     assert main(["verify", "--n", "7", "--seed", "3"]) == 3
     assert "2-Opt deltas disagree with two_opt_delta" in capsys.readouterr().err
+
+
+def test_verify_fails_on_a_tabu_kernel_with_stale_caches(monkeypatch, capsys):
+    real = search._flip
+
+    def stale_twice(row, gains, signs, twice, bits, i, product):
+        keep = twice.item(i)
+        delta = real(row, gains, signs, twice, bits, i, product)
+        twice[i] = keep  # the +-2 signs miss this flip, so later gains go wrong
+        return delta
+
+    monkeypatch.setattr(search, "_flip", stale_twice)
+    assert main(["verify", "--n", "7", "--seed", "3"]) == 3
+    assert "tabu_search left stale caches" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

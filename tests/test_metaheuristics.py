@@ -155,6 +155,20 @@ class TestIts:
         with pytest.raises(ValueError):
             run(SolverConfig(algorithm="its", seed=0, max_fe=10), inst)
 
+    @pytest.mark.parametrize("n, flip_fraction", [(50, 0.01), (2, 0.25), (1, 0.25)])
+    def test_kick_that_flips_no_bit_rejected(self, monkeypatch, n, flip_fraction):
+        # round(0.5) == 0, so these kicks would return the same bits every time
+        monkeypatch.setattr(mh, "neighborhood_for", lambda *args: pytest.fail("a run started"))
+        inst = random_qubo_instance(n, seed=3, density=0.5)
+        cfg = SolverConfig(algorithm="its", seed=0, max_fe=1e3, flip_fraction=flip_fraction)
+        with pytest.raises(ValueError, match="kicks no bit"):
+            run(cfg, inst)
+
+    def test_smallest_kick_accepted(self):
+        inst = random_qubo_instance(50, seed=3, density=0.5)
+        trace = run(SolverConfig(algorithm="its", seed=0, max_fe=1e3, flip_fraction=0.02), inst)
+        assert trace.consumed_fe >= 1
+
 
 class TestIlk:
     def test_ten_city_optimum_8_of_10(self):

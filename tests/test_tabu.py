@@ -124,3 +124,28 @@ def test_stop_rule_fires_on_non_integral_weights():
             assert budget.consumed_fe <= 40 * n * n
             assert abs(best.cached_value - qubo_value(inst, best.bits)) <= (
                 EVAL_REL_TOL * inst.abs_weight_sum)
+
+
+def test_frozen_bit_flipped_again_matches_reference(monkeypatch):
+    # Replaying the reference on this instance shows aspiration flipping a bit
+    # that is still frozen while other bits are not, so the ring holds two
+    # copies of it. A ring that unfroze the bit when its first copy left
+    # would diverge from the reference from there on.
+    n, seed = 16, 3
+    inst = qubo(n, seed, integral=True)
+    bits = np.random.default_rng(seed + 1).integers(0, 2, n).astype(np.float64)
+    flips = []
+    real = reference_flip
+    monkeypatch.setitem(globals(), "reference_flip",
+                        lambda inst, bv, i: (flips.append(i), real(inst, bv, i)))
+    runs = []
+    for search in (tabu_search, reference_tabu):
+        bv = make_bitvector(inst, bits.copy())
+        budget = Budget()
+        rng = np.random.default_rng(seed)
+        best = search(inst, bv, rng, budget)
+        runs.append((state(best), state(bv), budget.consumed_fe, rng.bit_generator.state))
+    ring = sample_tenure(n, np.random.default_rng(seed)) - 1
+    windows = [set(flips[max(0, t - ring):t]) for t in range(len(flips))]
+    assert any(k in w and len(w) < n for k, w in zip(flips, windows))
+    assert runs[0] == runs[1]
