@@ -116,6 +116,10 @@ class CampaignSpec:
             raise ValueError("seeds must be distinct")
         if not self.algorithms:
             raise ValueError("no algorithms configured")
+        names = [config.algorithm for config in self.algorithms]
+        if len(set(names)) != len(names):
+            # their traces and verdict rows would share one name
+            raise ValueError(f"algorithm names must be distinct, got {names}")
 
 
 @dataclass

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -108,22 +109,40 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+# Run settings by `solve`'s flag names, and the split and penalty fields they set.
+# A setting left out keeps its dataclass default.
+_RUN_SETTINGS = ("algorithm", "seed", "max_fe", "max_wall", "target",
+                 "flip_fraction", "neighbor_k", "warmup_fraction")
+_SPLIT_SETTINGS = {"a": "a", "q_prime": "q_prime", "split_seed": "seed"}
+_PENALTY_SETTINGS = {"penalty_rounds": "rounds", "penalty_edges": "k_edges",
+                     "penalty_cost": "c_tilde"}
+
+
+def config_from(settings: dict) -> SolverConfig:
+    """The SolverConfig that flat run settings describe; unknown names raise."""
+    unknown = set(settings).difference(_RUN_SETTINGS, _SPLIT_SETTINGS, _PENALTY_SETTINGS)
+    if unknown:
+        raise ValueError(f"unknown setting(s): {', '.join(sorted(unknown))}")
+    if "algorithm" not in settings:
+        raise ValueError("a run needs an algorithm")
+    split = {field: settings[name] for name, field in _SPLIT_SETTINGS.items()
+             if name in settings}
+    if split and "a" not in split:
+        raise ValueError("q_prime and split_seed need a split shape a")
+    penalty = {field: settings[name] for name, field in _PENALTY_SETTINGS.items()
+               if name in settings}
+    return SolverConfig(**{name: settings[name] for name in _RUN_SETTINGS if name in settings},
+                        split_params=SplitParams(**split) if split else None,
+                        penalty=PenaltyConfig(**penalty))
+
+
 def cmd_solve(args) -> int:
+    config = config_from({k: v for k, v in vars(args).items()
+                          if k not in ("command", "func", "instance", "output", "_raw")})
     inst = _load(args.instance)
-    split_params = None
-    if args.a is not None:
-        split_params = SplitParams(a=args.a, q_prime=args.q_prime, seed=args.split_seed)
-    penalty = PenaltyConfig(rounds=args.penalty_rounds, k_edges=args.penalty_edges,
-                            c_tilde=args.penalty_cost)
-    config = SolverConfig(algorithm=args.alg, seed=args.seed,
-                          max_fe=args.max_fe, max_wall=args.max_wall,
-                          target=args.target, split_params=split_params,
-                          penalty=penalty, flip_fraction=args.flip_fraction,
-                          neighbor_k=args.neighbor_k,
-                          warmup_fraction=args.warmup_fraction)
     trace = run(config, inst)
     _write(args.output, trace.to_csv(invocation=_invocation(args)))
-    print(f"{args.alg} on {inst.name}: best {trace.final_value} "
+    print(f"{config.algorithm} on {inst.name}: best {trace.final_value} "
           f"after {trace.consumed_fe} FEs ({trace.wall_time:.2f}s)", file=sys.stderr)
     return 0
 
@@ -131,23 +150,15 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.campaign, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    shared = {k: raw[k] for k in ("max_fe", "max_wall") if k in raw}
+    unknown = set(raw).difference(f.name for f in fields(CampaignSpec)).difference(shared)
+    if unknown:
+        raise ValueError(f"unknown campaign key(s): {', '.join(sorted(unknown))}")
     algorithms = []
     for entry in raw["algorithms"]:
-        split_params = None
-        if "a" in entry:
-            split_params = SplitParams(a=entry["a"], q_prime=entry.get("q_prime", 100.0),
-                                       seed=entry.get("split_seed", 0))
-        penalty = PenaltyConfig(rounds=entry.get("penalty_rounds", 1000),
-                                k_edges=entry.get("penalty_edges", 5),
-                                c_tilde=entry.get("penalty_cost"))
-        algorithms.append(SolverConfig(
-            algorithm=entry["algorithm"],
-            max_fe=entry.get("max_fe", raw.get("max_fe")),
-            max_wall=entry.get("max_wall", raw.get("max_wall")),
-            split_params=split_params, penalty=penalty,
-            flip_fraction=entry.get("flip_fraction", 0.25),
-            neighbor_k=entry.get("neighbor_k", 20),
-            warmup_fraction=entry.get("warmup_fraction", 0.0)))
+        if "seed" in entry or "target" in entry:
+            raise ValueError("a campaign entry takes its seed and target from seeds and targets")
+        algorithms.append(config_from({**shared, **entry}))
     spec = CampaignSpec(instances=raw["instances"], algorithms=algorithms,
                         seeds=raw["seeds"], targets=raw.get("targets", {}),
                         out_dir=args.out_dir or raw.get("out_dir"),
@@ -277,22 +288,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("solve", help="run one solver and emit its trace")
+    p = sub.add_parser("solve", help="run one solver and emit its trace",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--instance", required=True)
-    p.add_argument("--alg", required=True, choices=ALGORITHMS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-fe", dest="max_fe", type=float, default=None)
-    p.add_argument("--max-wall", dest="max_wall", type=float, default=None)
-    p.add_argument("--target", type=float, default=None)
-    p.add_argument("--a", type=float, default=None, help="split shape (enables NDS/NDE)")
-    p.add_argument("--q-prime", dest="q_prime", type=float, default=100.0)
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=0)
-    p.add_argument("--penalty-rounds", dest="penalty_rounds", type=int, default=1000)
-    p.add_argument("--penalty-edges", dest="penalty_edges", type=int, default=5)
-    p.add_argument("--penalty-cost", dest="penalty_cost", type=float, default=None)
-    p.add_argument("--flip-fraction", dest="flip_fraction", type=float, default=0.25)
-    p.add_argument("--neighbor-k", dest="neighbor_k", type=int, default=20)
-    p.add_argument("--warmup-fraction", dest="warmup_fraction", type=float, default=0.0)
+    p.add_argument("--alg", dest="algorithm", required=True, choices=ALGORITHMS)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-fe", dest="max_fe", type=float)
+    p.add_argument("--max-wall", dest="max_wall", type=float)
+    p.add_argument("--target", type=float)
+    p.add_argument("--a", type=float, help="split shape (enables NDS/NDE)")
+    p.add_argument("--q-prime", dest="q_prime", type=float)
+    p.add_argument("--split-seed", dest="split_seed", type=int)
+    p.add_argument("--penalty-rounds", dest="penalty_rounds", type=int)
+    p.add_argument("--penalty-edges", dest="penalty_edges", type=int)
+    p.add_argument("--penalty-cost", dest="penalty_cost", type=float)
+    p.add_argument("--flip-fraction", dest="flip_fraction", type=float)
+    p.add_argument("--neighbor-k", dest="neighbor_k", type=int)
+    p.add_argument("--warmup-fraction", dest="warmup_fraction", type=float)
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_solve)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import MINIMIZE, Tour, TspInstance
-from .search import Budget, NeighborList, PenalizedTspObjective, lk_search, unlimited
+from .search import Budget, NeighborList, PenalizedTspObjective, better, lk_search, unlimited
 
 
 def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -51,11 +51,6 @@ def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
 # the block is large enough to amortize numpy's per-call cost. On eil51,
 # blocks of 13 neighbors made ens take twice as long as blocks of 64-321.
 BLOCK_DELTAS = 1 << 14
-
-
-def _beats(sense: int, deltas, threshold):
-    """Where deltas are strictly better than threshold under the given sense."""
-    return deltas < threshold if sense == MINIMIZE else deltas > threshold
 
 
 def two_hop_blocks(view, sol, ks, d, budget: Budget | None = None):
@@ -81,7 +76,7 @@ def two_hop_blocks(view, sol, ks, d, budget: Budget | None = None):
                 rows = min(rows, math.ceil((budget.max_fe - budget.consumed_fe) / size))
         block = ks[start:start + rows]
         best, values = best_of(block)
-        yield block, _beats(view.sense, best, f_star - values)
+        yield block, better(view.sense, best, f_star - values)
         start += len(block)
 
 

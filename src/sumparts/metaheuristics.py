@@ -65,7 +65,7 @@ class SolverConfig:
     target: float | None = None
     split_params: SplitParams | None = None
     split: SplitCosts | None = None  # overrides split_params when given
-    penalty: PenaltyConfig | None = None
+    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     flip_fraction: float = 0.25
     neighbor_k: int = 20
     warmup_fraction: float = 0.0  # ILK+E/NDE: plain ILK for this budget share
@@ -82,8 +82,6 @@ class SolverConfig:
         if self.algorithm in ("ils_nds", "its_nds", "ilk_nde"):
             if self.split is None and self.split_params is None:
                 raise ValueError(f"{self.algorithm} requires split_params or a split")
-        if self.algorithm in ("ilk_e", "ilk_nde") and self.penalty is None:
-            self.penalty = PenaltyConfig()
 
 
 @dataclass
@@ -219,7 +217,6 @@ def run(config: SolverConfig, inst) -> RunTrace:
     tabu_rng = rng_stream(config.seed, "tabu")
     penalty_rng = rng_stream(config.seed, "penalty")
     budget = Budget(max_fe=config.max_fe, max_wall=config.max_wall)
-    budget.start_clock()
     recorder = _Recorder(budget)
 
     def improve(x, kicked_from=None):

@@ -57,26 +57,18 @@ class Budget:
     max_fe: float | None = None
     max_wall: float | None = None
     consumed_fe: int = 0
-    _t0: float | None = field(default=None, repr=False)
-
-    def start_clock(self):
-        if self._t0 is None:
-            self._t0 = time.monotonic()
+    _t0: float = field(init=False, repr=False, default_factory=time.monotonic)
 
     def charge(self, k: int):
         self.consumed_fe += int(k)
 
     def elapsed(self) -> float:
-        return 0.0 if self._t0 is None else time.monotonic() - self._t0
+        return time.monotonic() - self._t0
 
     def exhausted(self) -> bool:
         if self.max_fe is not None and self.consumed_fe >= self.max_fe:
             return True
-        if self.max_wall is not None:
-            self.start_clock()
-            if time.monotonic() - self._t0 >= self.max_wall:
-                return True
-        return False
+        return self.max_wall is not None and self.elapsed() >= self.max_wall
 
 
 def unlimited() -> Budget:
@@ -418,9 +410,6 @@ class FlipNeighborhood:
 
         return best
 
-    def move_delta(self, bv: BitVector, k: int) -> float:
-        return float(bv.gains[k])
-
     def apply(self, bv: BitVector, k: int, delta: float | None = None):
         flip_delta_and_update(self.inst, bv, k)
 
@@ -523,6 +512,8 @@ def random_flip_perturbation(inst: QuboInstance, bv: BitVector, fraction: float,
         raise ValueError("fraction must be in (0, 1]")
     n = bv.n
     count = int(round(fraction * n))
+    if count == 0:
+        raise ValueError(f"fraction {fraction} kicks no bit of {n}")
     positions = rng.choice(n, size=count, replace=False)
     bits = bv.bits.copy()
     bits[positions] = 1.0 - bits[positions]

@@ -174,3 +174,10 @@ class TestCampaign:
         with pytest.raises(ValueError):
             CampaignSpec(instances={}, algorithms=[SolverConfig(algorithm="ils")],
                          seeds=[1, 1])
+
+    def test_duplicate_algorithms_rejected(self):
+        # two ils_nds entries at different shapes would write the same trace files
+        algs = [SolverConfig(algorithm="ils_nds", split_params=SplitParams(a=a))
+                for a in (-12.0, 10.0)]
+        with pytest.raises(ValueError, match="distinct"):
+            CampaignSpec(instances={}, algorithms=algs, seeds=[0])

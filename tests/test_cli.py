@@ -214,6 +214,53 @@ def test_bench_out_of_range_setting_exits_before_any_run(tmp_path, eil51_path, m
     assert main(["bench", "--campaign", str(spec_path)]) == 2
 
 
+@pytest.mark.parametrize("change", [
+    {"algorithms": [{"algorithm": "ils", "max_fes": 1e7}]},
+    {"max_fes": 1e7},
+    {"algorithms": [{"algorithm": "ils", "seed": 3}]},
+    {"algorithms": [{"algorithm": "ils", "target": 426}]},
+    {"algorithms": [{"algorithm": "ils_nds", "a": -12}, {"algorithm": "ils_nds", "a": 10}]},
+], ids=["entry-typo", "top-level-typo", "entry-seed", "entry-target", "duplicate-algorithm"])
+def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, capsys, change):
+    campaign = {"instances": {"eil51": eil51_path}, "algorithms": [{"algorithm": "ils"}],
+                "seeds": [0], "max_fe": 1e4, **change}
+    spec_path = tmp_path / "campaign.json"
+    spec_path.write_text(json.dumps(campaign))
+    monkeypatch.setattr(cli, "run_campaign", lambda *args: pytest.fail("a run started"))
+    assert main(["bench", "--campaign", str(spec_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_split_setting_without_shape_exits_before_any_run(eil51_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("a run started"))
+    assert main(["solve", "--alg", "ils", "--instance", eil51_path, "--q-prime", "50"]) == 2
+    assert "need a split shape" in capsys.readouterr().err
+
+
+def test_solve_and_campaign_entry_build_equal_configs(tmp_path, eil51_path, monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli, "run", lambda config, inst: configs.append(config)
+                        or metaheuristics.RunTrace(config.algorithm, config.seed))
+    monkeypatch.setattr(cli, "run_campaign", lambda spec: configs.extend(spec.algorithms) or [])
+    out = str(tmp_path / "trace.csv")
+    assert main(["solve", "--alg", "ilk_nde", "--instance", eil51_path, "--a", "-12",
+                 "--q-prime", "50", "--split-seed", "3", "--penalty-rounds", "7",
+                 "--penalty-edges", "3", "--penalty-cost", "9.5", "--flip-fraction", "0.5",
+                 "--neighbor-k", "8", "--warmup-fraction", "0.2", "--max-fe", "1e4",
+                 "--max-wall", "5", "-o", out]) == 0
+    entry = {"algorithm": "ilk_nde", "a": -12, "q_prime": 50, "split_seed": 3,
+             "penalty_rounds": 7, "penalty_edges": 3, "penalty_cost": 9.5,
+             "flip_fraction": 0.5, "neighbor_k": 8, "warmup_fraction": 0.2, "max_wall": 5}
+    spec_path = tmp_path / "campaign.json"
+    spec_path.write_text(json.dumps({"instances": {"eil51": eil51_path}, "algorithms": [entry],
+                                     "seeds": [0], "max_fe": 1e4}))
+    assert main(["bench", "--campaign", str(spec_path)]) == 0
+    assert main(["solve", "--alg", "ils", "--instance", eil51_path, "-o", out]) == 0
+    assert configs[0] == configs[1]
+    assert configs[0].split_params == decomposition.SplitParams(a=-12.0, q_prime=50.0, seed=3)
+    assert configs[2] == metaheuristics.SolverConfig(algorithm="ils")
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 2
 

@@ -312,7 +312,7 @@ def test_split_deltas_after_any_flip_sequence(n, seed, steps):
     bv = make_bitvector(inst, rng.integers(0, 2, n).astype(float))
     for step in steps:
         if step == "kick":
-            bv = random_flip_perturbation(inst, bv, float(rng.uniform(0.01, 1.0)), rng)
+            bv = random_flip_perturbation(inst, bv, float(rng.uniform(1 / n, 1.0)), rng)
         elif step == "tabu":
             bv = tabu_search(inst, bv, rng, Budget(max_fe=int(rng.integers(0, 40)) * n))
         else:

@@ -205,6 +205,13 @@ class TestRandomFlip:
         with pytest.raises(ValueError):
             random_flip_perturbation(inst, bv, 0.0, np.random.default_rng(0))
 
+    def test_fraction_that_flips_no_bit(self):
+        # round(0.04 * 10) == 0: the kick would return the same bits
+        inst = random_qubo_instance(10, seed=0, density=0.5)
+        bv = make_bitvector(inst, np.zeros(10))
+        with pytest.raises(ValueError, match="kicks no bit"):
+            random_flip_perturbation(inst, bv, 0.04, np.random.default_rng(0))
+
 
 class TestTabuSearch:
     def test_tenure_range_n1000(self):
