@@ -8,6 +8,7 @@ budgets are inherently machine-dependent).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -112,6 +113,9 @@ class CampaignSpec:
     reference_algorithm: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.seeds, list) or not all(
+                isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
+            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         if not self.algorithms:

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -67,9 +67,15 @@ def _load(path: str):
     return load_instance(name, path)
 
 
+def _split_params(args, a: float) -> SplitParams:
+    """The split `decompose` and `analyze` sample; q_prime is passed only when given."""
+    given = {} if args.q_prime is None else {"q_prime": args.q_prime}
+    return SplitParams(a=a, seed=args.seed, **given)
+
+
 def cmd_decompose(args) -> int:
     inst = _load(args.instance)
-    split = sample_split(inst, SplitParams(a=args.a, q_prime=args.q_prime, seed=args.seed))
+    split = sample_split(inst, _split_params(args, args.a))
     payload = json.loads(split_to_json(split))
     payload["invocation"] = _invocation(args)
     _write(args.output, json.dumps(payload) + "\n")
@@ -97,7 +103,7 @@ def cmd_analyze(args) -> int:
     flags = [promising_flags(x, base_view) for x in optima]
     rows = []
     for a in a_values:
-        split = sample_split(inst, SplitParams(a=a, q_prime=args.q_prime, seed=args.seed))
+        split = sample_split(inst, _split_params(args, a))
         view = neighborhood_for(inst, split)
         stats = aggregate_stats([classify_neighbors(x, view, promising=fl)
                                  for x, fl in zip(optima, flags)])
@@ -150,19 +156,24 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.campaign, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    shared = {k: raw[k] for k in ("max_fe", "max_wall") if k in raw}
-    unknown = set(raw).difference(f.name for f in fields(CampaignSpec)).difference(shared)
+    # max_fe and max_wall apply to every entry; every other key is a CampaignSpec field
+    shared = {k: raw.pop(k) for k in ("max_fe", "max_wall") if k in raw}
+    spec_fields = fields(CampaignSpec)
+    unknown = set(raw).difference(f.name for f in spec_fields)
     if unknown:
         raise ValueError(f"unknown campaign key(s): {', '.join(sorted(unknown))}")
+    missing = [f.name for f in spec_fields
+               if f.name not in raw and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing campaign key(s): {', '.join(missing)}")
     algorithms = []
     for entry in raw["algorithms"]:
         if "seed" in entry or "target" in entry:
             raise ValueError("a campaign entry takes its seed and target from seeds and targets")
         algorithms.append(config_from({**shared, **entry}))
-    spec = CampaignSpec(instances=raw["instances"], algorithms=algorithms,
-                        seeds=raw["seeds"], targets=raw.get("targets", {}),
-                        out_dir=args.out_dir or raw.get("out_dir"),
-                        reference_algorithm=raw.get("reference_algorithm"))
+    if args.out_dir:
+        raw["out_dir"] = args.out_dir
+    spec = CampaignSpec(**{**raw, "algorithms": algorithms})
     summaries = run_campaign(spec)
     sys.stdout.write(summary_csv(summaries, invocation=_invocation(args)))
     failed = sum(s.failures for s in summaries)
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="sample a split and write its sidecar")
     p.add_argument("--instance", required=True)
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--q-prime", dest="q_prime", type=float, default=100.0)
+    p.add_argument("--q-prime", dest="q_prime", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_decompose)
@@ -283,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--a", required=True, help="comma-separated shape values")
     p.add_argument("--optima", type=int, default=100)
-    p.add_argument("--q-prime", dest="q_prime", type=float, default=100.0)
+    p.add_argument("--q-prime", dest="q_prime", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_analyze)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import MINIMIZE, Tour, TspInstance
-from .search import Budget, NeighborList, PenalizedTspObjective, better, lk_search, unlimited
+from .search import Budget, NeighborList, better, lk_search, penalized_rows, unlimited
 
 
 def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -143,35 +143,29 @@ class PenaltyConfig:
         if self.c_tilde is not None and self.c_tilde <= 0:
             raise ValueError("c_tilde must be positive")
 
-    def resolve_c_tilde(self, inst: TspInstance) -> float:
-        return self.c_tilde if self.c_tilde is not None else inst.max_cost
-
 
 def add_random_penalty(x_star: Tour, inst: TspInstance, cfg: PenaltyConfig,
-                       rng: np.random.Generator) -> PenalizedTspObjective:
-    """Surcharge k distinct random edges of the tour; returns the cost view."""
+                       rng: np.random.Generator) -> list[list[float]]:
+    """Surcharge k distinct random edges of the tour; returns their `penalized_rows`."""
     n = x_star.n
     if cfg.k_edges > n:
         raise ValueError("cannot penalize more edges than the tour has")
     positions = rng.choice(n, size=cfg.k_edges, replace=False)
     order = x_star.order
     edges = [(int(order[p]), int(order[(p + 1) % n])) for p in positions]
-    return PenalizedTspObjective(inst, edges, cfg.resolve_c_tilde(inst))
+    return penalized_rows(inst, edges, inst.max_cost if cfg.c_tilde is None else cfg.c_tilde)
 
 
 def further_exploit(x_star: Tour, inst: TspInstance, neighbors: NeighborList,
-                    cfg: PenaltyConfig, budget: Budget | None = None,
-                    rng: np.random.Generator | None = None) -> Tour:
+                    cfg: PenaltyConfig, budget: Budget, rng: np.random.Generator) -> Tour:
     """Penalty-driven exploitation of an LK local optimum.
 
-    Up to T rounds: penalize k random tour edges, LK-search the penalized
-    objective from the optimum, then LK-search the plain objective from the
-    result, both from a cold start that queues every city; return the first
-    strict improvement immediately. After T failed rounds (or budget
-    exhaustion) the original tour is returned.
+    Up to T rounds: surcharge k random tour edges drawn from rng, LK-search
+    those cost rows from the optimum, then the plain costs from the result,
+    both from a cold start that queues every city; return the first strict
+    improvement (in plain cost) immediately. After T failed rounds (or
+    budget exhaustion) the original tour is returned.
     """
-    budget = budget if budget is not None else unlimited()
-    rng = rng if rng is not None else np.random.default_rng()
     for _ in range(cfg.rounds):
         if budget.exhausted():
             break

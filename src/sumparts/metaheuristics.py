@@ -16,6 +16,7 @@ best-so-far value at every improvement plus geometric FE checkpoints.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("max_fe", "max_wall", "target"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in ("seed", "neighbor_k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.flip_fraction <= 1:
             raise ValueError("flip_fraction must be in (0, 1]")
         if not 0 <= self.warmup_fraction <= 1:

@@ -604,27 +604,17 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
 # bounded Lin-Kernighan
 
 
-class PenalizedTspObjective:
-    """A TSP cost view with a surcharge on chosen edges; the base is untouched.
+def penalized_rows(inst: TspInstance, edges, c_tilde: float) -> list[list[float]]:
+    """The instance's cost rows plus c_tilde on each edge, both directions.
 
-    `rows` shares the instance's cost rows and copies only the rows of the
-    surcharged edges' endpoints.
+    Rows the edges do not touch are the instance's own; the others are copies.
     """
-
-    def __init__(self, inst: TspInstance, edges, c_tilde: float):
-        self.inst = inst
-        self.edges = frozenset((min(int(u), int(v)), max(int(u), int(v)))
-                               for u, v in edges)
-        self.c_tilde = float(c_tilde)
-        rows = list(inst.cost_rows)
-        copied = set()
-        for u, v in self.edges:
-            for a, b in {(u, v), (v, u)}:
-                if a not in copied:
-                    rows[a] = rows[a].copy()
-                    copied.add(a)
-                rows[a][b] += self.c_tilde
-        self.rows = rows
+    rows = list(inst.cost_rows)
+    for a, b in {(int(a), int(b)) for u, v in edges for a, b in ((u, v), (v, u))}:
+        if rows[a] is inst.cost_rows[a]:
+            rows[a] = rows[a].copy()
+        rows[a][b] += float(c_tilde)
+    return rows
 
 
 LK_DEPTH = 10
@@ -645,7 +635,7 @@ def new_edge_endpoints(before: np.ndarray, after: np.ndarray) -> list[int]:
 
 def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
               budget: Budget | None = None,
-              objective: PenalizedTspObjective | None = None,
+              objective: list[list[float]] | None = None,
               depth: int = LK_DEPTH, breadth2: int = LK_BREADTH2,
               active: Iterable[int] | None = None):
     """Bounded-depth sequential edge exchange (Lin-Kernighan style) descent.
@@ -683,15 +673,13 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
 
     Returns (tour, converged), where converged means the queue emptied. A
     chain's gain also depends on edges away from its anchor, so a converged
-    tour is not always unchanged by a further cold start. The tour's cached
-    cost is always the plain objective, also when searching a penalized view.
-    Charges one FE for the start and one per candidate move evaluated. The
-    incoming cached cost must be the plain one.
+    tour is not always unchanged by a further cold start. Gains are summed
+    over `objective`, cost rows such as `penalized_rows` returns (None: the
+    instance's own), and the returned tour caches its plain cost, recomputed
+    once. Charges one FE for the start and one per candidate move evaluated.
     """
     budget = budget if budget is not None else unlimited()
-    raw = inst.cost_rows
-    pen = raw if objective is None else objective.rows
-    plain = objective is None
+    cost = inst.cost_rows if objective is None else objective
     cand = neighbors.rows
     order = tour.order.tolist()
     n = len(order)
@@ -701,14 +689,12 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
     # snapshots: the tour at the chain's start, and after its first move
     order0, pos0 = order[:], pos[:]
     order1, pos1 = order[:], pos[:]
-    raw_cost = tour.cached_cost
     budget.charge(1)
 
     # the running chain: reversals applied, their endpoints and prefix-sum gains
     moves: list[tuple[int, int]] = []
     ends: list[int] = []
-    pen_sum = [0.0]
-    raw_sum = pen_sum if plain else [0.0]
+    cost_sum = [0.0]
     fe = 0
     # order[i + 1 - n] and order[i - 1] are the cities after and before
     # position i: the negative indices wrap around the array's ends
@@ -724,11 +710,8 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
         t4 = order[p3 - 1] if forward else order[p3 + 1 - n]
         if t4 == base or t4 == end:
             return False
-        pen_sum.append(pen_sum[-1] + (pen[end][t3] + pen[t4][base]
-                                      - pen[base][end] - pen[t4][t3]))
-        if not plain:
-            raw_sum.append(raw_sum[-1] + (raw[end][t3] + raw[t4][base]
-                                          - raw[base][end] - raw[t4][t3]))
+        cost_sum.append(cost_sum[-1] + (cost[end][t3] + cost[t4][base]
+                                        - cost[base][end] - cost[t4][t3]))
         pe, p4 = pos[end], pos[t4]
         if forward:
             lo, hi = (pe, p4) if pe <= p4 else (p3, pos[base])
@@ -747,33 +730,31 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
                 reverse(lo, hi)
         else:
             order[:], pos[:] = order0, pos0
-        del moves[k:], ends[3 * k:], pen_sum[k + 1:]
-        if not plain:
-            del raw_sum[k + 1:]
+        del moves[k:], ends[3 * k:], cost_sum[k + 1:]
 
-    def extend_greedy(base: int, forward: bool, best_k: int, best_pen: float):
+    def extend_greedy(base: int, forward: bool, best_k: int, best_sum: float):
         # deeper levels: first acceptable candidate, no alternatives
         nonlocal fe
         for _ in range(3, depth + 1):
             i = pos[base]
             end = order[i + 1 - n] if forward else order[i - 1]
-            bound = pen[base][end] - pen_sum[-1]
-            row = pen[end]
+            bound = cost[base][end] - cost_sum[-1]
+            row = cost[end]
             i = pos[end]
             s_end, p_end = order[i + 1 - n], order[i - 1]
             for t3 in cand[end]:
                 fe += 1
                 if row[t3] >= bound:
-                    return best_k, best_pen  # cost-sorted: none later can fit
+                    return best_k, best_sum  # cost-sorted: none later can fit
                 if t3 == base or t3 == s_end or t3 == p_end:
                     continue
                 if do_move(base, end, t3, forward):
                     break
             else:
-                return best_k, best_pen
-            if pen_sum[-1] < best_pen - 1e-12:
-                best_k, best_pen = len(moves), pen_sum[-1]
-        return best_k, best_pen
+                return best_k, best_sum
+            if cost_sum[-1] < best_sum - 1e-12:
+                best_k, best_sum = len(moves), cost_sum[-1]
+        return best_k, best_sum
 
     def chain_from(base: int, forward: bool) -> int:
         """One anchored chain; commits the winning prefix or restores the tour.
@@ -783,8 +764,8 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
         nonlocal fe
         i = pos[base]
         e0 = order[i + 1 - n] if forward else order[i - 1]
-        g0 = pen[base][e0]
-        row0 = pen[e0]
+        g0 = cost[base][e0]
+        row0 = cost[e0]
         i = pos[e0]
         s0, p0 = order[i + 1 - n], order[i - 1]
         for t3 in cand[e0]:
@@ -795,14 +776,14 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
                 continue
             if not do_move(base, e0, t3, forward):
                 continue
-            if pen_sum[1] < -1e-12:
+            if cost_sum[1] < -1e-12:
                 return 1  # improving 2-Opt move, commit immediately
             order1[:], pos1[:] = order, pos
             # second level: try a few alternatives, each extended greedily
             i = pos[base]
             e1 = order[i + 1 - n] if forward else order[i - 1]
-            bound1 = pen[base][e1] - pen_sum[1]
-            row1 = pen[e1]
+            bound1 = cost[base][e1] - cost_sum[1]
+            row1 = cost[e1]
             i = pos[e1]
             s1, p1 = order[i + 1 - n], order[i - 1]
             tried = 0
@@ -815,9 +796,9 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
                 if not do_move(base, e1, t5, forward):
                     continue
                 tried += 1
-                best_k, best_pen = (2, pen_sum[2]) if pen_sum[2] < -1e-12 else (-1, 0.0)
-                best_k, best_pen = extend_greedy(base, forward, best_k, best_pen)
-                if best_pen < -1e-12:
+                best_k, best_sum = (2, cost_sum[2]) if cost_sum[2] < -1e-12 else (-1, 0.0)
+                best_k, best_sum = extend_greedy(base, forward, best_k, best_sum)
+                if best_sum < -1e-12:
                     if best_k < len(moves):
                         rollback(best_k)
                     return best_k
@@ -846,16 +827,14 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
         budget.charge(fe)
         fe = 0
         if k:
-            raw_cost += raw_sum[k]
             push(base)
             for city in ends:
                 push(city)
             moves.clear()
             ends.clear()
-            del pen_sum[1:]
-            del raw_sum[1:]
+            del cost_sum[1:]
             order0[:], pos0[:] = order, pos
 
     tour.order[:] = order
-    tour.cached_cost = raw_cost
+    tour.cached_cost = tour_cost(inst, tour.order)
     return tour, not queue

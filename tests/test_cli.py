@@ -220,7 +220,10 @@ def test_bench_out_of_range_setting_exits_before_any_run(tmp_path, eil51_path, m
     {"algorithms": [{"algorithm": "ils", "seed": 3}]},
     {"algorithms": [{"algorithm": "ils", "target": 426}]},
     {"algorithms": [{"algorithm": "ils_nds", "a": -12}, {"algorithm": "ils_nds", "a": 10}]},
-], ids=["entry-typo", "top-level-typo", "entry-seed", "entry-target", "duplicate-algorithm"])
+    {"algorithms": [{"algorithm": "ils", "max_fe": "1e4"}]},
+    {"seeds": 3},
+], ids=["entry-typo", "top-level-typo", "entry-seed", "entry-target", "duplicate-algorithm",
+        "entry-max-fe-string", "seeds-not-a-list"])
 def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, capsys, change):
     campaign = {"instances": {"eil51": eil51_path}, "algorithms": [{"algorithm": "ils"}],
                 "seeds": [0], "max_fe": 1e4, **change}

@@ -202,10 +202,10 @@ class TestEns:
             assert b1.consumed_fe <= b2.consumed_fe
 
 
-def penalized_cost(pen, order):
-    """Length of the tour `order` under a penalized view, summed from its rows."""
+def penalized_cost(rows, order):
+    """Length of the tour `order` under penalized cost rows."""
     n = len(order)
-    return float(sum(pen.rows[order[i]][order[(i + 1) % n]] for i in range(n)))
+    return float(sum(rows[order[i]][order[(i + 1) % n]] for i in range(n)))
 
 
 class TestAddRandomPenalty:
@@ -223,10 +223,12 @@ class TestAddRandomPenalty:
         t = view.random_solution(np.random.default_rng(0))
         cfg = PenaltyConfig(rounds=1, k_edges=2, c_tilde=50.0)
         pen = add_random_penalty(t, inst, cfg, np.random.default_rng(1))
+        surcharged = {frozenset(map(int, e)) for e in np.argwhere(np.array(pen) != inst.costs)}
+        assert len(surcharged) == 2
         other = view.random_solution(np.random.default_rng(5))
         other_edges = {frozenset((int(other.order[i]), int(other.order[(i + 1) % 10])))
                        for i in range(10)}
-        if not any(frozenset(e) in other_edges for e in pen.edges):
+        if not surcharged & other_edges:
             assert penalized_cost(pen, other.order) == pytest.approx(other.cached_cost, rel=1e-12)
 
     def test_all_edges_penalized(self):
@@ -250,10 +252,14 @@ class TestAddRandomPenalty:
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(1))
         cfg = PenaltyConfig(rounds=1, k_edges=4, c_tilde=13.0)
         pen = add_random_penalty(t, inst, cfg, np.random.default_rng(2))
-        diff = np.array(pen.rows) - inst.costs
+        diff = np.array(pen) - inst.costs
         changed = np.argwhere(np.triu(diff) != 0)
         assert len(changed) == 4
         assert np.all(diff[diff != 0] == 13.0)
+        # only the surcharged edges' endpoints get their own copy of a row
+        endpoints = set(changed.ravel().tolist())
+        for city, row in enumerate(pen):
+            assert (row is inst.cost_rows[city]) == (city not in endpoints)
 
 
 class TestFurtherExploit:
@@ -297,7 +303,7 @@ class TestFurtherExploit:
         for s in range(10):
             t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(s))
             lk_search(inst, nl, t)
-            out = further_exploit(t, inst, nl, cfg, rng=np.random.default_rng(s))
+            out = further_exploit(t, inst, nl, cfg, Budget(), np.random.default_rng(s))
             assert (out is t) != (out.cached_cost < t.cached_cost)
 
     def test_rescues_stalled_lk_optimum(self):
@@ -311,9 +317,8 @@ class TestFurtherExploit:
         assert converged and out.cached_cost == 3410.0
         successes = 0
         for ps in range(100):
-            got = further_exploit(out.copy(), inst, nl,
-                                  PenaltyConfig(rounds=3, k_edges=3),
-                                  rng=np.random.default_rng(ps))
+            got = further_exploit(out.copy(), inst, nl, PenaltyConfig(rounds=3, k_edges=3),
+                                  Budget(), np.random.default_rng(ps))
             if got.cached_cost < out.cached_cost:
                 successes += 1
                 assert got.cached_cost == pytest.approx(tour_cost(inst, got), rel=1e-9)

@@ -20,17 +20,17 @@ from sumparts.search import (
     LK_BREADTH2,
     LK_DEPTH,
     Budget,
-    PenalizedTspObjective,
     double_bridge,
     lk_search,
     new_edge_endpoints,
+    penalized_rows,
 )
 
 
 def reference_lk_search(inst, neighbors, tour, budget, objective=None,
                         depth=LK_DEPTH, breadth2=LK_BREADTH2, active=None):
     raw = inst.cost_rows
-    pen = raw if objective is None else objective.rows
+    pen = raw if objective is None else objective
     plain = objective is None
     cand = neighbors.rows
     order = tour.order.tolist()
@@ -218,7 +218,7 @@ def test_lk_matches_reference_chain(n, seed, k, penalized, start, depth, breadth
         order = tour.order
         picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         c_tilde = data.draw(st.floats(0.5, 500.0))
-        objective = PenalizedTspObjective(
+        objective = penalized_rows(
             inst, [(order[p], order[(p + 1) % n]) for p in picks], c_tilde)
     kwargs = dict(objective=objective, depth=depth, breadth2=breadth2, active=active)
     full = Budget()

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -102,6 +103,18 @@ class TestConfigValidation:
     def test_range_ends_accepted(self):
         SolverConfig(algorithm="ilk_e", flip_fraction=1.0, warmup_fraction=1.0, neighbor_k=2)
         SolverConfig(algorithm="ilk_e", warmup_fraction=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_fe": "1e4"}, {"max_wall": True}, {"target": [426]}, {"seed": 1.0},
+        {"neighbor_k": 8.0},
+    ], ids=["max_fe", "max_wall", "target", "seed", "neighbor_k"])
+    def test_wrong_type_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SolverConfig(algorithm="ilk_e", **kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        SolverConfig(algorithm="ilk_e", seed=np.int64(3), neighbor_k=np.int32(8),
+                     max_fe=np.float64(1e4), max_wall=2, target=np.int64(426))
 
 
 class TestIlsEns:
@@ -467,6 +480,12 @@ class TestStepLookup:
                            penalty=PenaltyConfig(rounds=2, k_edges=3))
         run(cfg, inst)
         assert set(calls) == expected
+
+    def test_lk_search_objective_is_fifth_parameter(self):
+        # the tracer reads `objective` by this name and position to tell
+        # penalized LK calls from plain ones
+        params = list(inspect.signature(mh.lk_search).parameters)
+        assert params[4] == "objective"
 
 
 class TestLeanState:

@@ -22,7 +22,6 @@ from sumparts.instances import (
 from sumparts.search import (
     Budget,
     FlipNeighborhood,
-    PenalizedTspObjective,
     TwoOptNeighborhood,
     descend,
     double_bridge,
@@ -31,6 +30,7 @@ from sumparts.search import (
     neighborhood_for,
     new_edge_endpoints,
     pair_swap_kick,
+    penalized_rows,
     random_flip_perturbation,
     sample_tenure,
     tabu_search,
@@ -337,9 +337,20 @@ class TestLkSearch:
         nl = build_neighbor_lists(inst, k=10)
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(0))
         lk_search(inst, nl, t)
-        pen = PenalizedTspObjective(inst, [(int(t.order[0]), int(t.order[1]))], 500.0)
+        pen = penalized_rows(inst, [(int(t.order[0]), int(t.order[1]))], 500.0)
         out, _ = lk_search(inst, nl, t, objective=pen)
         assert out.cached_cost == pytest.approx(tour_cost(inst, out), rel=1e-9)
+
+    @pytest.mark.parametrize("penalized", [False, True], ids=["plain", "penalized"])
+    def test_cached_cost_recomputed_over_stale_input(self, penalized):
+        # the returned cache is the plain cost of the returned tour, whatever came in
+        inst = random_tsp_instance(30, seed=2)
+        nl = build_neighbor_lists(inst, k=10)
+        t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(0))
+        t.cached_cost += 7.0
+        rows = penalized_rows(inst, [(int(t.order[0]), int(t.order[1]))], 500.0)
+        out, _ = lk_search(inst, nl, t, objective=rows if penalized else None)
+        assert out.cached_cost == tour_cost(inst, out)
 
     def test_budget_exhaustion_returns_current(self):
         inst = random_tsp_instance(30, seed=5)
@@ -404,7 +415,7 @@ def test_lk_permutation_cache_and_overshoot(n, seed, k, penalized, kicked, max_f
         order = tour.order
         edges = [(int(order[p]), int(order[(p + 1) % n]))
                  for p in rng.choice(n, size=5, replace=False)]
-        objective = PenalizedTspObjective(inst, edges, inst.max_cost)
+        objective = penalized_rows(inst, edges, inst.max_cost)
     budget = Budget(max_fe=max_fe)
     out, _ = lk_search(inst, nl, tour, budget, objective=objective, active=active)
     assert sorted(out.order.tolist()) == list(range(n))
