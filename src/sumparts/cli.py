@@ -67,7 +67,7 @@ def _load(path: str):
     return load_instance(name, path)
 
 
-def _split_params(args, a: float) -> SplitParams:
+def _sampling_params(args, a: float) -> SplitParams:
     """The split `decompose` and `analyze` sample; q_prime is passed only when given."""
     given = {} if args.q_prime is None else {"q_prime": args.q_prime}
     return SplitParams(a=a, seed=args.seed, **given)
@@ -75,7 +75,7 @@ def _split_params(args, a: float) -> SplitParams:
 
 def cmd_decompose(args) -> int:
     inst = _load(args.instance)
-    split = sample_split(inst, _split_params(args, args.a))
+    split = sample_split(inst, _sampling_params(args, args.a))
     payload = json.loads(split_to_json(split))
     payload["invocation"] = _invocation(args)
     _write(args.output, json.dumps(payload) + "\n")
@@ -103,7 +103,7 @@ def cmd_analyze(args) -> int:
     flags = [promising_flags(x, base_view) for x in optima]
     rows = []
     for a in a_values:
-        split = sample_split(inst, _split_params(args, a))
+        split = sample_split(inst, _sampling_params(args, a))
         view = neighborhood_for(inst, split)
         stats = aggregate_stats([classify_neighbors(x, view, promising=fl)
                                  for x, fl in zip(optima, flags)])
@@ -138,7 +138,7 @@ def config_from(settings: dict) -> SolverConfig:
     penalty = {field: settings[name] for name, field in _PENALTY_SETTINGS.items()
                if name in settings}
     return SolverConfig(**{name: settings[name] for name in _RUN_SETTINGS if name in settings},
-                        split_params=SplitParams(**split) if split else None,
+                        split=SplitParams(**split) if split else None,
                         penalty=PenaltyConfig(**penalty))
 
 
@@ -215,9 +215,8 @@ def _verify_tsp(n: int, seed: int) -> list[str]:
     trace = run(config, inst)
     if trace.final_value != best:
         failures.append(f"ils missed brute-force optimum {best} (got {trace.final_value})")
-    split_params = SplitParams(a=0.0, seed=seed)
     config = SolverConfig(algorithm="ils_nds", seed=seed, max_fe=1e6, target=best,
-                          split_params=split_params)
+                          split=SplitParams(a=0.0, seed=seed))
     trace = run(config, inst)
     if trace.final_value != best:
         failures.append(f"ils_nds missed brute-force optimum {best}")
@@ -247,7 +246,7 @@ def _verify_qubo(n: int, seed: int) -> list[str]:
     if trace.final_value != best:
         failures.append(f"its missed brute-force optimum {best} (got {trace.final_value})")
     config = SolverConfig(algorithm="its_nds", seed=seed, max_fe=2e6, target=best,
-                          split_params=SplitParams(a=0.0, seed=seed))
+                          split=SplitParams(a=0.0, seed=seed))
     trace = run(config, inst)
     if trace.final_value != best:
         failures.append(f"its_nds missed brute-force optimum {best} (got {trace.final_value})")

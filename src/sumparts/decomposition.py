@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .instances import QuboInstance, TspInstance
+from .instances import QuboInstance, TspInstance, check_numbers
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class SplitParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers(self, integers=("seed",), reals=("a", "q_prime"))
         if self.q_prime <= 0:
             raise ValueError("q_prime must be positive")
 

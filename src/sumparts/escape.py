@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import MINIMIZE, Tour, TspInstance
+from .instances import MINIMIZE, Tour, TspInstance, check_numbers
 from .search import Budget, NeighborList, better, lk_search, penalized_rows, unlimited
 
 
@@ -45,11 +45,11 @@ def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
 
 
 # A block of a two-hop scan holds BLOCK_DELTAS // n neighbors: 321 on eil51,
-# 16 on a 1000-variable UBQP. `two_hop_best` scores each neighbor through
-# arrays n wide, so each 8-byte temporary of a block stays under 128 kB,
-# glibc's default threshold for giving an allocation its own mapping, while
-# the block is large enough to amortize numpy's per-call cost. On eil51,
-# blocks of 13 neighbors made ens take twice as long as blocks of 64-321.
+# 16 on a 1000-variable UBQP, enough to amortize numpy's per-call cost (on
+# eil51, blocks of 13 made ens twice as slow as blocks of 64-321). Its 8-byte
+# temporaries n wide come to 128 kB, glibc's default threshold for giving an
+# allocation its own mapping, and its (n+1)-row index arrays exceed it:
+# 52 x 321 x 8 = 133,536 B on eil51.
 BLOCK_DELTAS = 1 << 14
 
 
@@ -85,7 +85,8 @@ def _first_two_hop(view, sol, ks, d, budget: Budget):
 
     Charges what a sequential scan evaluates: a whole neighborhood per
     neighbor that fails, and up to the hit in the one that succeeds. Only
-    that one is built, and its own first-improvement scan finds the hit.
+    that one is built, and its own first-improvement scan applies the hit;
+    RuntimeError when that scan misses the hit the tables flagged.
     """
     for block, hits in two_hop_blocks(view, sol, ks, d, budget):
         i = int(hits.argmax())
@@ -94,8 +95,9 @@ def _first_two_hop(view, sol, ks, d, budget: Budget):
             continue
         budget.charge(i * view.size)
         k = int(block[i])
-        cand = view.neighbor(sol, k, float(d[k]))
-        view.apply(cand, view.first_improvement(cand, view.value(sol) - view.value(cand), budget))
+        cand = view.neighbor(sol, k, d.item(k))
+        if not view.first_improvement(cand, view.value(sol) - view.value(cand), budget):
+            raise RuntimeError(f"two-hop tables flagged neighbor {k}, but its scan finds no hit")
         return cand
     return sol
 
@@ -136,6 +138,7 @@ class PenaltyConfig:
     c_tilde: float | None = None  # None: use the instance's largest edge cost
 
     def __post_init__(self):
+        check_numbers(self, integers=("rounds", "k_edges"), optional=("c_tilde",))
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if self.k_edges < 1:

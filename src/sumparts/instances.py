@@ -8,6 +8,7 @@ with full recomputation to EVAL_REL_TOL relative tolerance.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -22,6 +23,21 @@ MAXIMIZE = -1
 
 class ParseError(ValueError):
     """Raised when an instance file does not conform to its declared format."""
+
+
+def check_numbers(obj, integers=(), reals=(), optional=()):
+    """Raise ValueError unless obj's named fields hold integers or real numbers.
+
+    Fields in optional may also hold None. Bools are refused: JSON true is not 1.
+    """
+    for name in (*integers, *reals, *optional):
+        value = getattr(obj, name)
+        if value is None and name in optional:
+            continue
+        kind, what = ((numbers.Integral, "an integer") if name in integers
+                      else (numbers.Real, "a number"))
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ best-so-far value at every improvement plus geometric FE checkpoints.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,7 @@ from .instances import (
     Tour,
     TspInstance,
     build_neighbor_lists,
+    check_numbers,
     tour_cost,
 )
 from .search import (
@@ -57,15 +57,18 @@ def rng_stream(seed: int, name: str) -> np.random.Generator:
 
 @dataclass
 class SolverConfig:
-    """One solver run: algorithm, budget, seed and the escape settings it needs."""
+    """One solver run: algorithm, budget, seed and the escape settings it needs.
+
+    split is the SplitParams sampled when the run starts, or a realized
+    SplitCosts. Wrongly typed or out-of-range settings raise ValueError here.
+    """
 
     algorithm: str
     seed: int = 0
     max_fe: float | None = None
     max_wall: float | None = None
     target: float | None = None
-    split_params: SplitParams | None = None
-    split: SplitCosts | None = None  # overrides split_params when given
+    split: SplitParams | SplitCosts | None = None
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     flip_fraction: float = 0.25
     neighbor_k: int = 20
@@ -74,24 +77,17 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        for name in ("max_fe", "max_wall", "target"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Real)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        for name in ("seed", "neighbor_k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_numbers(self, integers=("seed", "neighbor_k"),
+                      reals=("flip_fraction", "warmup_fraction"),
+                      optional=("max_fe", "max_wall", "target"))
         if not 0 < self.flip_fraction <= 1:
             raise ValueError("flip_fraction must be in (0, 1]")
         if not 0 <= self.warmup_fraction <= 1:
             raise ValueError("warmup_fraction must be in [0, 1]")
         if self.neighbor_k < 2:
             raise ValueError("neighbor_k must be >= 2")
-        if self.algorithm in ("ils_nds", "its_nds", "ilk_nde"):
-            if self.split is None and self.split_params is None:
-                raise ValueError(f"{self.algorithm} requires split_params or a split")
+        if self.split is None and self.algorithm in ("ils_nds", "its_nds", "ilk_nde"):
+            raise ValueError(f"{self.algorithm} requires a split")
 
 
 @dataclass
@@ -160,14 +156,6 @@ def _target_reached(sense: int, best: float, target: float | None) -> bool:
     return s * best <= s * target + 1e-9 * abs(target)
 
 
-def _resolve_split(config: SolverConfig, inst) -> SplitCosts | None:
-    if config.split is not None:
-        return config.split
-    if config.split_params is not None:
-        return sample_split(inst, config.split_params)
-    return None
-
-
 def _budget_fraction_done(budget: Budget) -> float:
     """Consumed share of whichever budget dimension is binding."""
     frac = 0.0
@@ -219,7 +207,11 @@ def run(config: SolverConfig, inst) -> RunTrace:
     if kind == "UBQP" and round(config.flip_fraction * inst.n) == 0:
         raise ValueError(f"flip_fraction {config.flip_fraction} kicks no bit of "
                          f"{inst.n} (round(flip_fraction * n) == 0)")
-    split = _resolve_split(config, inst)
+    if alg in ("ilk_e", "ilk_nde") and config.penalty.k_edges > inst.n:
+        raise ValueError(f"k_edges {config.penalty.k_edges} exceeds a tour's {inst.n} edges")
+    split = config.split
+    if isinstance(split, SplitParams):
+        split = sample_split(inst, split)
     view = neighborhood_for(inst, split, config.flip_fraction)
     neighbors = build_neighbor_lists(inst, config.neighbor_k) if family == "ilk" else None
     init_rng = rng_stream(config.seed, "init")

@@ -6,13 +6,8 @@ overshoot its budget by at most one scan. First-improvement scans use a fixed
 lexicographic move order and restart from the first move after each accepted
 move, which makes every seeded run exactly reproducible.
 
-The two-hop escape scans (escape.py) run in blocks: `two_hop_best` gives each
-neighbor's best move delta in O(n) work (the 2-Opt view from O(n^2) tables
-built once per scan), and only the neighbor that succeeds is built and
-scanned with `first_improvement`. Their FE charges stay exactly those of a
-sequential scan, and an FE cap still overshoots by at most one scan; a
-`max_wall` budget is checked only between blocks, so it can overrun by one
-block (under 2 ms on eil51).
+The two-hop escape scans (escape.py) keep these charges and this bound, but
+check a `max_wall` budget only between blocks of neighbors.
 
 Lin-Kernighan is the exception to full scans: its unit of work is one chain,
 anchored at a (city, direction) pair taken from a FIFO queue of active
@@ -46,7 +41,6 @@ from .instances import (
     flip_gains,
     make_bitvector,
     tour_cost,
-    two_opt_delta,
 )
 
 
@@ -153,6 +147,20 @@ def _two_opt_index(n: int) -> _TwoOptIndex:
     return index
 
 
+def _apply_first(view, sol, hit: np.ndarray, d: np.ndarray, budget: Budget) -> bool:
+    """Apply the first move hit flags, at its delta in d; False if none.
+
+    Charges exactly what a sequential scan would evaluate.
+    """
+    k = int(hit.argmax())
+    if not hit[k]:
+        budget.charge(view.size)
+        return False
+    budget.charge(k + 1)
+    view.apply(sol, k, d.item(k))
+    return True
+
+
 class TwoOptNeighborhood:
     """2-Opt move space of a TSP instance (optionally split-aware)."""
 
@@ -211,18 +219,10 @@ class TwoOptNeighborhood:
             budget.charge(self.size)
         return self._moves(b0), self._moves(b1), self._moves(b0 - b1)
 
-    def first_improvement(self, tour: Tour, threshold: float, budget: Budget):
-        """Index of the first move improving past threshold, else None.
-
-        Charges exactly what a sequential scan would evaluate.
-        """
-        hit = self.deltas(tour) < threshold
-        k = int(hit.argmax())
-        if not hit[k]:
-            budget.charge(self.size)
-            return None
-        budget.charge(k + 1)
-        return k
+    def first_improvement(self, tour: Tour, threshold: float, budget: Budget) -> bool:
+        """Apply the first move improving past threshold at its scanned delta; False if none."""
+        d = self.deltas(tour)
+        return _apply_first(self, tour, d < threshold, d, budget)
 
     def two_hop_best(self, tour: Tour, d: np.ndarray):
         """A function of neighbors ks giving each one's best move delta, and their values.
@@ -321,15 +321,10 @@ class TwoOptNeighborhood:
 
         return best
 
-    def move_delta(self, tour: Tour, k: int) -> float:
-        return two_opt_delta(self.inst, tour, int(self.p[k]), int(self.q[k]))
-
-    def apply(self, tour: Tour, k: int, delta: float | None = None):
-        if delta is None:
-            delta = self.move_delta(tour, k)
+    def apply(self, tour: Tour, k: int, delta: float):
         apply_two_opt(tour, int(self.p[k]), int(self.q[k]), float(delta))
 
-    def neighbor(self, tour: Tour, k: int, delta: float | None = None) -> Tour:
+    def neighbor(self, tour: Tour, k: int, delta: float) -> Tour:
         out = tour.copy()
         self.apply(out, k, delta)
         return out
@@ -379,14 +374,9 @@ class FlipNeighborhood:
         d1 = flip_gains(self.split.mat1, bv.bits)
         return bv.gains.copy(), d1, bv.gains - d1
 
-    def first_improvement(self, bv: BitVector, threshold: float, budget: Budget):
-        hit = bv.gains > threshold  # maximization
-        k = int(hit.argmax())
-        if not hit[k]:
-            budget.charge(self.size)
-            return None
-        budget.charge(k + 1)
-        return k
+    def first_improvement(self, bv: BitVector, threshold: float, budget: Budget) -> bool:
+        """Flip the first bit gaining more than threshold (maximization); False if none."""
+        return _apply_first(self, bv, bv.gains > threshold, bv.gains, budget)
 
     def two_hop_best(self, bv: BitVector, d: np.ndarray):
         """A function of neighbors ks giving each one's best flip gain, and their values.
@@ -410,12 +400,12 @@ class FlipNeighborhood:
 
         return best
 
-    def apply(self, bv: BitVector, k: int, delta: float | None = None):
+    def apply(self, bv: BitVector, k: int, delta: float):  # the kernel reads the gain itself
         flip_delta_and_update(self.inst, bv, k)
 
-    def neighbor(self, bv: BitVector, k: int, delta: float | None = None) -> BitVector:
+    def neighbor(self, bv: BitVector, k: int, delta: float) -> BitVector:
         out = bv.copy()
-        self.apply(out, k)
+        self.apply(out, k, delta)
         return out
 
     def value(self, bv: BitVector) -> float:
@@ -445,8 +435,8 @@ def neighborhood_for(inst, split=None, flip_fraction: float = 0.25):
 def descend(view, sol, budget: Budget) -> bool:
     """First-improvement local search to a local optimum of the view's moves.
 
-    Returns True when the final solution was verified locally optimal by a
-    full scan, False when the budget ran out first.
+    Each `first_improvement` scan applies the move it finds. Returns True when
+    a full scan found none, False when the budget ran out first.
 
     A move counts as improving only when it improves by more than view.tol.
     On non-integral costs a move and its inverse can both read a few ulps
@@ -458,10 +448,8 @@ def descend(view, sol, budget: Budget) -> bool:
     while True:
         if budget.exhausted():
             return False
-        k = view.first_improvement(sol, threshold, budget)
-        if k is None:
+        if not view.first_improvement(sol, threshold, budget):
             return True
-        view.apply(sol, k)
 
 
 def is_local_optimum(view, sol) -> bool:

@@ -151,7 +151,7 @@ def test_criterion_5_tsp_oracle_equivalence():
             for seed in range(3):
                 cfg = SolverConfig(
                     algorithm=alg, seed=seed, max_fe=1e6, target=opt,
-                    split_params=SplitParams(a=0.0, seed=1) if alg == "ils_nds" else None)
+                    split=SplitParams(a=0.0, seed=1) if alg == "ils_nds" else None)
                 trace = run(cfg, inst)
                 if trace.final_value != opt:
                     misses.append((iseed, alg, seed))
@@ -169,7 +169,7 @@ def test_criterion_6_qubo_oracle_equivalence():
         for alg in hits:
             cfg = SolverConfig(
                 algorithm=alg, seed=iseed, max_fe=1e7, target=opt,
-                split_params=SplitParams(a=2.0, seed=1) if alg == "its_nds" else None)
+                split=SplitParams(a=2.0, seed=1) if alg == "its_nds" else None)
             trace = run(cfg, inst)
             hits[alg] += (trace.final_value == opt)
     ok = hits["its"] >= 18 and hits["its_nds"] >= 18
@@ -247,9 +247,9 @@ def test_criterion_10_deterministic_traces(eil51_inst):
     """Identical seeded invocations produce byte-identical trace CSVs."""
     configs = [
         SolverConfig(algorithm="ils_nds", seed=4, max_fe=3e5, target=EIL51_OPT,
-                     split_params=SplitParams(a=2.0, seed=5)),
+                     split=SplitParams(a=2.0, seed=5)),
         SolverConfig(algorithm="ilk_nde", seed=4, max_fe=2e5,
-                     split_params=SplitParams(a=2.0, seed=5),
+                     split=SplitParams(a=2.0, seed=5),
                      penalty=PenaltyConfig(rounds=5, k_edges=5)),
     ]
     ok = True
@@ -259,6 +259,6 @@ def test_criterion_10_deterministic_traces(eil51_inst):
         ok &= (csv1 == csv2)
     qubo = random_qubo_instance(80, seed=77, density=0.2)
     qcfg = SolverConfig(algorithm="its_nds", seed=6, max_fe=1e5,
-                        split_params=SplitParams(a=0.0, seed=3))
+                        split=SplitParams(a=0.0, seed=3))
     ok &= (run(qcfg, qubo).to_csv() == run(qcfg, qubo).to_csv())
     report(10, ok, "byte-identical traces for ils_nds, ilk_nde, its_nds repeats")

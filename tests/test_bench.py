@@ -133,7 +133,7 @@ class TestCampaign:
             SolverConfig(algorithm="ils", max_fe=1e6),
             SolverConfig(algorithm="ils_ens", max_fe=1e6),
             SolverConfig(algorithm="ils_nds", max_fe=1e6,
-                         split_params=SplitParams(a=0.0, seed=1)),
+                         split=SplitParams(a=0.0, seed=1)),
         ]
         spec = CampaignSpec(instances={"r7": "r7"}, algorithms=algs,
                             seeds=list(range(10)), targets={"r7": opt},
@@ -177,7 +177,7 @@ class TestCampaign:
 
     def test_duplicate_algorithms_rejected(self):
         # two ils_nds entries at different shapes would write the same trace files
-        algs = [SolverConfig(algorithm="ils_nds", split_params=SplitParams(a=a))
+        algs = [SolverConfig(algorithm="ils_nds", split=SplitParams(a=a))
                 for a in (-12.0, 10.0)]
         with pytest.raises(ValueError, match="distinct"):
             CampaignSpec(instances={}, algorithms=algs, seeds=[0])

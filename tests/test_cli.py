@@ -204,6 +204,15 @@ def test_out_of_range_setting_exits_before_any_run(eil51_path, monkeypatch, caps
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", ["ilk_e", "ilk_nde"])
+def test_more_penalty_edges_than_tour_edges_exits_before_lk(eil51_path, monkeypatch, capsys,
+                                                            alg):
+    monkeypatch.setattr(metaheuristics, "lk_search", lambda *args, **kw: pytest.fail("LK ran"))
+    assert main(["solve", "--alg", alg, "--instance", eil51_path, "--a", "2",
+                 "--penalty-edges", "52", "--warmup-fraction", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: k_edges 52 exceeds")
+
+
 def test_bench_out_of_range_setting_exits_before_any_run(tmp_path, eil51_path, monkeypatch):
     campaign = {"instances": {"eil51": eil51_path},
                 "algorithms": [{"algorithm": "ilk_e", "warmup_fraction": 2.0}],
@@ -222,8 +231,16 @@ def test_bench_out_of_range_setting_exits_before_any_run(tmp_path, eil51_path, m
     {"algorithms": [{"algorithm": "ils_nds", "a": -12}, {"algorithm": "ils_nds", "a": 10}]},
     {"algorithms": [{"algorithm": "ils", "max_fe": "1e4"}]},
     {"seeds": 3},
+    {"algorithms": [{"algorithm": "its", "flip_fraction": "0.3"}]},
+    {"algorithms": [{"algorithm": "ilk_e", "warmup_fraction": "0.1"}]},
+    {"algorithms": [{"algorithm": "ilk_e", "penalty_rounds": "5"}]},
+    {"algorithms": [{"algorithm": "ils", "a": 2, "q_prime": "1"}]},
+    {"algorithms": [{"algorithm": "ils", "a": "x"}]},
+    {"algorithms": [{"algorithm": "ils", "a": 2, "split_seed": 1.5}]},
 ], ids=["entry-typo", "top-level-typo", "entry-seed", "entry-target", "duplicate-algorithm",
-        "entry-max-fe-string", "seeds-not-a-list"])
+        "entry-max-fe-string", "seeds-not-a-list", "flip-fraction-string",
+        "warmup-fraction-string", "penalty-rounds-string", "q-prime-string", "a-string",
+        "split-seed-fraction"])
 def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, capsys, change):
     campaign = {"instances": {"eil51": eil51_path}, "algorithms": [{"algorithm": "ils"}],
                 "seeds": [0], "max_fe": 1e4, **change}
@@ -260,7 +277,7 @@ def test_solve_and_campaign_entry_build_equal_configs(tmp_path, eil51_path, monk
     assert main(["bench", "--campaign", str(spec_path)]) == 0
     assert main(["solve", "--alg", "ils", "--instance", eil51_path, "-o", out]) == 0
     assert configs[0] == configs[1]
-    assert configs[0].split_params == decomposition.SplitParams(a=-12.0, q_prime=50.0, seed=3)
+    assert configs[0].split == decomposition.SplitParams(a=-12.0, q_prime=50.0, seed=3)
     assert configs[2] == metaheuristics.SolverConfig(algorithm="ils")
 
 

@@ -191,7 +191,7 @@ class TestTwoOptDelta:
         assert d[k] == two_opt_delta(eil51, t, 5, 20)
         assert d1[k] + d2[k] == pytest.approx(d[k], abs=1e-9)
         moved = t.copy()
-        view.apply(moved, k)
+        view.apply(moved, k, d[k])
         f1, f2 = tour_cost(eil51, t, split)
         g1, g2 = tour_cost(eil51, moved, split)
         assert d1[k] == pytest.approx(g1 - f1, abs=1e-9)

@@ -74,7 +74,7 @@ class TestIlsNds:
         inst = random_tsp_instance(7, seed=3)
         opt = brute_force_tsp(inst)
         cfg = SolverConfig(algorithm="ils_nds", seed=0, max_fe=1e6, target=opt,
-                           split_params=SplitParams(a=0.0, seed=1))
+                           split=SplitParams(a=0.0, seed=1))
         trace = run(cfg, inst)
         assert trace.final_value == opt
         assert monotone(trace.events)
@@ -86,7 +86,7 @@ class TestIlsNds:
     def test_rho_echoed_in_trace(self):
         inst = random_tsp_instance(10, seed=2)
         cfg = SolverConfig(algorithm="ils_nds", seed=1, max_fe=2e4,
-                           split_params=SplitParams(a=2.0, seed=5))
+                           split=SplitParams(a=2.0, seed=5))
         trace = run(cfg, inst)
         assert trace.rho is not None
 
@@ -104,13 +104,22 @@ class TestConfigValidation:
         SolverConfig(algorithm="ilk_e", flip_fraction=1.0, warmup_fraction=1.0, neighbor_k=2)
         SolverConfig(algorithm="ilk_e", warmup_fraction=0.0)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"max_fe": "1e4"}, {"max_wall": True}, {"target": [426]}, {"seed": 1.0},
-        {"neighbor_k": 8.0},
-    ], ids=["max_fe", "max_wall", "target", "seed", "neighbor_k"])
-    def test_wrong_type_rejected(self, kwargs):
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            SolverConfig(algorithm="ilk_e", **kwargs)
+    @pytest.mark.parametrize("cls, name, value", [
+        (SolverConfig, "max_fe", "1e4"), (SolverConfig, "max_wall", True),
+        (SolverConfig, "target", [426]), (SolverConfig, "seed", 1.0),
+        (SolverConfig, "neighbor_k", 8.0), (SolverConfig, "flip_fraction", "0.3"),
+        (SolverConfig, "warmup_fraction", "0.1"), (SplitParams, "a", "x"),
+        (SplitParams, "q_prime", "1"), (SplitParams, "seed", 1.5),
+        (PenaltyConfig, "rounds", "5"), (PenaltyConfig, "k_edges", 3.0),
+        (PenaltyConfig, "c_tilde", "9.5"),
+    ], ids=["max_fe", "max_wall", "target", "seed", "neighbor_k", "flip_fraction",
+            "warmup_fraction", "split-a", "split-q_prime", "split-seed", "penalty-rounds",
+            "penalty-k_edges", "penalty-c_tilde"])
+    def test_wrong_type_rejected(self, cls, name, value):
+        required = {SolverConfig: {"algorithm": "ilk_e"}, SplitParams: {"a": 2.0},
+                    PenaltyConfig: {}}[cls]
+        with pytest.raises(ValueError, match=name):
+            cls(**{**required, name: value})
 
     def test_numpy_scalars_accepted(self):
         SolverConfig(algorithm="ilk_e", seed=np.int64(3), neighbor_k=np.int32(8),
@@ -129,7 +138,7 @@ class TestIlsEns:
         inst = random_tsp_instance(9, seed=8)
         opt = brute_force_tsp(inst)
         cfg_common = dict(seed=4, max_fe=1e6, target=opt,
-                          split_params=SplitParams(a=0.0, seed=2))
+                          split=SplitParams(a=0.0, seed=2))
         t_nds = run(SolverConfig(algorithm="ils_nds", **cfg_common), inst)
         t_ens = run(SolverConfig(algorithm="ils_ens", **cfg_common), inst)
         assert t_nds.final_value == opt and t_ens.final_value == opt
@@ -157,7 +166,7 @@ class TestIts:
         hits = 0
         for seed in range(10):
             cfg = SolverConfig(algorithm="its_nds", seed=seed, max_fe=1e6, target=opt,
-                               split_params=SplitParams(a=2.0, seed=1))
+                               split=SplitParams(a=2.0, seed=1))
             trace = run(cfg, inst)
             assert monotone(trace.events, sense_min=False)
             hits += (trace.final_value == opt)
@@ -232,7 +241,7 @@ class TestIlk:
 
 
 class TestIlkExploitVariants:
-    def _count_exploits(self, monkeypatch, algorithm, inst, seed, split_params=None):
+    def _count_exploits(self, monkeypatch, algorithm, inst, seed, split=None):
         calls = []
         real = mh.further_exploit
 
@@ -242,7 +251,7 @@ class TestIlkExploitVariants:
 
         monkeypatch.setattr(mh, "further_exploit", spy)
         cfg = SolverConfig(algorithm=algorithm, seed=seed, max_fe=1.5e5,
-                           neighbor_k=9, split_params=split_params,
+                           neighbor_k=9, split=split,
                            penalty=PenaltyConfig(rounds=3, k_edges=3))
         trace = run(cfg, inst)
         return trace, calls
@@ -257,7 +266,7 @@ class TestIlkExploitVariants:
         inst = random_tsp_instance(15, seed=5)
         _, calls_e = self._count_exploits(monkeypatch, "ilk_e", inst, seed=3)
         _, calls_nde = self._count_exploits(monkeypatch, "ilk_nde", inst, seed=3,
-                                            split_params=SplitParams(a=2.0, seed=1))
+                                            split=SplitParams(a=2.0, seed=1))
         assert len(calls_nde) <= len(calls_e)
 
     def test_ilk_nde_first_iteration_gate_passes(self, monkeypatch):
@@ -265,7 +274,7 @@ class TestIlkExploitVariants:
         # so the very first iteration must attempt an exploit
         inst = random_tsp_instance(15, seed=9)
         trace, calls = self._count_exploits(monkeypatch, "ilk_nde", inst, seed=2,
-                                            split_params=SplitParams(a=0.0, seed=1))
+                                            split=SplitParams(a=0.0, seed=1))
         assert len(calls) >= 1
         first_lk_value = None
         for _, v in trace.events:
@@ -309,7 +318,7 @@ class TestIlkExploitVariants:
         for seed in range(20):
             base = dict(seed=seed, max_fe=4e4, neighbor_k=9)
             finals_ilk.append(run(SolverConfig(algorithm="ilk", **base), inst).final_value)
-            cfg = SolverConfig(algorithm="ilk_nde", split_params=SplitParams(a=2.0, seed=1),
+            cfg = SolverConfig(algorithm="ilk_nde", split=SplitParams(a=2.0, seed=1),
                                penalty=PenaltyConfig(rounds=5, k_edges=3), **base)
             finals_nde.append(run(cfg, inst).final_value)
         assert np.median(finals_nde) <= np.median(finals_ilk)
@@ -318,8 +327,8 @@ class TestIlkExploitVariants:
 class TestDeterminism:
     @pytest.mark.parametrize("alg,kwargs", [
         ("ils", {}),
-        ("ils_nds", {"split_params": SplitParams(a=2.0, seed=3)}),
-        ("ilk_nde", {"split_params": SplitParams(a=2.0, seed=3),
+        ("ils_nds", {"split": SplitParams(a=2.0, seed=3)}),
+        ("ilk_nde", {"split": SplitParams(a=2.0, seed=3),
                      "penalty": PenaltyConfig(rounds=3, k_edges=3), "neighbor_k": 9}),
     ])
     def test_identical_seed_identical_trace(self, alg, kwargs):
@@ -334,7 +343,7 @@ class TestDeterminism:
     def test_qubo_determinism(self):
         inst = random_qubo_instance(40, seed=4, density=0.25)
         cfg = SolverConfig(algorithm="its_nds", seed=5, max_fe=5e4,
-                           split_params=SplitParams(a=0.0, seed=2))
+                           split=SplitParams(a=0.0, seed=2))
         assert run(cfg, inst).to_csv() == run(cfg, inst).to_csv()
 
 
@@ -440,7 +449,7 @@ class TestPinnedTraces:
         for alg, max_fe, warmup, with_split, target, digest in _PINNED_TRACES[name]:
             cfg = SolverConfig(algorithm=alg, seed=1, max_fe=max_fe, target=target,
                                warmup_fraction=warmup,
-                               split_params=_PINNED_SPLITS[name] if with_split else None,
+                               split=_PINNED_SPLITS[name] if with_split else None,
                                penalty=PenaltyConfig(rounds=5, k_edges=3), neighbor_k=8)
             csv = run(cfg, inst).to_csv()
             if hashlib.sha256(csv.encode()).hexdigest() != digest:
@@ -476,7 +485,7 @@ class TestStepLookup:
         else:
             inst = random_tsp_instance(20, seed=1)
         cfg = SolverConfig(algorithm=alg, seed=0, max_fe=3e4, neighbor_k=8,
-                           split_params=SplitParams(a=0.0, seed=1),
+                           split=SplitParams(a=0.0, seed=1),
                            penalty=PenaltyConfig(rounds=2, k_edges=3))
         run(cfg, inst)
         assert set(calls) == expected
@@ -496,7 +505,7 @@ class TestLeanState:
         _two_opt_index.cache_clear()
         for alg in ("ilk", "ilk_e", "ilk_nde"):
             cfg = SolverConfig(algorithm=alg, seed=0, max_fe=3e4, neighbor_k=8,
-                               split_params=SplitParams(a=2.0, seed=1),
+                               split=SplitParams(a=2.0, seed=1),
                                penalty=PenaltyConfig(rounds=2, k_edges=3))
             run(cfg, inst)
         assert _two_opt_index.cache_info().currsize == 0

@@ -100,12 +100,13 @@ class TestLocalSearch2Opt:
             found = None
             for k in range(view.size):
                 fes += 1
-                if view.move_delta(ref, k) < 0.0:
+                delta = two_opt_delta(eil51, ref, int(view.p[k]), int(view.q[k]))
+                if delta < 0.0:
                     found = k
                     break
             if found is None:
                 break
-            view.apply(ref, found)
+            view.apply(ref, found, delta)
         budget = Budget()
         descend(view, t, budget)
         assert budget.consumed_fe == fes
@@ -477,10 +478,37 @@ def test_two_opt_kernels_match_scalar_loop(n, seed, kind):
     picks = np.random.default_rng(seed).choice(want, size=3)
     for threshold in (0.0, -view.tol, min(want), max(want) + 1.0, *picks.tolist()):
         budget = Budget()
-        k = view.first_improvement(tour, threshold, budget)
+        moved = tour.copy()
+        found = view.first_improvement(moved, threshold, budget)
         hits = [i for i, x in enumerate(want) if x < threshold]
-        assert k == (hits[0] if hits else None)
+        assert found == bool(hits)
         assert budget.consumed_fe == (hits[0] + 1 if hits else view.size)
+        if hits:  # the first hit's segment is reversed
+            p, q = moves[hits[0]]
+            want_order = np.concatenate([tour.order[:p + 1], tour.order[q:p:-1],
+                                         tour.order[q + 1:]])
+            assert np.array_equal(moved.order, want_order)
+        else:
+            assert np.array_equal(moved.order, tour.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=5, max_value=40), seed=st.integers(min_value=0, max_value=10_000),
+       kind=st.sampled_from(["integral", "uniform", "thirds"]))
+def test_first_improvement_moves_cost_by_two_opt_delta(n, seed, kind):
+    """Each scan of a descent moves the cached cost by exactly two_opt_delta of its move."""
+    inst = tsp_of_kind(n, seed, kind)
+    view = TwoOptNeighborhood(inst)
+    tour = view.random_solution(np.random.default_rng(seed))
+    for _ in range(20):
+        before = tour.copy()
+        if not view.first_improvement(tour, -view.tol, Budget()):
+            break
+        # the move reversed tour positions p+1..q, whose end cities changed places
+        changed = np.flatnonzero(tour.order != before.order)
+        p, q = int(changed[0]) - 1, int(changed[-1])
+        assert np.array_equal(tour.order[p + 1:q + 1], before.order[p + 1:q + 1][::-1])
+        assert tour.cached_cost == before.cached_cost + two_opt_delta(inst, before, p, q)
 
 
 @settings(max_examples=40, deadline=None)

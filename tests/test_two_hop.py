@@ -34,9 +34,7 @@ def sequential_two_hop(view, sol, ks, d, budget):
         if budget.exhausted():
             return sol
         cand = view.neighbor(sol, int(k), float(d[k]))
-        j = view.first_improvement(cand, f_star - view.value(cand), budget)
-        if j is not None:
-            view.apply(cand, j)
+        if view.first_improvement(cand, f_star - view.value(cand), budget):
             return cand
     return sol
 
@@ -229,7 +227,7 @@ class TestTwoHopBest:
         ks = np.random.default_rng(seed + 1).permutation(n)
         best, values = view.two_hop_best(bv, d)(ks)
         for k, got, value in zip(ks, best, values):
-            cand = view.neighbor(bv, int(k))
+            cand = view.neighbor(bv, int(k), float(d[k]))
             assert got == view.deltas(cand).max()
             assert value == view.value(cand)
         assert np.array_equal(bv.gains, d)  # the start is not flipped
@@ -254,3 +252,14 @@ class TestTwoHopBest:
                     fe = assert_same_as_sequential(fast, slow, tour, view, cap)
                     assert cap is None or fe - cap <= view.size
         assert past_first_block == {nds, ens}
+
+
+@pytest.mark.parametrize("qubo", [False, True])
+def test_missed_flagged_hit_raises(monkeypatch, qubo):
+    """A neighbor the tables flag must hold a hit its own scan finds, or the escape fails."""
+    view = flip_view(20, 4) if qubo else tsp_view(20, 4, with_split=False)
+    sol = view.random_solution(np.random.default_rng(4))
+    assert promising_flags(sol, view).any()
+    monkeypatch.setattr(view, "first_improvement", lambda *args: False)
+    with pytest.raises(RuntimeError, match="flagged neighbor"):
+        ens(sol, view, Budget())
