@@ -21,7 +21,7 @@ from .instances import (
     parse_orlib_bqp,
     parse_tsplib,
 )
-from .metaheuristics import RunTrace, SolverConfig, run
+from .metaheuristics import RunTrace, SolverConfig, check_fits, run
 
 
 def excess(f_x: float, f_opt: float) -> float:
@@ -114,8 +114,9 @@ class CampaignSpec:
 
     def __post_init__(self):
         if not isinstance(self.seeds, list) or not all(
-                isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
-            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
+                isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0
+                for s in self.seeds):
+            raise ValueError(f"seeds must be a list of integers >= 0, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         if not self.algorithms:
@@ -165,17 +166,18 @@ def load_instance(name: str, path: str):
 def run_campaign(spec: CampaignSpec, instances: dict | None = None) -> list[ExcessSummary]:
     """Run every (instance, algorithm, seed) cell and summarize final excess.
 
-    Pre-parsed instances can be supplied to skip file loading. Traces are
+    Pre-parsed instances can be supplied to skip file loading. An entry
+    that does not fit an instance raises before any cell runs. Traces are
     persisted under out_dir when set. A cell that raises does not stop the
     campaign: its summary counts it and keeps the first error message, and
     with out_dir set the error is also written next to the traces.
     """
-    loaded = {}
-    for name, path in spec.instances.items():
-        if instances is not None and name in instances:
-            loaded[name] = instances[name]
-        else:
-            loaded[name] = load_instance(name, path)
+    given = instances or {}
+    loaded = {name: given[name] if name in given else load_instance(name, path)
+              for name, path in spec.instances.items()}
+    for inst in loaded.values():
+        for config in spec.algorithms:
+            check_fits(config, inst)
 
     if spec.out_dir:
         os.makedirs(os.path.join(spec.out_dir, "traces"), exist_ok=True)

@@ -43,7 +43,7 @@ from .landscape import (
     table_csv,
 )
 from .metaheuristics import ALGORITHMS, SolverConfig, rng_stream, run
-from .search import descend, is_local_optimum, neighborhood_for, tabu_search, unlimited
+from .search import Budget, descend, is_local_optimum, neighborhood_for, tabu_search
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 3
@@ -124,6 +124,19 @@ _PENALTY_SETTINGS = {"penalty_rounds": "rounds", "penalty_edges": "k_edges",
                      "penalty_cost": "c_tilde"}
 
 
+def _build(cls, flags: dict, settings: dict):
+    """cls from the settings flags maps to its fields; an error names the flag.
+
+    Each rule's message starts with its field's name, which this swaps for the flag's.
+    """
+    try:
+        return cls(**{field: settings[name] for name, field in flags.items() if name in settings})
+    except ValueError as err:
+        field, _, rule = str(err).partition(" ")
+        flag = {f: name for name, f in flags.items()}.get(field, field)
+        raise ValueError(f"{flag} {rule}") from None
+
+
 def config_from(settings: dict) -> SolverConfig:
     """The SolverConfig that flat run settings describe; unknown names raise."""
     unknown = set(settings).difference(_RUN_SETTINGS, _SPLIT_SETTINGS, _PENALTY_SETTINGS)
@@ -131,15 +144,11 @@ def config_from(settings: dict) -> SolverConfig:
         raise ValueError(f"unknown setting(s): {', '.join(sorted(unknown))}")
     if "algorithm" not in settings:
         raise ValueError("a run needs an algorithm")
-    split = {field: settings[name] for name, field in _SPLIT_SETTINGS.items()
-             if name in settings}
-    if split and "a" not in split:
+    if "a" not in settings and {"q_prime", "split_seed"} & set(settings):
         raise ValueError("q_prime and split_seed need a split shape a")
-    penalty = {field: settings[name] for name, field in _PENALTY_SETTINGS.items()
-               if name in settings}
+    split = _build(SplitParams, _SPLIT_SETTINGS, settings) if "a" in settings else None
     return SolverConfig(**{name: settings[name] for name in _RUN_SETTINGS if name in settings},
-                        split=SplitParams(**split) if split else None,
-                        penalty=PenaltyConfig(**penalty))
+                        split=split, penalty=_build(PenaltyConfig, _PENALTY_SETTINGS, settings))
 
 
 def cmd_solve(args) -> int:
@@ -202,7 +211,7 @@ def _verify_tsp(n: int, seed: int) -> list[str]:
     view = neighborhood_for(inst)
     for s in range(5):
         t = view.random_solution(rng_stream(seed + s, "init"))
-        if not descend(view, t, unlimited()) or not is_local_optimum(view, t):
+        if not descend(view, t, Budget()) or not is_local_optimum(view, t):
             failures.append(f"tsp descent not locally optimal (seed {s})")
         if abs(t.cached_cost - tour_cost(inst, t)) > 1e-9 * max(1.0, t.cached_cost):
             failures.append(f"tsp cached cost drifted (seed {s})")
@@ -233,11 +242,12 @@ def _verify_qubo(n: int, seed: int) -> list[str]:
         flip_delta_and_update(inst, bv, int(rng.integers(n)))
     if abs(bv.cached_value - qubo_value(inst, bv.bits)) > 1e-9 * max(1.0, abs(bv.cached_value)):
         failures.append("qubo cached value drifted after flips")
-    returned = tabu_search(inst, bv, rng_stream(seed, "tabu"), unlimited())
+    # capped as the its runs below: corrupted gains can keep the stop rule from firing
+    returned = tabu_search(inst, bv, rng_stream(seed, "tabu"), Budget(max_fe=2e6))
     tol = EVAL_REL_TOL * inst.abs_weight_sum
     for label, x in (("returned", returned), ("searched", bv)):
         full = make_bitvector(inst, x.bits)
-        if (not np.array_equal(x.signs, 1.0 - 2.0 * x.bits)
+        if (not np.array_equal(x.twice, 2.0 - 4.0 * x.bits)
                 or abs(x.cached_value - full.cached_value) > tol
                 or np.abs(x.gains - full.gains).max() > tol):
             failures.append(f"tabu_search left stale caches in its {label} solution")

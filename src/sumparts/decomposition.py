@@ -29,7 +29,7 @@ class SplitParams:
     seed: int = 0
 
     def __post_init__(self):
-        check_numbers(self, integers=("seed",), reals=("a", "q_prime"))
+        check_numbers(self, integers=("seed",), reals=("a", "q_prime"), non_negative=("seed",))
         if self.q_prime <= 0:
             raise ValueError("q_prime must be positive")
 

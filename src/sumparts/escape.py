@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import MINIMIZE, Tour, TspInstance, check_numbers
-from .search import Budget, NeighborList, better, lk_search, penalized_rows, unlimited
+from .search import Budget, NeighborList, better, lk_search, penalized_rows
 
 
 def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -53,27 +53,25 @@ def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
 BLOCK_DELTAS = 1 << 14
 
 
-def two_hop_blocks(view, sol, ks, d, budget: Budget | None = None):
+def two_hop_blocks(view, sol, ks, d, budget: Budget):
     """Flag, in order and a block at a time, which of sol's neighbors ks succeed.
 
     d holds sol's own move deltas. Yields (block, hits): hits[i] says whether
     neighbor block[i] succeeds, that is, whether one of its moves reaches a
-    solution strictly better than sol. With a budget, it is checked before
-    every block, and a block holds no more neighbors than a sequential scan
-    would start before max_fe runs out; the caller charges what it uses.
+    solution strictly better than sol. The budget is checked before every
+    block, and a block holds no more neighbors than a sequential scan would
+    start before max_fe runs out; the caller charges what it uses.
     """
-    size = view.size
     f_star = view.value(sol)
     best_of = view.two_hop_best(sol, d)
     cap = max(1, BLOCK_DELTAS // view.inst.n)
     start = 0
     while start < len(ks):
+        if budget.exhausted():
+            return
         rows = cap
-        if budget is not None:
-            if budget.exhausted():
-                return
-            if budget.max_fe is not None:
-                rows = min(rows, math.ceil((budget.max_fe - budget.consumed_fe) / size))
+        if budget.max_fe is not None:
+            rows = min(rows, math.ceil((budget.max_fe - budget.consumed_fe) / view.size))
         block = ks[start:start + rows]
         best, values = best_of(block)
         yield block, better(view.sense, best, f_star - values)
@@ -108,20 +106,23 @@ def nds(sol, view, budget: Budget | None = None):
     Scans neighbors x' of the local optimum; whenever the optimum does not
     dominate x' under (f1, f2), scans x''s neighborhood and returns the first
     x'' strictly better than the optimum. Returns the input unchanged when no
-    improvement is found or the budget runs out between inner scans.
+    improvement is found or the budget runs out between inner scans. Charges
+    view.size FEs for the optimum's own scan, then what `_first_two_hop` does.
     """
     if view.split is None:
         raise ValueError("nds requires a split-aware neighborhood view")
-    budget = budget if budget is not None else unlimited()
-    d, d1, d2 = view.split_deltas(sol, budget)
+    budget = budget if budget is not None else Budget()
+    d, d1, d2 = view.split_deltas(sol)
+    budget.charge(view.size)
     dominated = dominated_mask(view.sense, d1, d2)
     return _first_two_hop(view, sol, np.flatnonzero(~dominated), d, budget)
 
 
 def ens(sol, view, budget: Budget | None = None):
     """The same two-hop escape without the dominance filter (scans every x')."""
-    budget = budget if budget is not None else unlimited()
-    d = view.deltas(sol, budget)
+    budget = budget if budget is not None else Budget()
+    d = view.deltas(sol)
+    budget.charge(view.size)
     return _first_two_hop(view, sol, np.arange(view.size), d, budget)
 
 
@@ -138,9 +139,8 @@ class PenaltyConfig:
     c_tilde: float | None = None  # None: use the instance's largest edge cost
 
     def __post_init__(self):
-        check_numbers(self, integers=("rounds", "k_edges"), optional=("c_tilde",))
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
+        check_numbers(self, integers=("rounds", "k_edges"), optional=("c_tilde",),
+                      non_negative=("rounds",))
         if self.k_edges < 1:
             raise ValueError("k_edges must be >= 1")
         if self.c_tilde is not None and self.c_tilde <= 0:

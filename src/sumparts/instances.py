@@ -25,10 +25,11 @@ class ParseError(ValueError):
     """Raised when an instance file does not conform to its declared format."""
 
 
-def check_numbers(obj, integers=(), reals=(), optional=()):
+def check_numbers(obj, integers=(), reals=(), optional=(), non_negative=()):
     """Raise ValueError unless obj's named fields hold integers or real numbers.
 
-    Fields in optional may also hold None. Bools are refused: JSON true is not 1.
+    Fields in optional may also hold None, and those in non_negative must
+    be at least 0. Bools are refused: JSON true is not 1.
     """
     for name in (*integers, *reals, *optional):
         value = getattr(obj, name)
@@ -38,6 +39,8 @@ def check_numbers(obj, integers=(), reals=(), optional=()):
                       else (numbers.Real, "a number"))
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"{name} must be {what}, got {value!r}")
+        if name in non_negative and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +330,20 @@ class BitVector:
     """A UBQP solution: bits, cached objective value and per-bit flip gains.
 
     gains[i] is f(flip_i(z)) - f(z) and is kept current through flips, and so
-    is signs[i] = 1 - 2 bits[i] (exactly +1 or -1), for the gain updates. A
-    BitVector holds no sub-objective state: a split-aware FlipNeighborhood
-    computes the (f1, f2) gains from the bits when it needs them.
+    is twice[i] = 2 - 4 bits[i] (exactly +2 or -2), the row the flip kernel
+    multiplies by. A BitVector holds no sub-objective state: a split-aware
+    FlipNeighborhood computes the (f1, f2) gains from the bits when it needs
+    them.
     """
 
     bits: np.ndarray
     cached_value: float
     gains: np.ndarray
-    signs: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.signs is None:
-            self.signs = 1.0 - 2.0 * self.bits
+    twice: np.ndarray = field(repr=False)
 
     def copy(self) -> "BitVector":
         return BitVector(self.bits.copy(), self.cached_value, self.gains.copy(),
-                         self.signs.copy())
+                         self.twice.copy())
 
     @property
     def n(self) -> int:
@@ -370,15 +370,15 @@ def make_bitvector(inst: QuboInstance, bits) -> BitVector:
     z = np.asarray(bits, dtype=np.float64)
     if z.shape != (inst.n,) or not np.all((z == 0.0) | (z == 1.0)):
         raise ValueError("bits must be a 0/1 vector of length n")
-    return BitVector(z, qubo_value(inst, z), flip_gains(inst.q, z))
+    return BitVector(z, qubo_value(inst, z), flip_gains(inst.q, z), 2.0 - 4.0 * z)
 
 
 def flip_delta_and_update(inst: QuboInstance, bv: BitVector, i: int) -> float:
     """Flip bit i in place; returns its pre-flip gain.
 
     All n gains are refreshed in O(n) after the flip: gains[j] moves by
-    q_ij * 2 s_i s_j (s = signs before the flip). The kernel forms
-    x_j = q_ij * 2 s_j, which is exact (a factor of +-2 only scales and
+    q_ij * 2 s_i s_j (s = 1 - 2 bits before the flip). The kernel forms
+    x_j = q_ij * twice_j, which is exact (a factor of +-2 only scales and
     signs q_ij), then adds x to the gains when s_i = +1 and subtracts it
     when s_i = -1. Since g - x equals g + (-x) bit for bit, every gain is
     the one q_ij * (2 s_i s_j) gives, however that product is grouped. Only
@@ -387,30 +387,27 @@ def flip_delta_and_update(inst: QuboInstance, bv: BitVector, i: int) -> float:
     """
     if not 0 <= i < bv.n:
         raise ValueError(f"bit index {i} out of range")
-    twice = 2.0 * bv.signs
-    delta = _flip(inst.q[i], bv.gains, bv.signs, twice, bv.bits, i, twice)
+    delta = _flip(inst.q[i], bv.gains, bv.twice, bv.bits, i, np.empty(bv.n))
     bv.cached_value += delta
     return delta
 
 
-def _flip(row, gains, signs, twice, bits, i, product) -> float:
-    """Flip bit i, with row = q_i and twice = 2 signs; returns its gain.
+def _flip(row, gains, twice, bits, i, product) -> float:
+    """Flip bit i of a BitVector's caches, with row = q_i; returns its gain.
 
-    Writes q_i * twice into the row product, then updates gains, signs,
+    Writes q_i * twice into the caller's row product, then updates gains,
     twice and bits in place but not the cached value; the caller adds the
-    returned gain. product may be twice itself when the caller drops twice
-    afterwards. The one copy of the flip arithmetic, shared by
-    flip_delta_and_update and tabu_search's caller-owned buffers.
+    returned gain. The one copy of the flip arithmetic, shared by
+    flip_delta_and_update and tabu_search.
     """
-    delta, s = gains.item(i), signs.item(i)
+    delta, t = gains.item(i), twice.item(i)
     np.multiply(row, twice, out=product)
-    if s > 0.0:
+    if t > 0.0:
         np.add(gains, product, out=gains)
     else:
         np.subtract(gains, product, out=gains)
     gains[i] = -delta
-    signs[i] = -s
-    twice[i] = -2.0 * s
+    twice[i] = -t
     bits[i] = 1.0 - bits.item(i)
     return delta
 

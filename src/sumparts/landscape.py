@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .escape import dominated_mask, two_hop_blocks
-from .search import descend, neighborhood_for, unlimited
+from .search import Budget, descend, neighborhood_for
 
 
 @dataclass
@@ -63,7 +63,7 @@ def collect_local_optima(inst, count: int, rng: np.random.Generator) -> list:
     out = []
     for _ in range(count):
         sol = view.random_solution(rng)
-        converged = descend(view, sol, unlimited())
+        converged = descend(view, sol, Budget())
         assert converged
         out.append(sol)
     return out
@@ -75,7 +75,7 @@ def promising_flags(x_star, view) -> np.ndarray:
     Split-independent, so the flags can be reused across decompositions.
     Exhaustive two-hop scan; ties with the optimum do not count.
     """
-    blocks = two_hop_blocks(view, x_star, np.arange(view.size), view.deltas(x_star))
+    blocks = two_hop_blocks(view, x_star, np.arange(view.size), view.deltas(x_star), Budget())
     return np.concatenate([hits for _, hits in blocks])
 
 

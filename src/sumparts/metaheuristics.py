@@ -79,7 +79,8 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         check_numbers(self, integers=("seed", "neighbor_k"),
                       reals=("flip_fraction", "warmup_fraction"),
-                      optional=("max_fe", "max_wall", "target"))
+                      optional=("max_fe", "max_wall", "target"),
+                      non_negative=("seed", "max_fe", "max_wall"))
         if not 0 < self.flip_fraction <= 1:
             raise ValueError("flip_fraction must be in (0, 1]")
         if not 0 <= self.warmup_fraction <= 1:
@@ -172,6 +173,23 @@ def _solution_state(sol):
     return sol.bits.copy().astype(np.int8)
 
 
+def check_fits(config: SolverConfig, inst):
+    """Raise unless config applies to inst's kind and size; run and campaigns check first."""
+    if isinstance(inst, TspInstance):
+        kind, allowed = "TSP", TSP_ALGORITHMS
+    elif isinstance(inst, QuboInstance):
+        kind, allowed = "UBQP", QUBO_ALGORITHMS
+    else:
+        raise TypeError(f"unsupported instance type: {type(inst).__name__}")
+    if config.algorithm not in allowed:
+        raise ValueError(f"{config.algorithm} does not apply to {kind} instances")
+    if kind == "UBQP" and round(config.flip_fraction * inst.n) == 0:
+        raise ValueError(f"flip_fraction {config.flip_fraction} kicks no bit of "
+                         f"{inst.n} (round(flip_fraction * n) == 0)")
+    if config.algorithm in ("ilk_e", "ilk_nde") and config.penalty.k_edges > inst.n:
+        raise ValueError(f"k_edges {config.penalty.k_edges} exceeds a tour's {inst.n} edges")
+
+
 def run(config: SolverConfig, inst) -> RunTrace:
     """Run one solver on a TSP or UBQP instance and return its seeded trace.
 
@@ -195,20 +213,8 @@ def run(config: SolverConfig, inst) -> RunTrace:
       check, so an escaped or kicked solution is dropped when the budget
       runs out before its descent or tabu search.
     """
+    check_fits(config, inst)
     alg, family = config.algorithm, config.algorithm[:3]
-    if isinstance(inst, TspInstance):
-        kind, allowed = "TSP", TSP_ALGORITHMS
-    elif isinstance(inst, QuboInstance):
-        kind, allowed = "UBQP", QUBO_ALGORITHMS
-    else:
-        raise TypeError(f"unsupported instance type: {type(inst).__name__}")
-    if alg not in allowed:
-        raise ValueError(f"{alg} does not apply to {kind} instances")
-    if kind == "UBQP" and round(config.flip_fraction * inst.n) == 0:
-        raise ValueError(f"flip_fraction {config.flip_fraction} kicks no bit of "
-                         f"{inst.n} (round(flip_fraction * n) == 0)")
-    if alg in ("ilk_e", "ilk_nde") and config.penalty.k_edges > inst.n:
-        raise ValueError(f"k_edges {config.penalty.k_edges} exceeds a tour's {inst.n} edges")
     split = config.split
     if isinstance(split, SplitParams):
         split = sample_split(inst, split)

@@ -2,9 +2,11 @@
 
 All kernels count one FE per neighbor delta (or full) evaluation and stop
 between neighborhood scans once the budget is exhausted, so a run can
-overshoot its budget by at most one scan. First-improvement scans use a fixed
-lexicographic move order and restart from the first move after each accepted
-move, which makes every seeded run exactly reproducible.
+overshoot its budget by at most one scan. The views' `deltas` and
+`split_deltas` only compute; the scan that reads them charges its FEs.
+First-improvement scans use a fixed lexicographic move order and restart
+from the first move after each accepted move, which makes every seeded run
+exactly reproducible.
 
 The two-hop escape scans (escape.py) keep these charges and this bound, but
 check a `max_wall` budget only between blocks of neighbors.
@@ -65,10 +67,6 @@ class Budget:
         return self.max_wall is not None and self.elapsed() >= self.max_wall
 
 
-def unlimited() -> Budget:
-    return Budget()
-
-
 def better(sense: int, a: float, b: float) -> bool:
     """True when value a improves on value b under the given sense."""
     return a < b if sense == MINIMIZE else a > b
@@ -126,13 +124,9 @@ class _TwoOptIndex:
 @lru_cache(maxsize=32)
 def _two_opt_index(n: int) -> _TwoOptIndex:
     """Index arrays of the n(n-3)/2 distinct 2-Opt moves, in lexicographic order."""
-    ps, qs = [], []
-    for p in range(n - 2):
-        hi = n - 1 if p > 0 else n - 2  # (0, n-1) recreates the same tour
-        for q in range(p + 2, hi + 1):
-            ps.append(p)
-            qs.append(q)
-    p, q = np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp)
+    p, q = np.triu_indices(n, 2)
+    keep = (p > 0) | (q < n - 1)  # (0, n-1) recreates the same tour
+    p, q = p[keep], q[keep]
     v, w = n + 1, n + 2
     col = np.arange(v)
     i = np.arange(w)
@@ -198,15 +192,12 @@ class TwoOptNeighborhood:
         x -= b.take(ix.at_cd)
         return x
 
-    def deltas(self, tour: Tour, budget: Budget | None = None) -> np.ndarray:
-        """f deltas of every move, charging one FE per move."""
-        out = self._moves(self.inst.costs.ravel().take(self._table_index(tour).ravel()))
-        if budget is not None:
-            budget.charge(self.size)
-        return out
+    def deltas(self, tour: Tour) -> np.ndarray:
+        """f deltas of every move; the scan that reads them charges the FEs."""
+        return self._moves(self.inst.costs.ravel().take(self._table_index(tour).ravel()))
 
-    def split_deltas(self, tour: Tour, budget: Budget | None = None):
-        """(f, f1, f2) deltas of every move; each pair counts as one FE.
+    def split_deltas(self, tour: Tour):
+        """(f, f1, f2) deltas of every move; the scan that reads them charges the FEs.
 
         The f delta comes from the original cost matrix, not from d1 + d2,
         so downstream cache arithmetic stays exact on integer instances.
@@ -215,8 +206,6 @@ class TwoOptNeighborhood:
         at = self._table_index(tour).ravel()
         b0 = self.inst.costs.ravel().take(at)
         b1 = self.split.mat1.ravel().take(at)
-        if budget is not None:
-            budget.charge(self.size)
         return self._moves(b0), self._moves(b1), self._moves(b0 - b1)
 
     def first_improvement(self, tour: Tour, threshold: float, budget: Budget) -> bool:
@@ -358,19 +347,16 @@ class FlipNeighborhood:
         """Least improvement descend counts: EVAL_REL_TOL of the weights' absolute sum."""
         return EVAL_REL_TOL * self.inst.abs_weight_sum
 
-    def deltas(self, bv: BitVector, budget: Budget | None = None) -> np.ndarray:
-        if budget is not None:
-            budget.charge(self.size)
+    def deltas(self, bv: BitVector) -> np.ndarray:
+        """f gains of every flip; the scan that reads them charges the FEs."""
         return bv.gains.copy()
 
-    def split_deltas(self, bv: BitVector, budget: Budget | None = None):
-        """(f, f1, f2) gains of every flip; each (f1, f2) pair counts as one FE.
+    def split_deltas(self, bv: BitVector):
+        """(f, f1, f2) gains of every flip; the scan that reads them charges the FEs.
 
         The BitVector keeps only f's gains; f1's come from the split's mat1
         and the bits in one O(n^2) product, and f2's as f's minus f1's.
         """
-        if budget is not None:
-            budget.charge(self.size)
         d1 = flip_gains(self.split.mat1, bv.bits)
         return bv.gains.copy(), d1, bv.gains - d1
 
@@ -388,12 +374,12 @@ class FlipNeighborhood:
         neighborhood shares no structure worth tabulating, so each neighbor
         costs O(n).
         """
-        s = bv.signs
+        twice, half = bv.twice, 0.5 * bv.twice
 
         def best(ks: np.ndarray):
             rows = self.inst.q.take(ks, axis=0)
-            rows *= (2.0 * s[ks])[:, None]
-            rows *= s
+            rows *= twice[ks][:, None]
+            rows *= half
             rows += bv.gains
             rows[np.arange(len(ks)), ks] = -bv.gains[ks]
             return rows.max(axis=1), bv.cached_value + d[ks]
@@ -483,11 +469,10 @@ def double_bridge(inst: TspInstance, tour: Tour, rng: np.random.Generator) -> To
     return Tour(new_order, tour.cached_cost - float(removed) + float(added))
 
 
-def pair_swap_kick(inst: TspInstance, tour: Tour, rng: np.random.Generator,
-                   swaps: int = 2) -> Tour:
-    """Kick for tours too short for a double bridge: swap random city pairs."""
+def pair_swap_kick(inst: TspInstance, tour: Tour, rng: np.random.Generator) -> Tour:
+    """Kick for tours too short for a double bridge: swap two random city pairs."""
     order = tour.order.copy()
-    for _ in range(swaps):
+    for _ in range(2):
         i, j = rng.choice(inst.n, size=2, replace=False)
         order[i], order[j] = order[j], order[i]
     return Tour(order, tour_cost(inst, order))
@@ -519,13 +504,13 @@ def sample_tenure(n: int, rng: np.random.Generator) -> int:
 
 
 def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
-                budget: Budget, use_aspiration: bool = True) -> BitVector:
+                budget: Budget) -> BitVector:
     """Best-improvement tabu search over 1-bit flips; returns the best visited.
 
-    A flipped variable is frozen for K moves (K resampled per call). With
-    aspiration on, a frozen flip is allowed when it would beat the best
-    solution of this call; when every flip is frozen and none aspirates, all
-    are allowed. Stops after 20n moves without improving that best, or on
+    A flipped variable is frozen for K moves (K resampled per call). A
+    frozen flip is allowed when it would beat the best solution of this call
+    (aspiration); when every flip is frozen and none aspirates, all are
+    allowed. Stops after 20n moves without improving that best, or on
     budget exhaustion. Every move charges n FEs.
 
     A solution counts as better than the best, for aspiration and for the
@@ -546,13 +531,12 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
     no flip aspirates: float addition is monotone, so value + gain of every
     flip is at most that of the argmax. The move is then the argmax of
     gains + mask. The flip runs the kernel flip_delta_and_update uses, on
-    buffers allocated once per call.
+    bv's own caches and one product row allocated once per call.
     """
     n = inst.n
     ring = [0] * (sample_tenure(n, rng) - 1)
     count = [0] * n
-    q, gains, signs, bits = inst.q, bv.gains, bv.signs, bv.bits
-    twice = 2.0 * signs
+    q, gains, twice, bits = inst.q, bv.gains, bv.twice, bv.bits
     product, masked, mask = np.empty(n), np.empty(n), np.zeros(n)
     tol = EVAL_REL_TOL * inst.abs_weight_sum
     best = bv.copy()
@@ -562,12 +546,12 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
     while since_improve < 20 * n and not budget.exhausted():
         budget.charge(n)
         k = int(gains.argmax())
-        if mask.item(k) and not (use_aspiration and bv.cached_value + gains.item(k) > bar):
+        if mask.item(k) and not (bv.cached_value + gains.item(k) > bar):
             np.add(gains, mask, out=masked)
             j = int(masked.argmax())
             if masked.item(j) > -np.inf:  # else everything is frozen: unfreeze all
                 k = j
-        bv.cached_value += _flip(q[k], gains, signs, twice, bits, k, product)
+        bv.cached_value += _flip(q[k], gains, twice, bits, k, product)
         if ring:
             slot = t % len(ring)
             if t >= len(ring):
@@ -635,14 +619,17 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
     breadth2, deeper levels extend greedily.
 
     Each move is a 2-Opt reversal of the order array: it removes (base, end)
-    and (t4, t3) and adds (end, t3) and (t4, base). It reverses [end .. t4]
-    when that segment does not wrap the array's end, else the complementary
-    [t3 .. base], which gives the same cycle in the other orientation. The
-    next level continues from the current succ(base) (pred(base) backwards),
-    read from the array. After the first branch that is t4, so the chain is a
-    sequential exchange. After the second it is base's former neighbour, not
-    t4, so the chain then departs from the sequential exchange described
-    above, and which way it goes depends on where the array is cut.
+    and (t4, t3) and adds (end, t3) and (t4, base), with end = succ(base) and
+    t4 = pred(t3) (swapped backwards). Each scan skips end's tour neighbours,
+    base among them, and end is not its own candidate, so t4 is never base or
+    end. It reverses [end .. t4] when that segment does not wrap the array's
+    end, else the complementary [t3 .. base], which gives the same cycle in
+    the other orientation. The next level continues from the current
+    succ(base) (pred(base) backwards), read from the array. After the first
+    branch that is t4, so the chain is a sequential exchange. After the second
+    it is base's former neighbour, not t4, so the chain then departs from the
+    sequential exchange described above, and which way it goes depends on
+    where the array is cut.
 
     A failed chain is rolled back from snapshots, not by reversing its moves
     again: one of the tour at the chain's start, refreshed after each commit,
@@ -666,7 +653,7 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
     instance's own), and the returned tour caches its plain cost, recomputed
     once. Charges one FE for the start and one per candidate move evaluated.
     """
-    budget = budget if budget is not None else unlimited()
+    budget = budget if budget is not None else Budget()
     cost = inst.cost_rows if objective is None else objective
     cand = neighbors.rows
     order = tour.order.tolist()
@@ -692,12 +679,10 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
         for i in range(lo, hi + 1):
             pos[order[i]] = i
 
-    def do_move(base: int, end: int, t3: int, forward: bool) -> bool:
+    def do_move(base: int, end: int, t3: int, forward: bool):
         # chained 2-Opt: remove (base,end),(t4,t3); add (end,t3),(t4,base)
         p3 = pos[t3]
         t4 = order[p3 - 1] if forward else order[p3 + 1 - n]
-        if t4 == base or t4 == end:
-            return False
         cost_sum.append(cost_sum[-1] + (cost[end][t3] + cost[t4][base]
                                         - cost[base][end] - cost[t4][t3]))
         pe, p4 = pos[end], pos[t4]
@@ -708,7 +693,6 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
         reverse(lo, hi)
         moves.append((lo, hi))
         ends.extend((end, t3, t4))
-        return True
 
     def rollback(k: int):
         # the tour after the chain's first k moves, from the nearest snapshot
@@ -734,10 +718,10 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
                 fe += 1
                 if row[t3] >= bound:
                     return best_k, best_sum  # cost-sorted: none later can fit
-                if t3 == base or t3 == s_end or t3 == p_end:
+                if t3 == s_end or t3 == p_end:
                     continue
-                if do_move(base, end, t3, forward):
-                    break
+                do_move(base, end, t3, forward)
+                break
             else:
                 return best_k, best_sum
             if cost_sum[-1] < best_sum - 1e-12:
@@ -760,10 +744,9 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
             fe += 1
             if row0[t3] >= g0:
                 break
-            if t3 == base or t3 == s0 or t3 == p0:
+            if t3 == s0 or t3 == p0:
                 continue
-            if not do_move(base, e0, t3, forward):
-                continue
+            do_move(base, e0, t3, forward)
             if cost_sum[1] < -1e-12:
                 return 1  # improving 2-Opt move, commit immediately
             order1[:], pos1[:] = order, pos
@@ -779,10 +762,9 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
                 fe += 1
                 if row1[t5] >= bound1:
                     break
-                if t5 == base or t5 == s1 or t5 == p1:
+                if t5 == s1 or t5 == p1:
                     continue
-                if not do_move(base, e1, t5, forward):
-                    continue
+                do_move(base, e1, t5, forward)
                 tried += 1
                 best_k, best_sum = (2, cost_sum[2]) if cost_sum[2] < -1e-12 else (-1, 0.0)
                 best_k, best_sum = extend_greedy(base, forward, best_k, best_sum)

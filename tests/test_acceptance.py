@@ -31,7 +31,7 @@ from sumparts.landscape import (
     promising_flags,
 )
 from sumparts.metaheuristics import SolverConfig, rng_stream, run
-from sumparts.search import Budget, TwoOptNeighborhood, descend, unlimited
+from sumparts.search import Budget, TwoOptNeighborhood, descend
 
 A_SWEEP = [-12.0, -3.0, 0.0, 2.0, 10.0]
 EIL51_OPT = 426.0
@@ -203,7 +203,7 @@ def test_criterion_8_nds_cheaper_than_ens_on_failures(eil51_inst):
     harvested = []
     while len(harvested) < 100:
         t = view.random_solution(rng)
-        descend(view, t, unlimited())
+        descend(view, t, Budget())
         # drive to a two-hop-dead optimum: re-descend whenever the
         # exhaustive escape still finds an improvement
         while True:
@@ -211,7 +211,7 @@ def test_criterion_8_nds_cheaper_than_ens_on_failures(eil51_inst):
             if out is t:
                 break
             t = out
-            descend(view, t, unlimited())
+            descend(view, t, Budget())
         harvested.append(t)
     wins = 0
     for t in harvested:

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from conftest import brute_force_tsp
+from sumparts import bench
 from sumparts.bench import (
     CampaignSpec,
     excess,
@@ -12,8 +13,21 @@ from sumparts.bench import (
     verdict_vs_reference,
 )
 from sumparts.decomposition import SplitParams
-from sumparts.instances import random_tsp_instance
+from sumparts.instances import random_qubo_instance, random_tsp_instance
 from sumparts.metaheuristics import SolverConfig
+
+
+@pytest.fixture
+def ens_cells_fail(monkeypatch):
+    """Every ils_ens cell raises when it runs; the other cells run as usual."""
+    real = bench.run
+
+    def run(config, inst):
+        if config.algorithm == "ils_ens":
+            raise RuntimeError("the cell failed")
+        return real(config, inst)
+
+    monkeypatch.setattr(bench, "run", run)
 
 
 class TestExcess:
@@ -145,35 +159,50 @@ class TestCampaign:
         verdicts = {s.algorithm: s.verdict for s in out}
         assert verdicts["ils"] == "="  # everyone reaches the optimum
 
-    def test_cell_failure_recorded_campaign_continues(self, tmp_path):
+    def test_cell_failure_recorded_campaign_continues(self, tmp_path, ens_cells_fail):
         inst = random_tsp_instance(8, seed=2)
-        algs = [SolverConfig(algorithm="its", max_fe=100),  # invalid for TSP
+        algs = [SolverConfig(algorithm="ils_ens", max_fe=100),
                 SolverConfig(algorithm="ils", max_fe=1e4)]
         spec = CampaignSpec(instances={"r8": "r8"}, algorithms=algs, seeds=[0],
                             out_dir=str(tmp_path / "camp2"))
         out = run_campaign(spec, instances={"r8": inst})
         assert np.isnan(out[0].finals[0])
         assert np.isfinite(out[1].finals[0])
-        assert (tmp_path / "camp2" / "traces" / "r8_its_s0.error").exists()
+        assert (tmp_path / "camp2" / "traces" / "r8_ils_ens_s0.error").exists()
 
-    def test_failed_cells_counted_without_out_dir(self):
+    def test_failed_cells_counted_without_out_dir(self, ens_cells_fail):
         inst = random_tsp_instance(8, seed=2)
-        algs = [SolverConfig(algorithm="its", max_fe=100),  # invalid for TSP
+        algs = [SolverConfig(algorithm="ils_ens", max_fe=100),
                 SolverConfig(algorithm="ils", max_fe=1e4)]
         spec = CampaignSpec(instances={"r8": "r8"}, algorithms=algs, seeds=[0, 1])
         out = run_campaign(spec, instances={"r8": inst})
         assert out[0].failures == 2
-        assert out[0].first_error == "ValueError: its does not apply to TSP instances"
+        assert out[0].first_error == "RuntimeError: the cell failed"
         assert out[1].failures == 0 and out[1].first_error is None
         lines = summary_csv(out).splitlines()
-        assert lines[-1] == ("# failed: r8 its: 2 of 2 cells, "
-                             "first: ValueError: its does not apply to TSP instances")
+        assert lines[-1] == ("# failed: r8 ils_ens: 2 of 2 cells, "
+                             "first: RuntimeError: the cell failed")
         assert sum(line.startswith("# failed") for line in lines) == 1
+
+    def test_entry_that_does_not_fit_an_instance_raises_before_any_cell(self, monkeypatch):
+        # the UBQP comes first: with the check per cell, its cells would run
+        # before the TSP's failed
+        insts = {"q20": random_qubo_instance(20, seed=0), "r8": random_tsp_instance(8, seed=2)}
+        spec = CampaignSpec(instances={name: name for name in insts},
+                            algorithms=[SolverConfig(algorithm="its", max_fe=100)], seeds=[0])
+        monkeypatch.setattr(bench, "run", lambda *args: pytest.fail("a cell started"))
+        with pytest.raises(ValueError, match="its does not apply to TSP instances"):
+            run_campaign(spec, instances=insts)
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError):
             CampaignSpec(instances={}, algorithms=[SolverConfig(algorithm="ils")],
                          seeds=[1, 1])
+
+    def test_negative_seeds_rejected(self):
+        with pytest.raises(ValueError, match="integers >= 0"):
+            CampaignSpec(instances={}, algorithms=[SolverConfig(algorithm="ils")],
+                         seeds=[-1, 2])
 
     def test_duplicate_algorithms_rejected(self):
         # two ils_nds entries at different shapes would write the same trace files

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sumparts import cli, decomposition, metaheuristics, search
+from sumparts import bench, cli, decomposition, metaheuristics, search
 from sumparts.cli import _merge_negative_values, build_parser, main
 from sumparts.instances import load_bundled_tsp, synthetic_orlib_text
 from sumparts.search import TwoOptNeighborhood
@@ -141,19 +141,43 @@ def test_bench_campaign(tmp_path, eil51_path, capsys):
     assert (tmp_path / "out" / "traces" / "eil51_ils_s0.csv").exists()
 
 
-def test_bench_failed_cell_exit_code(tmp_path, eil51_path, capsys):
+def test_bench_failed_cell_exit_code(tmp_path, eil51_path, monkeypatch, capsys):
     campaign = {
         "instances": {"eil51": eil51_path},
         "algorithms": [{"algorithm": "ils", "max_fe": 2e3},
-                       {"algorithm": "its", "max_fe": 2e3}],  # its needs a UBQP
+                       {"algorithm": "ils_ens", "max_fe": 2e3}],
         "seeds": [0],
     }
     spec_path = tmp_path / "campaign.json"
     spec_path.write_text(json.dumps(campaign))
+    real = bench.run
+
+    def failing(config, inst):
+        if config.algorithm == "ils_ens":
+            raise RuntimeError("the cell failed")
+        return real(config, inst)
+
+    monkeypatch.setattr(bench, "run", failing)
     assert main(["bench", "--campaign", str(spec_path)]) == 3
     captured = capsys.readouterr()
-    assert "# failed: eil51 its: 1 of 1 cells" in captured.out
+    assert "# failed: eil51 ils_ens: 1 of 1 cells" in captured.out
     assert "1 campaign cells failed" in captured.err
+
+
+@pytest.mark.parametrize("instances, entry, error", [
+    # the UBQP comes first: its cells would run before the TSP's failed
+    (["ubqp60", "eil51"], {"algorithm": "its"}, "error: its does not apply to TSP instances"),
+    (["eil51"], {"algorithm": "ilk_e", "penalty_edges": 60}, "error: k_edges 60 exceeds"),
+], ids=["its-on-a-tsp", "more-penalty-edges-than-tour-edges"])
+def test_bench_entry_that_does_not_fit_an_instance_exits_before_any_cell(
+        tmp_path, request, monkeypatch, capsys, instances, entry, error):
+    campaign = {"instances": {name: request.getfixturevalue(f"{name}_path") for name in instances},
+                "algorithms": [{**entry, "max_fe": 2e3}], "seeds": [0, 1]}
+    spec_path = tmp_path / "campaign.json"
+    spec_path.write_text(json.dumps(campaign))
+    monkeypatch.setattr(bench, "run", lambda *args: pytest.fail("a cell started"))
+    assert main(["bench", "--campaign", str(spec_path)]) == 2
+    assert capsys.readouterr().err.startswith(error)
 
 
 def test_verify_passes():
@@ -170,7 +194,7 @@ def test_verify_fails_on_wrong_promising_flags(monkeypatch, capsys):
 def test_verify_fails_on_wrong_two_opt_deltas(monkeypatch, capsys):
     real = TwoOptNeighborhood.deltas
     monkeypatch.setattr(TwoOptNeighborhood, "deltas",
-                        lambda self, tour, budget=None: real(self, tour, budget) + 0.5)
+                        lambda self, tour: real(self, tour) + 0.5)
     assert main(["verify", "--n", "7", "--seed", "3"]) == 3
     assert "2-Opt deltas disagree with two_opt_delta" in capsys.readouterr().err
 
@@ -178,9 +202,9 @@ def test_verify_fails_on_wrong_two_opt_deltas(monkeypatch, capsys):
 def test_verify_fails_on_a_tabu_kernel_with_stale_caches(monkeypatch, capsys):
     real = search._flip
 
-    def stale_twice(row, gains, signs, twice, bits, i, product):
+    def stale_twice(row, gains, twice, bits, i, product):
         keep = twice.item(i)
-        delta = real(row, gains, signs, twice, bits, i, product)
+        delta = real(row, gains, twice, bits, i, product)
         twice[i] = keep  # the +-2 signs miss this flip, so later gains go wrong
         return delta
 
@@ -196,6 +220,7 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("flag, value", [
     ("--warmup-fraction", "2.0"), ("--flip-fraction", "0"), ("--neighbor-k", "1"),
+    ("--seed", "-2"), ("--max-fe", "-5"), ("--max-wall", "-1"),
 ])
 def test_out_of_range_setting_exits_before_any_run(eil51_path, monkeypatch, capsys,
                                                    flag, value):
@@ -237,10 +262,13 @@ def test_bench_out_of_range_setting_exits_before_any_run(tmp_path, eil51_path, m
     {"algorithms": [{"algorithm": "ils", "a": 2, "q_prime": "1"}]},
     {"algorithms": [{"algorithm": "ils", "a": "x"}]},
     {"algorithms": [{"algorithm": "ils", "a": 2, "split_seed": 1.5}]},
+    {"seeds": [-1, 2]},
+    {"algorithms": [{"algorithm": "ils", "a": 2, "split_seed": -3}]},
+    {"algorithms": [{"algorithm": "ils", "max_fe": -5}]},
 ], ids=["entry-typo", "top-level-typo", "entry-seed", "entry-target", "duplicate-algorithm",
         "entry-max-fe-string", "seeds-not-a-list", "flip-fraction-string",
         "warmup-fraction-string", "penalty-rounds-string", "q-prime-string", "a-string",
-        "split-seed-fraction"])
+        "split-seed-fraction", "negative-seed", "negative-split-seed", "negative-max-fe"])
 def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, capsys, change):
     campaign = {"instances": {"eil51": eil51_path}, "algorithms": [{"algorithm": "ils"}],
                 "seeds": [0], "max_fe": 1e4, **change}
@@ -249,6 +277,30 @@ def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, ca
     monkeypatch.setattr(cli, "run_campaign", lambda *args: pytest.fail("a run started"))
     assert main(["bench", "--campaign", str(spec_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("split_seed", 1.5, "must be an integer"), ("split_seed", -3, "must be >= 0"),
+    ("q_prime", 0, "must be positive"), ("penalty_rounds", -1, "must be >= 0"),
+    ("penalty_edges", 2.5, "must be an integer"), ("penalty_edges", 0, "must be >= 1"),
+    ("penalty_cost", "9", "must be a number"), ("penalty_cost", -1, "must be positive"),
+])
+def test_bad_setting_is_reported_under_its_key(tmp_path, eil51_path, monkeypatch, capsys,
+                                               key, value, rule):
+    entry = {"algorithm": "ilk_e", "a": 2, key: value}
+    spec_path = tmp_path / "campaign.json"
+    spec_path.write_text(json.dumps({"instances": {"eil51": eil51_path},
+                                     "algorithms": [entry], "seeds": [0]}))
+    monkeypatch.setattr(cli, "run_campaign", lambda *args: pytest.fail("a run started"))
+    assert main(["bench", "--campaign", str(spec_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} {rule}")
+
+
+def test_negative_split_seed_is_reported_under_its_flag(eil51_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("a run started"))
+    assert main(["solve", "--alg", "ils_nds", "--instance", eil51_path, "--a", "2",
+                 "--split-seed", "-3"]) == 2
+    assert capsys.readouterr().err.startswith("error: split_seed must be >= 0")
 
 
 def test_split_setting_without_shape_exits_before_any_run(eil51_path, monkeypatch, capsys):

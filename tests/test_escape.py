@@ -31,7 +31,6 @@ from sumparts.search import (
     descend,
     lk_search,
     neighborhood_for,
-    unlimited,
 )
 
 
@@ -91,10 +90,10 @@ class TestNds:
         split = sample_split(inst, SplitParams(a=0.0, seed=1))
         view = TwoOptNeighborhood(inst, split)
         t = view.random_solution(np.random.default_rng(0))
-        descend(view, t, unlimited())
+        descend(view, t, Budget())
         while t.cached_cost != opt:  # descend again from fresh starts until global
             t = view.random_solution(np.random.default_rng(int(t.cached_cost)))
-            descend(view, t, unlimited())
+            descend(view, t, Budget())
         out = nds(t, view)
         assert out is t
 
@@ -105,7 +104,7 @@ class TestNds:
         split = sample_split(inst, SplitParams(a=0.0, seed=1))
         view = TwoOptNeighborhood(inst, split)
         t = view.random_solution(np.random.default_rng(0))
-        descend(view, t, unlimited())
+        descend(view, t, Budget())
         assert t.cached_cost == 2575.0
         assert brute_force_tsp(inst) == 2433.0
         any_improving, behind_nd = two_hop_oracle(view, t)
@@ -128,7 +127,7 @@ class TestNds:
         split = sample_split(inst, SplitParams(a=a, seed=seed))
         view = neighborhood_for(inst, split)
         sol = view.random_solution(np.random.default_rng(seed))
-        descend(view, sol, unlimited())
+        descend(view, sol, Budget())
         f = view.value(sol)
         for escape in (nds, ens):
             out = escape(sol, view, Budget(max_fe=max_fe))
@@ -154,7 +153,7 @@ class TestNds:
         split = sample_split(inst, SplitParams(a=0.0, seed=2))
         view = FlipNeighborhood(inst, split)
         bv = view.random_solution(np.random.default_rng(1))
-        descend(view, bv, unlimited())
+        descend(view, bv, Budget())
         out = nds(bv, view)
         assert (out is bv) != (out.cached_value > bv.cached_value)
 
@@ -166,7 +165,7 @@ class TestEns:
             split = sample_split(inst, SplitParams(a=0.0, seed=1))
             view = TwoOptNeighborhood(inst, split)
             t = view.random_solution(np.random.default_rng(iseed))
-            descend(view, t, unlimited())
+            descend(view, t, Budget())
             got_nds = nds(t.copy(), view)
             got_ens = ens(t.copy(), view)
             if got_nds.cached_cost < t.cached_cost:
@@ -177,10 +176,10 @@ class TestEns:
         opt = brute_force_tsp(inst)
         view = TwoOptNeighborhood(inst)
         t = view.random_solution(np.random.default_rng(0))
-        descend(view, t, unlimited())
+        descend(view, t, Budget())
         while t.cached_cost != opt:
             t = view.random_solution(np.random.default_rng(int(t.cached_cost)))
-            descend(view, t, unlimited())
+            descend(view, t, Budget())
         budget = Budget()
         out = ens(t, view, budget)
         assert out is t
@@ -193,7 +192,7 @@ class TestEns:
         view = TwoOptNeighborhood(inst, split)
         for s in range(10):
             t = view.random_solution(np.random.default_rng(s))
-            descend(view, t, unlimited())
+            descend(view, t, Budget())
             b1, b2 = Budget(), Budget()
             r1 = nds(t.copy(), view, b1)
             r2 = ens(t.copy(), view, b2)

@@ -318,7 +318,7 @@ def test_split_deltas_after_any_flip_sequence(n, seed, steps):
         else:
             gain = float(bv.gains[step % n])
             assert flip_delta_and_update(inst, bv, step % n) == gain
-    assert np.array_equal(bv.signs, 1.0 - 2.0 * bv.bits)
+    assert np.array_equal(bv.twice, 2.0 - 4.0 * bv.bits)
     fresh = make_bitvector(inst, bv.bits.copy())
     scale = EVAL_REL_TOL * np.abs(inst.q).sum()
     np.testing.assert_allclose(bv.gains, fresh.gains, rtol=0, atol=scale)
@@ -331,5 +331,5 @@ def test_split_deltas_after_any_flip_sequence(n, seed, steps):
                   - before for i in range(n)]
         np.testing.assert_allclose(d, change, rtol=0, atol=EVAL_REL_TOL * np.abs(mat).sum())
     copy = bv.copy()
-    for name in ("bits", "gains", "signs"):
+    for name in ("bits", "gains", "twice"):
         assert not np.shares_memory(getattr(copy, name), getattr(bv, name))

@@ -14,7 +14,7 @@ from sumparts.landscape import (
     promising_flags,
     table_csv,
 )
-from sumparts.search import TwoOptNeighborhood, descend, is_local_optimum, unlimited
+from sumparts.search import Budget, TwoOptNeighborhood, descend, is_local_optimum
 
 
 class TestCollectLocalOptima:
@@ -49,10 +49,10 @@ class TestClassifyNeighbors:
         split = sample_split(inst, SplitParams(a=0.0, seed=1))
         view = TwoOptNeighborhood(inst, split)
         t = view.random_solution(np.random.default_rng(0))
-        descend(view, t, unlimited())
+        descend(view, t, Budget())
         while t.cached_cost != opt:
             t = view.random_solution(np.random.default_rng(int(t.cached_cost)))
-            descend(view, t, unlimited())
+            descend(view, t, Budget())
         stats = classify_neighbors(t, view)
         # the global optimum cannot have promising neighbors
         assert stats.p == 0.0
@@ -64,7 +64,7 @@ class TestClassifyNeighbors:
         view = TwoOptNeighborhood(inst, split)
         for s in range(10):
             t = view.random_solution(np.random.default_rng(s))
-            descend(view, t, unlimited())
+            descend(view, t, Budget())
             if np.min(view.deltas(t)) > 0:  # strict local optimum
                 stats = classify_neighbors(t, view)
                 assert stats.nd == 0.0
@@ -78,7 +78,7 @@ class TestClassifyNeighbors:
         split = sample_split(inst, SplitParams(a=-1.0, seed=3))
         view = TwoOptNeighborhood(inst, split)
         t = view.random_solution(np.random.default_rng(1))
-        descend(view, t, unlimited())
+        descend(view, t, Budget())
         stats = classify_neighbors(t, view)
 
         n = 5
@@ -116,7 +116,7 @@ class TestClassifyNeighbors:
         split = sample_split(eil51, SplitParams(a=2.0, seed=1))
         view = TwoOptNeighborhood(eil51, split)
         t = view.random_solution(np.random.default_rng(3))
-        descend(view, t, unlimited())
+        descend(view, t, Budget())
         s = classify_neighbors(t, view)
         n = s.neighborhood_size
         counts = [round(c * n) for c in (s.p_d, s.p_nd, s.np_d, s.np_nd)]
@@ -130,7 +130,7 @@ class TestClassifyNeighbors:
         inst = random_tsp_instance(8, seed=6)
         view0 = TwoOptNeighborhood(inst)
         t = view0.random_solution(np.random.default_rng(2))
-        descend(view0, t, unlimited())
+        descend(view0, t, Budget())
         flags = promising_flags(t, view0)
         for a in (-3.0, 2.0):
             split = sample_split(inst, SplitParams(a=a, seed=4))

@@ -95,6 +95,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"flip_fraction": 0.0}, {"flip_fraction": -3.0}, {"flip_fraction": 1.5},
         {"warmup_fraction": 2.0}, {"warmup_fraction": -0.1}, {"neighbor_k": 1},
+        {"seed": -1}, {"max_fe": -5.0}, {"max_wall": -1.0},
     ])
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -102,7 +103,7 @@ class TestConfigValidation:
 
     def test_range_ends_accepted(self):
         SolverConfig(algorithm="ilk_e", flip_fraction=1.0, warmup_fraction=1.0, neighbor_k=2)
-        SolverConfig(algorithm="ilk_e", warmup_fraction=0.0)
+        SolverConfig(algorithm="ilk_e", warmup_fraction=0.0, seed=0, max_fe=0, max_wall=0)
 
     @pytest.mark.parametrize("cls, name, value", [
         (SolverConfig, "max_fe", "1e4"), (SolverConfig, "max_wall", True),

@@ -34,7 +34,6 @@ from sumparts.search import (
     random_flip_perturbation,
     sample_tenure,
     tabu_search,
-    unlimited,
 )
 
 
@@ -47,7 +46,7 @@ class TestLocalSearch2Opt:
     def test_local_optimum_unchanged_one_scan(self, eil51):
         view = TwoOptNeighborhood(eil51)
         t = view.random_solution(np.random.default_rng(0))
-        descend(view, t, unlimited())
+        descend(view, t, Budget())
         budget = Budget()
         before = t.order.copy()
         assert descend(view, t, budget)
@@ -60,7 +59,7 @@ class TestLocalSearch2Opt:
         for s in range(10):
             t = view.random_solution(np.random.default_rng(s))
             start = t.cached_cost
-            descend(view, t, unlimited())
+            descend(view, t, Budget())
             assert t.cached_cost <= start
 
     def test_1000_random_starts_all_locally_optimal(self, eil51):
@@ -68,7 +67,7 @@ class TestLocalSearch2Opt:
         rng = np.random.default_rng(42)
         for _ in range(1000):
             t = view.random_solution(rng)
-            assert descend(view, t, unlimited())
+            assert descend(view, t, Budget())
             assert is_local_optimum(view, t)
         # cached cost still exact after the whole batch
         assert t.cached_cost == pytest.approx(tour_cost(eil51, t), rel=1e-9)
@@ -118,7 +117,7 @@ class TestLocalSearch1Flip:
         inst = random_qubo_instance(12, seed=0, density=0.5)
         bv = make_bitvector(inst, np.zeros(12))
         bv2 = make_bitvector(inst, np.zeros(12))
-        descend(FlipNeighborhood(inst), bv2, unlimited())
+        descend(FlipNeighborhood(inst), bv2, Budget())
         if np.all(bv.gains <= 0):
             assert np.array_equal(bv2.bits, bv.bits)
 
@@ -127,7 +126,7 @@ class TestLocalSearch1Flip:
         view = FlipNeighborhood(inst)
         for s in range(10):
             bv = view.random_solution(np.random.default_rng(s))
-            assert descend(view, bv, unlimited())
+            assert descend(view, bv, Budget())
             fresh = make_bitvector(inst, bv.bits)
             assert np.all(fresh.gains <= 0)
 
@@ -136,7 +135,7 @@ class TestLocalSearch1Flip:
         view = FlipNeighborhood(inst)
         bv = view.random_solution(np.random.default_rng(1))
         start = bv.cached_value
-        descend(view, bv, unlimited())
+        descend(view, bv, Budget())
         assert bv.cached_value >= start
 
 
@@ -530,13 +529,13 @@ def test_descend_converges_on_non_integral_costs(qubo, n, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=2, max_value=40), seed=st.integers(min_value=0, max_value=10_000),
-       max_fe=st.integers(min_value=0, max_value=20_000), use_aspiration=st.booleans())
-def test_tabu_overshoots_by_at_most_one_move(n, seed, max_fe, use_aspiration):
+       max_fe=st.integers(min_value=0, max_value=20_000))
+def test_tabu_overshoots_by_at_most_one_move(n, seed, max_fe):
     inst = random_qubo_instance(n, seed=seed, density=0.5)
     rng = np.random.default_rng(seed)
     bv = FlipNeighborhood(inst).random_solution(rng)
     budget = Budget(max_fe=max_fe)
-    tabu_search(inst, bv, rng, budget, use_aspiration=use_aspiration)
+    tabu_search(inst, bv, rng, budget)
     assert budget.consumed_fe - max_fe <= n
 
 

@@ -3,12 +3,12 @@
 The reference below is the tabu loop as it was before the frozen set moved
 into a ring of the last K - 1 flips: a per-variable last-flip clock, an
 `allowed` mask built from it and the aspiration vector, an unfreeze-all
-fallback and a masked argmax. Its flip kernel rebuilds the signs from the
-bits on every flip. Like `tabu_search`, it counts a value as better than the
-best only past EVAL_REL_TOL times the weights' absolute sum. `tabu_search`
-must agree with it bit for bit: the same best solution and caches, the same
-final state of the searched solution, the same FE charges and the same RNG
-draws.
+fallback and a masked argmax. Its flip kernel rebuilds the +-2 sign row from
+the bits on every flip. Like `tabu_search`, it counts a value as better than
+the best only past EVAL_REL_TOL times the weights' absolute sum.
+`tabu_search` must agree with it bit for bit: the same best solution and
+caches, the same final state of the searched solution, the same FE charges
+and the same RNG draws.
 """
 
 import numpy as np
@@ -20,18 +20,22 @@ from sumparts.search import Budget, sample_tenure, tabu_search
 
 
 def reference_flip(inst, bv, i):
-    """The flip kernel with signs rebuilt from the bits on every call."""
+    """The flip kernel with the +-2 sign row rebuilt from the bits on every call."""
     z = bv.bits
     s = 1.0 - 2.0 * z
     delta = float(bv.gains[i])
     bv.gains += (2.0 * s[i]) * inst.q[i] * s
     bv.gains[i] = -delta
     z[i] = 1.0 - z[i]
-    bv.signs = 1.0 - 2.0 * z
+    bv.twice = 2.0 - 4.0 * z
     bv.cached_value += delta
 
 
-def reference_tabu(inst, bv, rng, budget, use_aspiration=True):
+def unfreeze_all(n):
+    return np.ones(n, dtype=bool)
+
+
+def reference_tabu(inst, bv, rng, budget):
     n = inst.n
     tenure = sample_tenure(n, rng)
     last_flip = np.full(n, -(21 * n), dtype=np.int64)
@@ -42,10 +46,9 @@ def reference_tabu(inst, bv, rng, budget, use_aspiration=True):
     while since_improve < 20 * n and not budget.exhausted():
         budget.charge(n)
         allowed = last_flip + tenure <= t
-        if use_aspiration:
-            allowed |= bv.cached_value + bv.gains > best.cached_value + tol
+        allowed |= bv.cached_value + bv.gains > best.cached_value + tol
         if not np.any(allowed):
-            allowed = np.ones(n, dtype=bool)  # everything frozen: unfreeze all
+            allowed = unfreeze_all(n)  # everything frozen
         k = int(np.argmax(np.where(allowed, bv.gains, -np.inf)))
         reference_flip(inst, bv, k)
         last_flip[k] = t
@@ -68,15 +71,14 @@ def qubo(n, seed, integral):
 
 
 def state(bv):
-    return bv.bits.tobytes(), bv.cached_value, bv.gains.tobytes(), bv.signs.tobytes()
+    return bv.bits.tobytes(), bv.cached_value, bv.gains.tobytes(), bv.twice.tobytes()
 
 
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(2, 60), seed=st.integers(0, 10_000), integral=st.booleans(),
-       use_aspiration=st.booleans(),
        cap=st.sampled_from(["before-first-move", "mid-run", "unbounded"]),
        cap_seed=st.integers(0, 2**32 - 1))
-def test_tabu_matches_reference_loop(n, seed, integral, use_aspiration, cap, cap_seed):
+def test_tabu_matches_reference_loop(n, seed, integral, cap, cap_seed):
     inst = qubo(n, seed, integral)
     bits = np.random.default_rng(seed + 1).integers(0, 2, n).astype(np.float64)
     max_fe = {"before-first-move": 0,
@@ -87,22 +89,26 @@ def test_tabu_matches_reference_loop(n, seed, integral, use_aspiration, cap, cap
         bv = make_bitvector(inst, bits.copy())
         budget = Budget(max_fe=max_fe)
         rng = np.random.default_rng(cap_seed)
-        best = search(inst, bv, rng, budget, use_aspiration=use_aspiration)
+        best = search(inst, bv, rng, budget)
         runs.append((state(best), state(bv), budget.consumed_fe, rng.bit_generator.state))
     assert runs[0] == runs[1]
 
 
-def test_unfreeze_all_when_every_flip_is_frozen():
+def test_unfreeze_all_when_every_flip_is_frozen(monkeypatch):
     # With n = 2 and a tenure of at least 3, both bits are frozen from the
-    # third move on, so without aspiration every later move unfreezes all.
+    # third move on, so every later move that no flip aspirates unfreezes all.
     seed = next(s for s in range(100) if sample_tenure(2, np.random.default_rng(s)) >= 3)
     inst = qubo(2, seed=0, integral=False)
+    fired = []
+    monkeypatch.setitem(globals(), "unfreeze_all",
+                        lambda n: (fired.append(n), np.ones(n, dtype=bool))[1])
     runs = []
     for search in (tabu_search, reference_tabu):
         bv = make_bitvector(inst, np.zeros(2))
         budget = Budget(max_fe=2 * 20)
-        best = search(inst, bv, np.random.default_rng(seed), budget, use_aspiration=False)
+        best = search(inst, bv, np.random.default_rng(seed), budget)
         runs.append((state(best), state(bv), budget.consumed_fe))
+    assert fired
     assert runs[0] == runs[1]
 
 
@@ -115,15 +121,13 @@ def test_stop_rule_fires_on_non_integral_weights():
     n = 27
     for seed in (3, 6, 12, 13, 17):
         inst = qubo(n, seed, integral=False)
-        for use_aspiration in (False, True):
-            bits = np.random.default_rng(seed + 1).integers(0, 2, n).astype(np.float64)
-            bv = make_bitvector(inst, bits)
-            budget = Budget(max_fe=1000 * n * n)
-            best = tabu_search(inst, bv, np.random.default_rng(seed), budget,
-                               use_aspiration=use_aspiration)
-            assert budget.consumed_fe <= 40 * n * n
-            assert abs(best.cached_value - qubo_value(inst, best.bits)) <= (
-                EVAL_REL_TOL * inst.abs_weight_sum)
+        bits = np.random.default_rng(seed + 1).integers(0, 2, n).astype(np.float64)
+        bv = make_bitvector(inst, bits)
+        budget = Budget(max_fe=1000 * n * n)
+        best = tabu_search(inst, bv, np.random.default_rng(seed), budget)
+        assert budget.consumed_fe <= 40 * n * n
+        assert abs(best.cached_value - qubo_value(inst, best.bits)) <= (
+            EVAL_REL_TOL * inst.abs_weight_sum)
 
 
 def test_frozen_bit_flipped_again_matches_reference(monkeypatch):

@@ -24,7 +24,7 @@ from sumparts.instances import (
     random_tsp_instance,
 )
 from sumparts.landscape import promising_flags
-from sumparts.search import Budget, FlipNeighborhood, TwoOptNeighborhood, descend, unlimited
+from sumparts.search import Budget, FlipNeighborhood, TwoOptNeighborhood, descend
 
 
 def sequential_two_hop(view, sol, ks, d, budget):
@@ -40,13 +40,15 @@ def sequential_two_hop(view, sol, ks, d, budget):
 
 
 def sequential_nds(sol, view, budget):
-    d, d1, d2 = view.split_deltas(sol, budget)
+    d, d1, d2 = view.split_deltas(sol)
+    budget.charge(view.size)
     ks = np.flatnonzero(~dominated_mask(view.sense, d1, d2))
     return sequential_two_hop(view, sol, ks, d, budget)
 
 
 def sequential_ens(sol, view, budget):
-    d = view.deltas(sol, budget)
+    d = view.deltas(sol)
+    budget.charge(view.size)
     return sequential_two_hop(view, sol, range(view.size), d, budget)
 
 
@@ -118,7 +120,7 @@ class TestScansMatchSequentialLoop:
     def test_two_opt_nds_and_ens_under_caps(self, n, seed, integral, rows, cap_seed):
         view = tsp_view(n, seed, with_split=True, integral=integral)
         tour = view.random_solution(np.random.default_rng(seed))
-        descend(view, tour, unlimited())
+        descend(view, tour, Budget())
         self._check_caps(view, tour, rows, cap_seed)
 
     @settings(max_examples=25, deadline=None)
@@ -127,7 +129,7 @@ class TestScansMatchSequentialLoop:
     def test_flip_nds_and_ens_under_caps(self, n, seed, rows, cap_seed):
         view = flip_view(n, seed)
         bv = view.random_solution(np.random.default_rng(seed))
-        descend(view, bv, unlimited())
+        descend(view, bv, Budget())
         self._check_caps(view, bv, rows, cap_seed)
 
     @staticmethod
@@ -153,7 +155,7 @@ class TestScansMatchSequentialLoop:
         assert rows == 13
         for seed in range(3):
             tour = view.random_solution(np.random.default_rng(seed))
-            descend(view, tour, unlimited())
+            descend(view, tour, Budget())
             for fast, slow in ((nds, sequential_nds), (ens, sequential_ens)):
                 full = Budget()
                 slow(tour, view, full)
@@ -166,7 +168,7 @@ class TestScansMatchSequentialLoop:
     def test_promising_flags(self, n, seed, rows):
         view = tsp_view(n, seed, with_split=False)
         tour = view.random_solution(np.random.default_rng(seed))
-        descend(view, tour, unlimited())
+        descend(view, tour, Budget())
         with pytest.MonkeyPatch.context() as mp:
             if rows is not None:
                 mp.setattr(escape, "BLOCK_DELTAS", rows * view.size)
@@ -176,7 +178,7 @@ class TestScansMatchSequentialLoop:
     def test_promising_flags_eil51(self, eil51):
         view = TwoOptNeighborhood(eil51)
         tour = view.random_solution(np.random.default_rng(4))
-        descend(view, tour, unlimited())
+        descend(view, tour, Budget())
         flags = promising_flags(tour, view)
         assert flags.any()
         assert np.array_equal(flags, sequential_promising_flags(tour, view))
@@ -242,7 +244,7 @@ class TestTwoHopBest:
         past_first_block = set()
         for seed in (3, 5):
             tour = view.random_solution(np.random.default_rng(seed))
-            descend(view, tour, unlimited())
+            descend(view, tour, Budget())
             for fast, slow in ((nds, sequential_nds), (ens, sequential_ens)):
                 full = Budget()
                 slow(tour, view, full)
