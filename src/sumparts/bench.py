@@ -79,15 +79,15 @@ def rank_sum_test(a, b) -> tuple[float, float]:
     return u, p
 
 
-def verdict_vs_reference(reference_excess, other_excess, alpha: float = 0.05) -> str:
+def verdict_vs_reference(reference_excess, other_excess) -> str:
     """"-" when the other sample is significantly worse than the reference.
 
-    Worse means larger excess by rank; anything not significant is "=".
+    Worse means larger excess by rank at p < 0.05; anything not significant is "=".
     """
     other, reference = list(other_excess), list(reference_excess)
     u, p = rank_sum_test(other, reference)
     n1n2 = len(other) * len(reference)
-    if p < alpha and u > n1n2 / 2.0:
+    if p < 0.05 and u > n1n2 / 2.0:
         return "-"
     return "="
 
@@ -125,6 +125,17 @@ class CampaignSpec:
         if len(set(names)) != len(names):
             # their traces and verdict rows would share one name
             raise ValueError(f"algorithm names must be distinct, got {names}")
+        # a campaign that would run no cell, or silently drop a verdict or a target
+        if not self.seeds:
+            raise ValueError("seeds must list at least one seed")
+        if not self.instances:
+            raise ValueError("instances must name at least one instance")
+        if self.reference_algorithm is not None and self.reference_algorithm not in names:
+            raise ValueError(f"reference_algorithm {self.reference_algorithm!r} is not one "
+                             f"of the algorithms {names}")
+        stray = set(self.targets).difference(self.instances)
+        if stray:
+            raise ValueError(f"targets name no instance: {', '.join(sorted(stray))}")
 
 
 @dataclass
@@ -148,14 +159,15 @@ class ExcessSummary:
 
 
 def load_instance(name: str, path: str):
-    """Load an instance by path; bundled names and .sparse UBQP supported."""
+    """Load an instance by path, or a bundled TSP by name (e.g. "eil51").
+
+    The header picks the parser, not the suffix: TSPLIB when it declares
+    EDGE_WEIGHT_TYPE or NODE_COORD_SECTION, else OR-Library UBQP.
+    """
     if path == name and not os.path.exists(path):
         return load_bundled_tsp(name)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith((".sparse", ".bqp", ".qubo")):
-        inst = parse_orlib_bqp(text)
-        return QuboInstance(name=name, n=inst.n, q=inst.q)
     head = text.lstrip()[:400].upper()
     if "EDGE_WEIGHT_TYPE" in head or "NODE_COORD_SECTION" in head:
         return parse_tsplib(text)
@@ -222,11 +234,10 @@ def run_campaign(spec: CampaignSpec, instances: dict | None = None) -> list[Exce
     ref = spec.reference_algorithm
     if ref is not None:
         for summary in summaries:
-            anchor = by_key.get((summary.instance, ref))
-            if (anchor is None or summary.algorithm == ref
-                    or summary.excesses is None or anchor.excesses is None):
-                continue
-            summary.verdict = verdict_vs_reference(anchor.excesses, summary.excesses)
+            # ref names an entry, and the rows of one instance share its target
+            anchor = by_key[(summary.instance, ref)]
+            if summary.algorithm != ref and summary.excesses is not None:
+                summary.verdict = verdict_vs_reference(anchor.excesses, summary.excesses)
 
     if spec.out_dir:
         with open(os.path.join(spec.out_dir, "summary.csv"), "w", encoding="utf-8") as fh:

@@ -96,19 +96,20 @@ def cmd_sweep_a(args) -> int:
 
 def cmd_analyze(args) -> int:
     inst = _load(args.instance)
-    a_values = [float(tok) for tok in args.a.split(",") if tok]
+    # built first, so that SplitParams reports a bad --seed before rng_stream sees it
+    shapes = [_sampling_params(args, float(tok)) for tok in args.a.split(",") if tok]
     rng = rng_stream(args.seed, "init")
     optima = collect_local_optima(inst, args.optima, rng)
     base_view = neighborhood_for(inst)
     flags = [promising_flags(x, base_view) for x in optima]
     rows = []
-    for a in a_values:
-        split = sample_split(inst, _sampling_params(args, a))
+    for params in shapes:
+        split = sample_split(inst, params)
         view = neighborhood_for(inst, split)
         stats = aggregate_stats([classify_neighbors(x, view, promising=fl)
                                  for x, fl in zip(optima, flags)])
-        rows.append({"instance": inst.name, "a": a, "rho": split.rho, "stats": stats})
-        print(f"a={a:+.2f} rho={split.rho:+.4f} P&ND/ND={stats.ratio_pnd_nd:.4%} "
+        rows.append({"instance": inst.name, "a": params.a, "rho": split.rho, "stats": stats})
+        print(f"a={params.a:+.2f} rho={split.rho:+.4f} P&ND/ND={stats.ratio_pnd_nd:.4%} "
               f"P&D/D={stats.ratio_pd_d:.4%} E[FE] filtered={expected_fe_nds(stats):.3g} "
               f"plain={expected_fe_plain(stats):.3g}", file=sys.stderr)
     _write(args.output, table_csv(rows, invocation=_invocation(args)))
@@ -204,7 +205,7 @@ def _promising_by_loop(view, x_star) -> np.ndarray:
     return np.asarray(flags)
 
 
-def _verify_tsp(n: int, seed: int) -> list[str]:
+def _verify_tsp(n: int, seed: int, split: SplitParams) -> list[str]:
     failures = []
     inst = random_tsp_instance(n, seed)
     best = brute_force_tsp(inst)
@@ -224,15 +225,14 @@ def _verify_tsp(n: int, seed: int) -> list[str]:
     trace = run(config, inst)
     if trace.final_value != best:
         failures.append(f"ils missed brute-force optimum {best} (got {trace.final_value})")
-    config = SolverConfig(algorithm="ils_nds", seed=seed, max_fe=1e6, target=best,
-                          split=SplitParams(a=0.0, seed=seed))
+    config = SolverConfig(algorithm="ils_nds", seed=seed, max_fe=1e6, target=best, split=split)
     trace = run(config, inst)
     if trace.final_value != best:
         failures.append(f"ils_nds missed brute-force optimum {best}")
     return failures
 
 
-def _verify_qubo(n: int, seed: int) -> list[str]:
+def _verify_qubo(n: int, seed: int, split: SplitParams) -> list[str]:
     failures = []
     inst = random_qubo_instance(n, seed, density=0.5)
     best = brute_force_qubo(inst)
@@ -255,8 +255,7 @@ def _verify_qubo(n: int, seed: int) -> list[str]:
     trace = run(config, inst)
     if trace.final_value != best:
         failures.append(f"its missed brute-force optimum {best} (got {trace.final_value})")
-    config = SolverConfig(algorithm="its_nds", seed=seed, max_fe=2e6, target=best,
-                          split=SplitParams(a=0.0, seed=seed))
+    config = SolverConfig(algorithm="its_nds", seed=seed, max_fe=2e6, target=best, split=split)
     trace = run(config, inst)
     if trace.final_value != best:
         failures.append(f"its_nds missed brute-force optimum {best} (got {trace.final_value})")
@@ -267,8 +266,10 @@ def cmd_verify(args) -> int:
     if args.n > 10:
         print("verify brute-forces all tours; --n must be <= 10", file=sys.stderr)
         return USAGE_ERROR
-    failures = _verify_tsp(args.n, args.seed)
-    failures += _verify_qubo(min(args.n + 5, 14), args.seed)
+    # SplitParams checks --seed before any rng_stream sees it
+    split = SplitParams(a=0.0, seed=args.seed)
+    failures = _verify_tsp(args.n, args.seed, split)
+    failures += _verify_qubo(min(args.n + 5, 14), args.seed, split)
     if failures:
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)

@@ -100,27 +100,25 @@ def _first_two_hop(view, sol, ks, d, budget: Budget):
     return sol
 
 
-def nds(sol, view, budget: Budget | None = None):
+def nds(sol, view, budget: Budget):
     """Two-hop escape filtered by non-dominance (first-improvement).
 
     Scans neighbors x' of the local optimum; whenever the optimum does not
     dominate x' under (f1, f2), scans x''s neighborhood and returns the first
     x'' strictly better than the optimum. Returns the input unchanged when no
     improvement is found or the budget runs out between inner scans. Charges
-    view.size FEs for the optimum's own scan, then what `_first_two_hop` does.
+    budget view.size FEs for the optimum's own scan, then what `_first_two_hop` does.
     """
     if view.split is None:
         raise ValueError("nds requires a split-aware neighborhood view")
-    budget = budget if budget is not None else Budget()
     d, d1, d2 = view.split_deltas(sol)
     budget.charge(view.size)
     dominated = dominated_mask(view.sense, d1, d2)
     return _first_two_hop(view, sol, np.flatnonzero(~dominated), d, budget)
 
 
-def ens(sol, view, budget: Budget | None = None):
-    """The same two-hop escape without the dominance filter (scans every x')."""
-    budget = budget if budget is not None else Budget()
+def ens(sol, view, budget: Budget):
+    """The same two-hop escape and charges without the dominance filter (scans every x')."""
     d = view.deltas(sol)
     budget.charge(view.size)
     return _first_two_hop(view, sol, np.arange(view.size), d, budget)

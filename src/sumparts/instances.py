@@ -49,17 +49,11 @@ def check_numbers(obj, integers=(), reals=(), optional=(), non_negative=()):
 
 @dataclass(frozen=True)
 class TspInstance:
-    """Symmetric TSP with a full cost matrix.
-
-    metric_tag is "EUC_2D" (costs derived from rounded planar distances) or
-    "EXPLICIT" (matrix given verbatim).
-    """
+    """Symmetric TSP with a full cost matrix (EUC_2D coordinates are not kept)."""
 
     name: str
     n: int
     costs: np.ndarray
-    metric_tag: str
-    coords: np.ndarray | None = None
 
     sense = MINIMIZE
 
@@ -193,10 +187,7 @@ def parse_tsplib(text: str) -> TspInstance:
             coords[idx - 1] = (x, y)
             count += 1
         _require(count == n, f"expected {n} coordinates, found {count}")
-        d = coords[:, None, :] - coords[None, :, :]
-        costs = np.floor(np.sqrt((d * d).sum(axis=2)) + 0.5)
-        np.fill_diagonal(costs, 0.0)
-        return TspInstance(name=name, n=n, costs=costs, metric_tag="EUC_2D", coords=coords)
+        return TspInstance(name=name, n=n, costs=_euc_2d_costs(coords))
 
     # EXPLICIT
     fmt = header.get("EDGE_WEIGHT_FORMAT", "").upper()
@@ -219,7 +210,13 @@ def parse_tsplib(text: str) -> TspInstance:
     _require(len(values) == n * n,
              f"expected {n * n} matrix entries, found {len(values)}")
     costs = np.asarray(values, dtype=np.float64).reshape(n, n)
-    return TspInstance(name=name, n=n, costs=costs, metric_tag="EXPLICIT")
+    return TspInstance(name=name, n=n, costs=costs)
+
+
+def _euc_2d_costs(coords: np.ndarray) -> np.ndarray:
+    """TSPLIB EUC_2D costs of (n, 2) coordinates: nearest-integer rounded distances."""
+    d = coords[:, None, :] - coords[None, :, :]
+    return np.floor(np.sqrt((d * d).sum(axis=2)) + 0.5)  # the diagonal rounds to 0
 
 
 def parse_orlib_bqp(text: str) -> QuboInstance:
@@ -420,8 +417,7 @@ def _flip(row, gains, twice, bits, i, product) -> float:
 class NeighborList:
     """Per-city nearest-neighbor candidate lists, ties broken by city index."""
 
-    k: int
-    lists: np.ndarray  # (n, k) city indices, ascending cost
+    lists: np.ndarray  # (n, k) city indices, ascending cost; k is lists.shape[1]
 
     @cached_property
     def rows(self) -> list[list[int]]:
@@ -429,8 +425,8 @@ class NeighborList:
         return self.lists.tolist()
 
 
-def build_neighbor_lists(inst: TspInstance, k: int = 20) -> NeighborList:
-    """The k nearest other cities of every city, by edge cost then index."""
+def build_neighbor_lists(inst: TspInstance, k: int) -> NeighborList:
+    """The k (at most n - 1) nearest other cities of every city, by edge cost then index."""
     if k < 2:
         raise ValueError("k must be >= 2")
     n = inst.n
@@ -442,7 +438,7 @@ def build_neighbor_lists(inst: TspInstance, k: int = 20) -> NeighborList:
         order = order[order != city]
         lists[city] = order[:k_eff]
     lists.setflags(write=False)
-    return NeighborList(k=k_eff, lists=lists)
+    return NeighborList(lists=lists)
 
 
 # ---------------------------------------------------------------------------
@@ -462,25 +458,20 @@ def bundled_optima() -> dict[str, float]:
     return {k: float(v) for k, v in json.loads(path.read_text()).items()}
 
 
-def random_tsp_instance(n: int, seed: int, box: float = 1000.0) -> TspInstance:
-    """Random EUC_2D instance with integer-rounded costs, for oracles and demos."""
+def random_tsp_instance(n: int, seed: int) -> TspInstance:
+    """Random EUC_2D instance on a 1000 x 1000 box, for oracles and demos."""
     rng = np.random.default_rng(np.random.SeedSequence([0x7359, seed]))
-    coords = rng.uniform(0.0, box, size=(n, 2))
-    d = coords[:, None, :] - coords[None, :, :]
-    costs = np.floor(np.sqrt((d * d).sum(axis=2)) + 0.5)
-    np.fill_diagonal(costs, 0.0)
-    return TspInstance(name=f"rand{n}-{seed}", n=n, costs=costs,
-                       metric_tag="EUC_2D", coords=coords)
+    coords = rng.uniform(0.0, 1000.0, size=(n, 2))
+    return TspInstance(name=f"rand{n}-{seed}", n=n, costs=_euc_2d_costs(coords))
 
 
-def random_qubo_instance(n: int, seed: int, density: float = 0.1,
-                         magnitude: int = 100) -> QuboInstance:
-    """Random symmetric UBQP in the OR-Library style (uniform integer weights)."""
+def random_qubo_instance(n: int, seed: int, density: float = 0.1) -> QuboInstance:
+    """Random symmetric UBQP in the OR-Library style (uniform integers in [-100, 100])."""
     rng = np.random.default_rng(np.random.SeedSequence([0x9B05, seed]))
     q = np.zeros((n, n))
     iu, ju = np.triu_indices(n)
     mask = rng.random(iu.shape[0]) < density
-    vals = rng.integers(-magnitude, magnitude + 1, size=iu.shape[0]).astype(np.float64)
+    vals = rng.integers(-100, 101, size=iu.shape[0]).astype(np.float64)
     q[iu[mask], ju[mask]] = vals[mask]
     q[ju[mask], iu[mask]] = vals[mask]
     return QuboInstance(name=f"randq{n}-{seed}", n=n, q=q)
@@ -505,10 +496,9 @@ def brute_force_qubo(inst: QuboInstance) -> float:
     return float(np.einsum("ij,jk,ik->i", bits, inst.q, bits).max())
 
 
-def synthetic_orlib_text(n: int, seed: int, density: float = 0.1,
-                         magnitude: int = 100) -> str:
+def synthetic_orlib_text(n: int, seed: int, density: float = 0.1) -> str:
     """OR-Library-format text for a random UBQP; exercises the sparse parser."""
-    inst = random_qubo_instance(n, seed, density, magnitude)
+    inst = random_qubo_instance(n, seed, density)
     iu, ju = np.nonzero(np.triu(inst.q != 0.0))
     lines = [f"{n} {iu.shape[0]}"]
     lines += [f"{i + 1} {j + 1} {int(inst.q[i, j])}" for i, j in zip(iu, ju)]

@@ -79,12 +79,10 @@ def promising_flags(x_star, view) -> np.ndarray:
     return np.concatenate([hits for _, hits in blocks])
 
 
-def classify_neighbors(x_star, view, promising: np.ndarray | None = None) -> NeighborStats:
-    """Cross-classify every neighbor of one local optimum (exhaustive scan)."""
+def classify_neighbors(x_star, view, promising: np.ndarray) -> NeighborStats:
+    """Cross-classify every neighbor of one local optimum from its `promising_flags`."""
     if view.split is None:
         raise ValueError("classification requires a split-aware view")
-    if promising is None:
-        promising = promising_flags(x_star, view)
     _, d1, d2 = view.split_deltas(x_star)
     dominated = dominated_mask(view.sense, d1, d2)
     n = view.size

@@ -187,7 +187,7 @@ def check_fits(config: SolverConfig, inst):
         raise ValueError(f"flip_fraction {config.flip_fraction} kicks no bit of "
                          f"{inst.n} (round(flip_fraction * n) == 0)")
     if config.algorithm in ("ilk_e", "ilk_nde") and config.penalty.k_edges > inst.n:
-        raise ValueError(f"k_edges {config.penalty.k_edges} exceeds a tour's {inst.n} edges")
+        raise ValueError(f"penalty_edges {config.penalty.k_edges} exceeds a tour's {inst.n} edges")
 
 
 def run(config: SolverConfig, inst) -> RunTrace:

@@ -52,7 +52,7 @@ class Budget:
 
     max_fe: float | None = None
     max_wall: float | None = None
-    consumed_fe: int = 0
+    consumed_fe: int = field(init=False, default=0)
     _t0: float = field(init=False, repr=False, default_factory=time.monotonic)
 
     def charge(self, k: int):
@@ -605,8 +605,7 @@ def new_edge_endpoints(before: np.ndarray, after: np.ndarray) -> list[int]:
     return sorted({*tails.tolist(), *succ_new[tails].tolist()})
 
 
-def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
-              budget: Budget | None = None,
+def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour, budget: Budget,
               objective: list[list[float]] | None = None,
               depth: int = LK_DEPTH, breadth2: int = LK_BREADTH2,
               active: Iterable[int] | None = None):
@@ -651,9 +650,8 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour,
     tour is not always unchanged by a further cold start. Gains are summed
     over `objective`, cost rows such as `penalized_rows` returns (None: the
     instance's own), and the returned tour caches its plain cost, recomputed
-    once. Charges one FE for the start and one per candidate move evaluated.
+    once. Charges budget one FE for the start and one per candidate move evaluated.
     """
-    budget = budget if budget is not None else Budget()
     cost = inst.cost_rows if objective is None else objective
     cand = neighbors.rows
     order = tour.order.tolist()

@@ -207,7 +207,7 @@ def test_criterion_8_nds_cheaper_than_ens_on_failures(eil51_inst):
         # drive to a two-hop-dead optimum: re-descend whenever the
         # exhaustive escape still finds an improvement
         while True:
-            out = ens(t, view)
+            out = ens(t, view, Budget())
             if out is t:
                 break
             t = out

@@ -210,3 +210,16 @@ class TestCampaign:
                 for a in (-12.0, 10.0)]
         with pytest.raises(ValueError, match="distinct"):
             CampaignSpec(instances={}, algorithms=algs, seeds=[0])
+
+    @pytest.mark.parametrize("change, setting", [
+        ({"seeds": []}, "seeds"),
+        ({"instances": {}}, "instances"),
+        ({"reference_algorithm": "ils_nds"}, "reference_algorithm"),
+        ({"targets": {"r9": 100.0}}, "targets"),
+    ], ids=["no-seeds", "no-instances", "reference-not-an-entry", "target-not-an-instance"])
+    def test_campaign_that_runs_nothing_or_drops_a_column_names_the_setting(self, change,
+                                                                           setting):
+        spec = {"instances": {"r8": "r8"}, "algorithms": [SolverConfig(algorithm="ils")],
+                "seeds": [0], **change}
+        with pytest.raises(ValueError, match=f"^{setting} "):
+            CampaignSpec(**spec)

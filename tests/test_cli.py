@@ -167,7 +167,7 @@ def test_bench_failed_cell_exit_code(tmp_path, eil51_path, monkeypatch, capsys):
 @pytest.mark.parametrize("instances, entry, error", [
     # the UBQP comes first: its cells would run before the TSP's failed
     (["ubqp60", "eil51"], {"algorithm": "its"}, "error: its does not apply to TSP instances"),
-    (["eil51"], {"algorithm": "ilk_e", "penalty_edges": 60}, "error: k_edges 60 exceeds"),
+    (["eil51"], {"algorithm": "ilk_e", "penalty_edges": 60}, "error: penalty_edges 60 exceeds"),
 ], ids=["its-on-a-tsp", "more-penalty-edges-than-tour-edges"])
 def test_bench_entry_that_does_not_fit_an_instance_exits_before_any_cell(
         tmp_path, request, monkeypatch, capsys, instances, entry, error):
@@ -178,6 +178,15 @@ def test_bench_entry_that_does_not_fit_an_instance_exits_before_any_cell(
     monkeypatch.setattr(bench, "run", lambda *args: pytest.fail("a cell started"))
     assert main(["bench", "--campaign", str(spec_path)]) == 2
     assert capsys.readouterr().err.startswith(error)
+
+
+@pytest.mark.parametrize("command", [["analyze", "--a", "0,2", "--optima", "3"],
+                                     ["verify", "--n", "5"]], ids=["analyze", "verify"])
+def test_negative_seed_is_named_before_any_rng(eil51_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "rng_stream", lambda *args: pytest.fail("an rng was seeded"))
+    instance = ["--instance", eil51_path] if command[0] == "analyze" else []
+    assert main(command + instance + ["--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -1")
 
 
 def test_verify_passes():
@@ -235,7 +244,7 @@ def test_more_penalty_edges_than_tour_edges_exits_before_lk(eil51_path, monkeypa
     monkeypatch.setattr(metaheuristics, "lk_search", lambda *args, **kw: pytest.fail("LK ran"))
     assert main(["solve", "--alg", alg, "--instance", eil51_path, "--a", "2",
                  "--penalty-edges", "52", "--warmup-fraction", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: k_edges 52 exceeds")
+    assert capsys.readouterr().err.startswith("error: penalty_edges 52 exceeds")
 
 
 def test_bench_out_of_range_setting_exits_before_any_run(tmp_path, eil51_path, monkeypatch):
@@ -265,10 +274,15 @@ def test_bench_out_of_range_setting_exits_before_any_run(tmp_path, eil51_path, m
     {"seeds": [-1, 2]},
     {"algorithms": [{"algorithm": "ils", "a": 2, "split_seed": -3}]},
     {"algorithms": [{"algorithm": "ils", "max_fe": -5}]},
+    {"seeds": []},
+    {"instances": {}},
+    {"reference_algorithm": "ils_nds"},
+    {"targets": {"eil52": 426}},
 ], ids=["entry-typo", "top-level-typo", "entry-seed", "entry-target", "duplicate-algorithm",
         "entry-max-fe-string", "seeds-not-a-list", "flip-fraction-string",
         "warmup-fraction-string", "penalty-rounds-string", "q-prime-string", "a-string",
-        "split-seed-fraction", "negative-seed", "negative-split-seed", "negative-max-fe"])
+        "split-seed-fraction", "negative-seed", "negative-split-seed", "negative-max-fe",
+        "no-seeds", "no-instances", "reference-not-an-entry", "target-not-an-instance"])
 def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, capsys, change):
     campaign = {"instances": {"eil51": eil51_path}, "algorithms": [{"algorithm": "ils"}],
                 "seeds": [0], "max_fe": 1e4, **change}

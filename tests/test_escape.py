@@ -94,7 +94,7 @@ class TestNds:
         while t.cached_cost != opt:  # descend again from fresh starts until global
             t = view.random_solution(np.random.default_rng(int(t.cached_cost)))
             descend(view, t, Budget())
-        out = nds(t, view)
+        out = nds(t, view, Budget())
         assert out is t
 
     def test_finds_two_hop_improvement_behind_nd_neighbor(self):
@@ -109,7 +109,7 @@ class TestNds:
         assert brute_force_tsp(inst) == 2433.0
         any_improving, behind_nd = two_hop_oracle(view, t)
         assert any_improving and behind_nd
-        out = nds(t, view)
+        out = nds(t, view, Budget())
         assert out is not t
         assert out.cached_cost < t.cached_cost
 
@@ -146,7 +146,7 @@ class TestNds:
         view = TwoOptNeighborhood(inst)
         t = view.random_solution(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            nds(t, view)
+            nds(t, view, Budget())
 
     def test_qubo_sense_handling(self):
         inst = random_qubo_instance(15, seed=4, density=0.5)
@@ -154,7 +154,7 @@ class TestNds:
         view = FlipNeighborhood(inst, split)
         bv = view.random_solution(np.random.default_rng(1))
         descend(view, bv, Budget())
-        out = nds(bv, view)
+        out = nds(bv, view, Budget())
         assert (out is bv) != (out.cached_value > bv.cached_value)
 
 
@@ -166,8 +166,8 @@ class TestEns:
             view = TwoOptNeighborhood(inst, split)
             t = view.random_solution(np.random.default_rng(iseed))
             descend(view, t, Budget())
-            got_nds = nds(t.copy(), view)
-            got_ens = ens(t.copy(), view)
+            got_nds = nds(t.copy(), view, Budget())
+            got_ens = ens(t.copy(), view, Budget())
             if got_nds.cached_cost < t.cached_cost:
                 assert got_ens.cached_cost < t.cached_cost
 
@@ -266,7 +266,7 @@ class TestFurtherExploit:
         inst = random_tsp_instance(10, seed=3)
         nl = build_neighbor_lists(inst, k=9)
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(0))
-        lk_search(inst, nl, t)
+        lk_search(inst, nl, t, Budget())
         budget = Budget(max_fe=0)
         out = further_exploit(t, inst, nl, PenaltyConfig(rounds=5, k_edges=3),
                               budget, np.random.default_rng(0))
@@ -289,11 +289,11 @@ class TestFurtherExploit:
         inst = random_tsp_instance(n, seed=seed)
         nl = build_neighbor_lists(inst, k=k)
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(seed))
-        lk_search(inst, nl, t)
+        lk_search(inst, nl, t, Budget())
         budget = Budget(max_fe=max_fe)
         further_exploit(t, inst, nl, PenaltyConfig(k_edges=3), budget,
                         np.random.default_rng(seed))
-        assert budget.consumed_fe - max_fe <= lk_chain_bound(nl.k) + 1
+        assert budget.consumed_fe - max_fe <= lk_chain_bound(nl.lists.shape[1]) + 1
 
     def test_output_contract_xor(self):
         inst = random_tsp_instance(10, seed=13)
@@ -301,7 +301,7 @@ class TestFurtherExploit:
         cfg = PenaltyConfig(rounds=3, k_edges=3)
         for s in range(10):
             t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(s))
-            lk_search(inst, nl, t)
+            lk_search(inst, nl, t, Budget())
             out = further_exploit(t, inst, nl, cfg, Budget(), np.random.default_rng(s))
             assert (out is t) != (out.cached_cost < t.cached_cost)
 
@@ -312,7 +312,7 @@ class TestFurtherExploit:
         assert opt == 3297.0
         nl = build_neighbor_lists(inst, k=9)
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(5))
-        out, converged = lk_search(inst, nl, t)
+        out, converged = lk_search(inst, nl, t, Budget())
         assert converged and out.cached_cost == 3410.0
         successes = 0
         for ps in range(100):

@@ -49,7 +49,6 @@ class TestParseTsplib:
     def test_eil51_dimensions(self, eil51):
         assert eil51.n == 51
         assert eil51.costs.shape == (51, 51)
-        assert eil51.metric_tag == "EUC_2D"
 
     def test_unit_square_rounding(self):
         # sides are 1; the sqrt(2) diagonal rounds down to 1 under the

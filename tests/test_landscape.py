@@ -53,7 +53,7 @@ class TestClassifyNeighbors:
         while t.cached_cost != opt:
             t = view.random_solution(np.random.default_rng(int(t.cached_cost)))
             descend(view, t, Budget())
-        stats = classify_neighbors(t, view)
+        stats = classify_neighbors(t, view, promising_flags(t, view))
         # the global optimum cannot have promising neighbors
         assert stats.p == 0.0
         assert stats.np_ == 1.0
@@ -66,7 +66,7 @@ class TestClassifyNeighbors:
             t = view.random_solution(np.random.default_rng(s))
             descend(view, t, Budget())
             if np.min(view.deltas(t)) > 0:  # strict local optimum
-                stats = classify_neighbors(t, view)
+                stats = classify_neighbors(t, view, promising_flags(t, view))
                 assert stats.nd == 0.0
                 assert stats.d == 1.0
                 return
@@ -79,7 +79,7 @@ class TestClassifyNeighbors:
         view = TwoOptNeighborhood(inst, split)
         t = view.random_solution(np.random.default_rng(1))
         descend(view, t, Budget())
-        stats = classify_neighbors(t, view)
+        stats = classify_neighbors(t, view, promising_flags(t, view))
 
         n = 5
         f_star = t.cached_cost
@@ -117,7 +117,7 @@ class TestClassifyNeighbors:
         view = TwoOptNeighborhood(eil51, split)
         t = view.random_solution(np.random.default_rng(3))
         descend(view, t, Budget())
-        s = classify_neighbors(t, view)
+        s = classify_neighbors(t, view, promising_flags(t, view))
         n = s.neighborhood_size
         counts = [round(c * n) for c in (s.p_d, s.p_nd, s.np_d, s.np_nd)]
         assert sum(counts) == n
@@ -136,7 +136,7 @@ class TestClassifyNeighbors:
             split = sample_split(inst, SplitParams(a=a, seed=4))
             view = TwoOptNeighborhood(inst, split)
             s1 = classify_neighbors(t, view, promising=flags)
-            s2 = classify_neighbors(t, view)
+            s2 = classify_neighbors(t, view, promising_flags(t, view))
             assert s1 == s2
 
 
@@ -208,7 +208,7 @@ def test_table_csv_shape(eil51):
     view = TwoOptNeighborhood(eil51, split)
     rng = np.random.default_rng(0)
     optima = collect_local_optima(eil51, 3, rng)
-    stats = aggregate_stats([classify_neighbors(t, view) for t in optima])
+    stats = aggregate_stats([classify_neighbors(t, view, promising_flags(t, view)) for t in optima])
     text = table_csv([{"instance": "eil51", "a": 2.0, "rho": split.rho, "stats": stats}],
                      invocation="test")
     lines = text.strip().splitlines()

@@ -7,7 +7,7 @@ import pytest
 import sumparts.metaheuristics as mh
 from conftest import brute_force_qubo, brute_force_tsp
 from sumparts.decomposition import SplitParams, half_split, sample_split
-from sumparts.escape import PenaltyConfig
+from sumparts.escape import PenaltyConfig, two_hop_blocks
 from sumparts.instances import (
     load_bundled_tsp,
     random_qubo_instance,
@@ -496,6 +496,14 @@ class TestStepLookup:
         # penalized LK calls from plain ones
         params = list(inspect.signature(mh.lk_search).parameters)
         assert params[4] == "objective"
+
+    @pytest.mark.parametrize("step", [
+        mh.descend, mh.nds, mh.ens, two_hop_blocks, mh.tabu_search, mh.lk_search,
+        mh.further_exploit], ids=lambda step: step.__name__)
+    def test_fe_charging_step_requires_the_runs_budget(self, step):
+        # a step that made its own Budget() would charge FEs that no run counts
+        budget = inspect.signature(step).parameters["budget"]
+        assert budget.default is inspect.Parameter.empty
 
 
 class TestLeanState:

@@ -82,7 +82,7 @@ class TestLocalSearch2Opt:
         # descent that takes every negative delta cycles until the cap
         rng = np.random.default_rng(2)
         c = np.triu(np.round(rng.uniform(0.0, 2.0, (7, 7)) * 3.0) / 3.0, 1)
-        inst = TspInstance(name="thirds7", n=7, costs=c + c.T, metric_tag="EXPLICIT")
+        inst = TspInstance(name="thirds7", n=7, costs=c + c.T)
         view = TwoOptNeighborhood(inst)
         t = view.random_solution(np.random.default_rng(2))
         assert descend(view, t, Budget(max_fe=2e5))
@@ -256,20 +256,20 @@ class TestLkSearch:
         inst = random_tsp_instance(15, seed=6)
         nl = build_neighbor_lists(inst, k=10)
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(1))
-        lk_search(inst, nl, t)
+        lk_search(inst, nl, t, Budget())
         before = t.order.copy()
-        _, converged = lk_search(inst, nl, t)
+        _, converged = lk_search(inst, nl, t, Budget())
         assert converged
         assert np.array_equal(t.order, before)
 
     def test_repeated_cold_starts_never_worsen(self):
         inst = random_tsp_instance(100, seed=900)
-        nl = build_neighbor_lists(inst)
+        nl = build_neighbor_lists(inst, k=20)
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(0))
-        lk_search(inst, nl, t)
+        lk_search(inst, nl, t, Budget())
         for _ in range(4):
             before = t.cached_cost
-            _, converged = lk_search(inst, nl, t)
+            _, converged = lk_search(inst, nl, t, Budget())
             assert converged
             assert sorted(t.order.tolist()) == list(range(inst.n))
             assert t.cached_cost <= before
@@ -282,7 +282,7 @@ class TestLkSearch:
         hits = 0
         for s in range(10):
             t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(s))
-            out, converged = lk_search(inst, nl, t)
+            out, converged = lk_search(inst, nl, t, Budget())
             assert converged
             assert out.cached_cost == pytest.approx(tour_cost(inst, out), rel=1e-9)
             hits += (out.cached_cost == opt)
@@ -293,7 +293,7 @@ class TestLkSearch:
         nl = build_neighbor_lists(inst, k=12)
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(4))
         start = t.cached_cost
-        out, _ = lk_search(inst, nl, t)
+        out, _ = lk_search(inst, nl, t, Budget())
         assert out.cached_cost <= start
         assert sorted(out.order.tolist()) == list(range(60))
         assert out.cached_cost == pytest.approx(tour_cost(inst, out), rel=1e-9)
@@ -303,7 +303,7 @@ class TestLkSearch:
         inst = random_tsp_instance(40, seed=12)
         nl = build_neighbor_lists(inst, k=10)
         out, converged = lk_search(
-            inst, nl, TwoOptNeighborhood(inst).random_solution(np.random.default_rng(8)))
+            inst, nl, TwoOptNeighborhood(inst).random_solution(np.random.default_rng(8)), Budget())
         assert converged
         order = out.order
         n = inst.n
@@ -336,9 +336,9 @@ class TestLkSearch:
         inst = random_tsp_instance(30, seed=2)
         nl = build_neighbor_lists(inst, k=10)
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(0))
-        lk_search(inst, nl, t)
+        lk_search(inst, nl, t, Budget())
         pen = penalized_rows(inst, [(int(t.order[0]), int(t.order[1]))], 500.0)
-        out, _ = lk_search(inst, nl, t, objective=pen)
+        out, _ = lk_search(inst, nl, t, Budget(), objective=pen)
         assert out.cached_cost == pytest.approx(tour_cost(inst, out), rel=1e-9)
 
     @pytest.mark.parametrize("penalized", [False, True], ids=["plain", "penalized"])
@@ -349,7 +349,7 @@ class TestLkSearch:
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(0))
         t.cached_cost += 7.0
         rows = penalized_rows(inst, [(int(t.order[0]), int(t.order[1]))], 500.0)
-        out, _ = lk_search(inst, nl, t, objective=rows if penalized else None)
+        out, _ = lk_search(inst, nl, t, Budget(), objective=rows if penalized else None)
         assert out.cached_cost == tour_cost(inst, out)
 
     def test_budget_exhaustion_returns_current(self):
@@ -406,7 +406,7 @@ def test_lk_permutation_cache_and_overshoot(n, seed, k, penalized, kicked, max_f
     tour = TwoOptNeighborhood(inst).random_solution(rng)
     active = None
     if kicked:
-        lk_search(inst, nl, tour)
+        lk_search(inst, nl, tour, Budget())
         kick = double_bridge(inst, tour, rng)
         active = new_edge_endpoints(tour.order, kick.order)
         tour = kick
@@ -422,7 +422,7 @@ def test_lk_permutation_cache_and_overshoot(n, seed, k, penalized, kicked, max_f
     exact = tour_cost(inst, out)
     assert abs(out.cached_cost - exact) <= EVAL_REL_TOL * exact
     if max_fe is not None:
-        assert budget.consumed_fe - max_fe <= lk_chain_bound(nl.k)
+        assert budget.consumed_fe - max_fe <= lk_chain_bound(nl.lists.shape[1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -449,7 +449,7 @@ def tsp_of_kind(n: int, seed: int, kind: str) -> TspInstance:
     if kind == "thirds":
         c = np.round(c * 3.0) / 3.0
     c = np.triu(c, 1)
-    return TspInstance(name=f"{kind}{n}-{seed}", n=n, costs=c + c.T, metric_tag="EXPLICIT")
+    return TspInstance(name=f"{kind}{n}-{seed}", n=n, costs=c + c.T)
 
 
 def four_term(m, order, p, q):

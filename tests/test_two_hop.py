@@ -100,7 +100,7 @@ def tsp_view(n, seed, with_split, integral=True):
     if not integral:
         costs = inst.costs * np.random.default_rng(seed).uniform(0.5, 1.5, (n, n))
         costs = np.triu(costs, 1) + np.triu(costs, 1).T
-        inst = TspInstance(name=inst.name, n=n, costs=costs, metric_tag="EXPLICIT")
+        inst = TspInstance(name=inst.name, n=n, costs=costs)
     split = sample_split(inst, SplitParams(a=-2.0, seed=seed)) if with_split else None
     return TwoOptNeighborhood(inst, split)
 
@@ -195,7 +195,7 @@ def tsp_costs_view(n, seed, costs):
     else:
         c = np.round(rng.uniform(0.0, 2.0, (n, n)) * 3.0) / 3.0
     c = np.triu(c, 1) + np.triu(c, 1).T
-    return TwoOptNeighborhood(TspInstance(name=inst.name, n=n, costs=c, metric_tag="EXPLICIT"))
+    return TwoOptNeighborhood(TspInstance(name=inst.name, n=n, costs=c))
 
 
 class TestTwoHopBest:
