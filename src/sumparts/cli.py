@@ -21,7 +21,6 @@ from .bench import CampaignSpec, load_instance, run_campaign, summary_csv
 from .decomposition import SplitParams, sample_split, split_to_json, sweep_a
 from .escape import PenaltyConfig
 from .instances import (
-    EVAL_REL_TOL,
     ParseError,
     brute_force_qubo,
     brute_force_tsp,
@@ -98,6 +97,8 @@ def cmd_analyze(args) -> int:
     inst = _load(args.instance)
     # built first, so that SplitParams reports a bad --seed before rng_stream sees it
     shapes = [_sampling_params(args, float(tok)) for tok in args.a.split(",") if tok]
+    if not shapes:
+        raise ValueError("a_values must be nonempty")
     rng = rng_stream(args.seed, "init")
     optima = collect_local_optima(inst, args.optima, rng)
     base_view = neighborhood_for(inst)
@@ -244,12 +245,11 @@ def _verify_qubo(n: int, seed: int, split: SplitParams) -> list[str]:
         failures.append("qubo cached value drifted after flips")
     # capped as the its runs below: corrupted gains can keep the stop rule from firing
     returned = tabu_search(inst, bv, rng_stream(seed, "tabu"), Budget(max_fe=2e6))
-    tol = EVAL_REL_TOL * inst.abs_weight_sum
     for label, x in (("returned", returned), ("searched", bv)):
         full = make_bitvector(inst, x.bits)
         if (not np.array_equal(x.twice, 2.0 - 4.0 * x.bits)
-                or abs(x.cached_value - full.cached_value) > tol
-                or np.abs(x.gains - full.gains).max() > tol):
+                or abs(x.cached_value - full.cached_value) > inst.tol
+                or np.abs(x.gains - full.gains).max() > inst.tol):
             failures.append(f"tabu_search left stale caches in its {label} solution")
     config = SolverConfig(algorithm="its", seed=seed, max_fe=2e6, target=best)
     trace = run(config, inst)

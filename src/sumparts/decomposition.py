@@ -198,10 +198,13 @@ def sweep_a(inst, a_values, seed: int = 0) -> list[tuple[float, float]]:
 
 
 def half_split(inst) -> SplitCosts:
-    """The degenerate c1 = c2 = c/2 decomposition (rho = 1 when costs vary)."""
+    """The degenerate c1 = c2 = c/2 decomposition (rho = 1 when costs vary).
+
+    Its recorded shape is a = inf: the bell's limit, all its mass at c/2.
+    """
     kind, mat, iu, ju = _units(inst)
     c = mat[iu, ju]
-    return _assemble(kind, mat, iu, ju, c, c / 2.0, SplitParams(a=float("nan")), rho=1.0)
+    return _assemble(kind, mat, iu, ju, c, c / 2.0, SplitParams(a=float("inf")), rho=1.0)
 
 
 # ---------------------------------------------------------------------------

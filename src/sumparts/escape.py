@@ -149,8 +149,6 @@ def add_random_penalty(x_star: Tour, inst: TspInstance, cfg: PenaltyConfig,
                        rng: np.random.Generator) -> list[list[float]]:
     """Surcharge k distinct random edges of the tour; returns their `penalized_rows`."""
     n = x_star.n
-    if cfg.k_edges > n:
-        raise ValueError("cannot penalize more edges than the tour has")
     positions = rng.choice(n, size=cfg.k_edges, replace=False)
     order = x_star.order
     edges = [(int(order[p]), int(order[(p + 1) % n])) for p in positions]

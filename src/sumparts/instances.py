@@ -29,7 +29,8 @@ def check_numbers(obj, integers=(), reals=(), optional=(), non_negative=()):
     """Raise ValueError unless obj's named fields hold integers or real numbers.
 
     Fields in optional may also hold None, and those in non_negative must
-    be at least 0. Bools are refused: JSON true is not 1.
+    be at least 0. Bools are refused: JSON true is not 1. NaN is refused
+    too: every range rule compares, and no comparison with NaN holds.
     """
     for name in (*integers, *reals, *optional):
         value = getattr(obj, name)
@@ -37,7 +38,7 @@ def check_numbers(obj, integers=(), reals=(), optional=(), non_negative=()):
             continue
         kind, what = ((numbers.Integral, "an integer") if name in integers
                       else (numbers.Real, "a number"))
-        if isinstance(value, bool) or not isinstance(value, kind):
+        if isinstance(value, bool) or not isinstance(value, kind) or value != value:
             raise ValueError(f"{name} must be {what}, got {value!r}")
         if name in non_negative and value < 0:
             raise ValueError(f"{name} must be >= 0, got {value!r}")
@@ -49,7 +50,10 @@ def check_numbers(obj, integers=(), reals=(), optional=(), non_negative=()):
 
 @dataclass(frozen=True)
 class TspInstance:
-    """Symmetric TSP with a full cost matrix (EUC_2D coordinates are not kept)."""
+    """Symmetric TSP with a full cost matrix (EUC_2D coordinates are not kept).
+
+    tol, the least improvement a descent counts, is EVAL_REL_TOL of the largest cost.
+    """
 
     name: str
     n: int
@@ -77,6 +81,10 @@ class TspInstance:
         return float(self.costs.max())
 
     @cached_property
+    def tol(self) -> float:
+        return EVAL_REL_TOL * self.max_cost
+
+    @cached_property
     def cost_rows(self) -> list[list[float]]:
         """The cost matrix as nested lists, for scalar-indexed inner loops."""
         return self.costs.tolist()
@@ -87,7 +95,9 @@ class QuboInstance:
     """Unconstrained binary quadratic program, maximize z^T Q z.
 
     Q is stored symmetric; an off-diagonal unit therefore contributes twice
-    to the objective, matching the OR-Library convention.
+    to the objective, matching the OR-Library convention. tol, the least
+    improvement a descent or tabu search counts, is EVAL_REL_TOL of the sum
+    of |q_ij|, which bounds |z^T Q z| and every flip gain.
     """
 
     name: str
@@ -108,10 +118,9 @@ class QuboInstance:
         object.__setattr__(self, "q", q)
 
     @cached_property
-    def abs_weight_sum(self) -> float:
-        """Sum of |q_ij|, which bounds |z^T Q z| and every flip gain."""
+    def tol(self) -> float:
         # row by row: |Q| as one temporary would add its size to peak memory
-        return float(sum(np.abs(row).sum() for row in self.q))
+        return EVAL_REL_TOL * float(sum(np.abs(row).sum() for row in self.q))
 
 
 # ---------------------------------------------------------------------------
@@ -123,25 +132,28 @@ def _require(cond: bool, msg: str):
         raise ParseError(msg)
 
 
+def _tsplib_lines(text: str):
+    """(line number, stripped line) of each non-blank line before EOF."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        raw = raw.strip()
+        if raw.upper() == "EOF":
+            return
+        if raw:
+            yield lineno, raw
+
+
 def parse_tsplib(text: str) -> TspInstance:
     """Parse a TSPLIB file with EDGE_WEIGHT_TYPE EUC_2D or EXPLICIT/FULL_MATRIX.
 
     EUC_2D costs use the TSPLIB convention: nearest-integer rounded Euclidean
     distance. Unsupported edge weight types are rejected by name.
     """
-    lines = text.splitlines()
+    lines = _tsplib_lines(text)
     header: dict[str, str] = {}
-    i = 0
     section = None
-    while i < len(lines):
-        raw = lines[i].strip()
-        i += 1
-        if not raw:
-            continue
+    for _, raw in lines:
         if raw.upper().startswith(("NODE_COORD_SECTION", "EDGE_WEIGHT_SECTION")):
             section = raw.upper().split()[0]
-            break
-        if raw.upper() == "EOF":
             break
         if ":" in raw:
             key, _, val = raw.partition(":")
@@ -167,14 +179,9 @@ def parse_tsplib(text: str) -> TspInstance:
         coords = np.empty((n, 2), dtype=np.float64)
         seen = np.zeros(n, dtype=bool)
         count = 0
-        while i < len(lines) and count < n:
-            raw = lines[i].strip()
-            lineno = i + 1
-            i += 1
-            if not raw:
-                continue
-            if raw.upper() == "EOF":
-                break
+        for lineno, raw in lines:
+            if count == n:
+                break  # lines after the n-th coordinate are not read
             parts = raw.split()
             try:
                 idx = int(parts[0])
@@ -195,14 +202,7 @@ def parse_tsplib(text: str) -> TspInstance:
     _require(section == "EDGE_WEIGHT_SECTION",
              "EXPLICIT instance without EDGE_WEIGHT_SECTION")
     values: list[float] = []
-    while i < len(lines):
-        raw = lines[i].strip()
-        lineno = i + 1
-        i += 1
-        if not raw:
-            continue
-        if raw.upper() == "EOF":
-            break
+    for lineno, raw in lines:
         try:
             values.extend(float(tok) for tok in raw.split())
         except ValueError:
@@ -314,12 +314,6 @@ def two_opt_delta(inst: TspInstance, tour: Tour, i: int, j: int) -> float:
     c, d = t[j], t[(j + 1) % n]
     m = inst.costs
     return float(m[a, c] + m[b, d] - m[a, b] - m[c, d])
-
-
-def apply_two_opt(tour: Tour, i: int, j: int, delta: float):
-    """Apply the 2-Opt move (i, j) in place, updating the cached cost."""
-    tour.order[i + 1: j + 1] = tour.order[i + 1: j + 1][::-1]
-    tour.cached_cost += delta
 
 
 @dataclass

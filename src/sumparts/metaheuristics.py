@@ -41,8 +41,6 @@ from .search import (
     tabu_search,
 )
 
-TSP_ALGORITHMS = ("ils", "ils_nds", "ils_ens", "ilk", "ilk_e", "ilk_nde")
-QUBO_ALGORITHMS = ("ils", "ils_nds", "ils_ens", "its", "its_nds")
 ALGORITHMS = ("ils", "ils_nds", "ils_ens", "its", "its_nds", "ilk", "ilk_e", "ilk_nde")
 
 _STREAM_TAGS = {"init": 1, "perturb": 2, "penalty": 4, "tabu": 5}
@@ -176,12 +174,12 @@ def _solution_state(sol):
 def check_fits(config: SolverConfig, inst):
     """Raise unless config applies to inst's kind and size; run and campaigns check first."""
     if isinstance(inst, TspInstance):
-        kind, allowed = "TSP", TSP_ALGORITHMS
+        kind, foreign = "TSP", "its"  # tabu search flips bits
     elif isinstance(inst, QuboInstance):
-        kind, allowed = "UBQP", QUBO_ALGORITHMS
+        kind, foreign = "UBQP", "ilk"  # Lin-Kernighan exchanges tour edges
     else:
         raise TypeError(f"unsupported instance type: {type(inst).__name__}")
-    if config.algorithm not in allowed:
+    if config.algorithm[:3] == foreign:
         raise ValueError(f"{config.algorithm} does not apply to {kind} instances")
     if kind == "UBQP" and round(config.flip_fraction * inst.n) == 0:
         raise ValueError(f"flip_fraction {config.flip_fraction} kicks no bit of "
@@ -252,22 +250,22 @@ def run(config: SolverConfig, inst) -> RunTrace:
                 return x
         return further_exploit(x, inst, neighbors, config.penalty, budget, penalty_rng)
 
-    best_val = best_state = best_pair = None
+    best_val, best_state, best_pair = view.sense * np.inf, None, None
 
-    def keep(x, force=False):
+    def keep(x):
         nonlocal best_val, best_state, best_pair
-        if force or better(view.sense, view.value(x), best_val):
+        if better(view.sense, view.value(x), best_val):
             best_val, best_state = view.value(x), _solution_state(x)
             if alg == "ilk_nde":
                 best_pair = tour_cost(inst, x, split)
                 budget.charge(1)
-        recorder.record(best_val, force=force)
+        recorder.record(best_val)
 
     sol = view.random_solution(init_rng)
     budget.charge(1)
     if family == "ilk":
         sol = improve(sol)
-    keep(sol, force=True)
+    keep(sol)
     while not budget.exhausted() and not _target_reached(view.sense, best_val, config.target):
         if family != "ilk":
             sol = improve(sol)

@@ -29,7 +29,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .instances import (
-    EVAL_REL_TOL,
     MAXIMIZE,
     MINIMIZE,
     BitVector,
@@ -38,7 +37,6 @@ from .instances import (
     Tour,
     TspInstance,
     _flip,
-    apply_two_opt,
     flip_delta_and_update,
     flip_gains,
     make_bitvector,
@@ -173,11 +171,6 @@ class TwoOptNeighborhood:
     p = property(lambda self: self._ix.p)
     q = property(lambda self: self._ix.q)
 
-    @property
-    def tol(self) -> float:
-        """Least improvement descend counts: EVAL_REL_TOL of the largest edge cost."""
-        return EVAL_REL_TOL * self.inst.max_cost
-
     def _table_index(self, tour: Tour) -> np.ndarray:
         """Flat cost indices of the wrapped position table b, shape (n+1, n+1)."""
         tw = tour.order.take(self._ix.wrap)
@@ -311,10 +304,14 @@ class TwoOptNeighborhood:
         return best
 
     def apply(self, tour: Tour, k: int, delta: float):
-        apply_two_opt(tour, int(self.p[k]), int(self.q[k]), float(delta))
+        """Apply move k in place: reverse tour positions [p[k]+1..q[k]], add delta to the cost."""
+        i, j = self._ix.p.item(k) + 1, self._ix.q.item(k) + 1
+        tour.order[i:j] = tour.order[i:j][::-1]
+        tour.cached_cost += delta
 
-    def neighbor(self, tour: Tour, k: int, delta: float) -> Tour:
-        out = tour.copy()
+    def neighbor(self, sol, k: int, delta: float):
+        """A copy of sol with move k (of delta) applied."""
+        out = sol.copy()
         self.apply(out, k, delta)
         return out
 
@@ -341,11 +338,6 @@ class FlipNeighborhood:
         self.split = split
         self.size = inst.n
         self.flip_fraction = flip_fraction
-
-    @property
-    def tol(self) -> float:
-        """Least improvement descend counts: EVAL_REL_TOL of the weights' absolute sum."""
-        return EVAL_REL_TOL * self.inst.abs_weight_sum
 
     def deltas(self, bv: BitVector) -> np.ndarray:
         """f gains of every flip; the scan that reads them charges the FEs."""
@@ -389,10 +381,7 @@ class FlipNeighborhood:
     def apply(self, bv: BitVector, k: int, delta: float):  # the kernel reads the gain itself
         flip_delta_and_update(self.inst, bv, k)
 
-    def neighbor(self, bv: BitVector, k: int, delta: float) -> BitVector:
-        out = bv.copy()
-        self.apply(out, k, delta)
-        return out
+    neighbor = TwoOptNeighborhood.neighbor
 
     def value(self, bv: BitVector) -> float:
         return bv.cached_value
@@ -424,13 +413,13 @@ def descend(view, sol, budget: Budget) -> bool:
     Each `first_improvement` scan applies the move it finds. Returns True when
     a full scan found none, False when the budget ran out first.
 
-    A move counts as improving only when it improves by more than view.tol.
-    On non-integral costs a move and its inverse can both read a few ulps
-    better, and without that margin the descent could cycle between them
-    forever. On integral costs every real improvement is at least 1, above
-    the margin while the instance's scale stays below 1e9.
+    A move counts as improving only when it improves by more than
+    view.inst.tol. On non-integral costs a move and its inverse can both
+    read a few ulps better, and without that margin the descent could cycle
+    between them forever. On integral costs every real improvement is at
+    least 1, above the margin while the instance's scale stays below 1e9.
     """
-    threshold = -view.sense * view.tol
+    threshold = -view.sense * view.inst.tol
     while True:
         if budget.exhausted():
             return False
@@ -439,8 +428,8 @@ def descend(view, sol, budget: Budget) -> bool:
 
 
 def is_local_optimum(view, sol) -> bool:
-    """True when no move improves by more than view.tol, as descend counts it."""
-    return bool(np.all(view.deltas(sol) * view.sense >= -view.tol))
+    """True when no move improves by more than view.inst.tol, as descend counts it."""
+    return bool(np.all(view.deltas(sol) * view.sense >= -view.inst.tol))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +503,7 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
     budget exhaustion. Every move charges n FEs.
 
     A solution counts as better than the best, for aspiration and for the
-    stop rule, only when its value exceeds the best's by more than
+    stop rule, only when its value exceeds the best's by more than inst.tol,
     EVAL_REL_TOL times the weights' absolute sum. The cached value drifts by
     ulps on non-integral weights, and without that margin a revisited
     solution could read as a new best, so the stop rule would never fire.
@@ -538,9 +527,8 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
     count = [0] * n
     q, gains, twice, bits = inst.q, bv.gains, bv.twice, bv.bits
     product, masked, mask = np.empty(n), np.empty(n), np.zeros(n)
-    tol = EVAL_REL_TOL * inst.abs_weight_sum
     best = bv.copy()
-    bar = best.cached_value + tol
+    bar = best.cached_value + inst.tol
     since_improve = 0
     t = 0
     while since_improve < 20 * n and not budget.exhausted():
@@ -565,7 +553,7 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
         t += 1
         if bv.cached_value > bar:
             best = bv.copy()
-            bar = best.cached_value + tol
+            bar = best.cached_value + inst.tol
             since_improve = 0
         else:
             since_improve += 1

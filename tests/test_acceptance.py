@@ -9,14 +9,11 @@ import pytest
 from scipy import stats as scipy_stats
 
 from conftest import brute_force_qubo, brute_force_tsp
-from sumparts.bench import excess
 from sumparts.decomposition import SplitParams, sample_split
 from sumparts.escape import PenaltyConfig, ens, nds
 from sumparts.instances import (
     load_bundled_tsp,
-    make_tour,
     parse_orlib_bqp,
-    qubo_value,
     random_qubo_instance,
     random_tsp_instance,
     synthetic_orlib_text,

@@ -1,7 +1,5 @@
 import json
-import os
 
-import numpy as np
 import pytest
 
 from sumparts import bench, cli, decomposition, metaheuristics, search
@@ -229,7 +227,8 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("flag, value", [
     ("--warmup-fraction", "2.0"), ("--flip-fraction", "0"), ("--neighbor-k", "1"),
-    ("--seed", "-2"), ("--max-fe", "-5"), ("--max-wall", "-1"),
+    ("--seed", "-2"), ("--max-fe", "-5"), ("--max-wall", "-1"), ("--max-fe", "nan"),
+    ("--max-wall", "nan"), ("--penalty-cost", "nan"),
 ])
 def test_out_of_range_setting_exits_before_any_run(eil51_path, monkeypatch, capsys,
                                                    flag, value):
@@ -278,11 +277,14 @@ def test_bench_out_of_range_setting_exits_before_any_run(tmp_path, eil51_path, m
     {"instances": {}},
     {"reference_algorithm": "ils_nds"},
     {"targets": {"eil52": 426}},
+    {"max_fe": float("nan")},
+    {"algorithms": [{"algorithm": "ils", "max_wall": float("nan")}]},
 ], ids=["entry-typo", "top-level-typo", "entry-seed", "entry-target", "duplicate-algorithm",
         "entry-max-fe-string", "seeds-not-a-list", "flip-fraction-string",
         "warmup-fraction-string", "penalty-rounds-string", "q-prime-string", "a-string",
         "split-seed-fraction", "negative-seed", "negative-split-seed", "negative-max-fe",
-        "no-seeds", "no-instances", "reference-not-an-entry", "target-not-an-instance"])
+        "no-seeds", "no-instances", "reference-not-an-entry", "target-not-an-instance",
+        "nan-max-fe", "nan-max-wall"])
 def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, capsys, change):
     campaign = {"instances": {"eil51": eil51_path}, "algorithms": [{"algorithm": "ils"}],
                 "seeds": [0], "max_fe": 1e4, **change}
@@ -298,6 +300,8 @@ def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, ca
     ("q_prime", 0, "must be positive"), ("penalty_rounds", -1, "must be >= 0"),
     ("penalty_edges", 2.5, "must be an integer"), ("penalty_edges", 0, "must be >= 1"),
     ("penalty_cost", "9", "must be a number"), ("penalty_cost", -1, "must be positive"),
+    ("penalty_cost", float("nan"), "must be a number, got nan"),
+    ("q_prime", float("nan"), "must be a number, got nan"),
 ])
 def test_bad_setting_is_reported_under_its_key(tmp_path, eil51_path, monkeypatch, capsys,
                                                key, value, rule):
@@ -308,6 +312,15 @@ def test_bad_setting_is_reported_under_its_key(tmp_path, eil51_path, monkeypatch
     monkeypatch.setattr(cli, "run_campaign", lambda *args: pytest.fail("a run started"))
     assert main(["bench", "--campaign", str(spec_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key} {rule}")
+
+
+@pytest.mark.parametrize("seed", ["0", "-1"])
+def test_analyze_without_a_shape_exits_before_any_optimum(eil51_path, monkeypatch, capsys,
+                                                           seed):
+    monkeypatch.setattr(cli, "collect_local_optima", lambda *args: pytest.fail("optima collected"))
+    assert main(["analyze", "--instance", eil51_path, "--a", ",", "--optima", "2",
+                 "--seed", seed]) == 2
+    assert capsys.readouterr().err == "error: a_values must be nonempty\n"
 
 
 def test_negative_split_seed_is_reported_under_its_flag(eil51_path, monkeypatch, capsys):

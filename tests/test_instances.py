@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,18 @@ EOF
 # same square scaled by 10 so the diagonal stays longer than the sides
 SQUARE10 = UNIT_SQUARE.replace("1 0\n", "10 0\n").replace("1 1\n", "10 10\n").replace("0 1\n", "0 10\n")
 
+EXPLICIT4 = """NAME: m
+DIMENSION: 4
+EDGE_WEIGHT_TYPE: EXPLICIT
+EDGE_WEIGHT_FORMAT: FULL_MATRIX
+EDGE_WEIGHT_SECTION
+0 2 3 4
+2 0 5 6
+3 5 0 7
+4 6 7 0
+EOF
+"""
+
 
 class TestParseTsplib:
     def test_eil51_dimensions(self, eil51):
@@ -74,18 +88,7 @@ class TestParseTsplib:
             parse_tsplib(bad)
 
     def test_explicit_full_matrix(self):
-        text = """NAME: m
-DIMENSION: 4
-EDGE_WEIGHT_TYPE: EXPLICIT
-EDGE_WEIGHT_FORMAT: FULL_MATRIX
-EDGE_WEIGHT_SECTION
-0 2 3 4
-2 0 5 6
-3 5 0 7
-4 6 7 0
-EOF
-"""
-        inst = parse_tsplib(text)
+        inst = parse_tsplib(EXPLICIT4)
         assert inst.costs[2][3] == 7
         assert tour_cost(inst, np.arange(4)) == 2 + 5 + 7 + 4
 
@@ -101,6 +104,26 @@ EDGE_WEIGHT_SECTION
 """
         with pytest.raises(ValueError, match="symmetric"):
             parse_tsplib(text)
+
+    @pytest.mark.parametrize("base, text, error", [
+        (UNIT_SQUARE, UNIT_SQUARE.replace("2 1 0\n", "2 1 0\n\n  \n"), None),
+        (UNIT_SQUARE, UNIT_SQUARE.replace("2 1 0\n", "2 1 0\n\n").replace("3 1 1", "3 one 1"),
+         "malformed coordinate line 9: '3 one 1'"),
+        (EXPLICIT4, EXPLICIT4.replace("4 6 7 0\n", "4 6 7\neof\n0\n"), "found 15"),
+        (EXPLICIT4, EXPLICIT4 + "not a weight\n", None),
+        (UNIT_SQUARE, UNIT_SQUARE.replace("EOF", "DISPLAY_DATA_SECTION\n1 0 0\nEOF"), None),
+        (UNIT_SQUARE, UNIT_SQUARE.replace("DIMENSION : 4", "DIMENSION 4"), None),
+        (UNIT_SQUARE, UNIT_SQUARE.replace("3 1 1", "2 1 1"),
+         "duplicate coordinate index 2 at line 8"),
+    ], ids=["blank-lines-in-section", "line-numbers-count-blank-lines", "eof-ends-weights",
+            "text-after-eof-ignored", "lines-after-last-coordinate-ignored",
+            "header-without-colon", "duplicate-index-line"])
+    def test_line_scan(self, base, text, error):
+        if error is None:
+            assert np.array_equal(parse_tsplib(text).costs, parse_tsplib(base).costs)
+        else:
+            with pytest.raises(ParseError, match=re.escape(error)):
+                parse_tsplib(text)
 
 
 class TestParseOrlib:

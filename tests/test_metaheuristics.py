@@ -12,7 +12,6 @@ from sumparts.instances import (
     load_bundled_tsp,
     random_qubo_instance,
     random_tsp_instance,
-    tour_cost,
 )
 from sumparts.metaheuristics import SolverConfig, run
 from sumparts.search import _two_opt_index
@@ -112,10 +111,14 @@ class TestConfigValidation:
         (SolverConfig, "warmup_fraction", "0.1"), (SplitParams, "a", "x"),
         (SplitParams, "q_prime", "1"), (SplitParams, "seed", 1.5),
         (PenaltyConfig, "rounds", "5"), (PenaltyConfig, "k_edges", 3.0),
-        (PenaltyConfig, "c_tilde", "9.5"),
+        (PenaltyConfig, "c_tilde", "9.5"), (SolverConfig, "max_fe", float("nan")),
+        (SolverConfig, "max_wall", float("nan")), (SolverConfig, "target", float("nan")),
+        (SplitParams, "a", float("nan")), (SplitParams, "q_prime", float("nan")),
+        (PenaltyConfig, "c_tilde", float("nan")),
     ], ids=["max_fe", "max_wall", "target", "seed", "neighbor_k", "flip_fraction",
             "warmup_fraction", "split-a", "split-q_prime", "split-seed", "penalty-rounds",
-            "penalty-k_edges", "penalty-c_tilde"])
+            "penalty-k_edges", "penalty-c_tilde", "max_fe-nan", "max_wall-nan", "target-nan",
+            "split-a-nan", "split-q_prime-nan", "penalty-c_tilde-nan"])
     def test_wrong_type_rejected(self, cls, name, value):
         required = {SolverConfig: {"algorithm": "ilk_e"}, SplitParams: {"a": 2.0},
                     PenaltyConfig: {}}[cls]

@@ -475,7 +475,7 @@ def test_two_opt_kernels_match_scalar_loop(n, seed, kind):
         assert np.array_equal(got, [four_term(m, tour.order, p, q) for p, q in moves])
     # thresholds equal to delta values make ties, which a strict scan must skip
     picks = np.random.default_rng(seed).choice(want, size=3)
-    for threshold in (0.0, -view.tol, min(want), max(want) + 1.0, *picks.tolist()):
+    for threshold in (0.0, -view.inst.tol, min(want), max(want) + 1.0, *picks.tolist()):
         budget = Budget()
         moved = tour.copy()
         found = view.first_improvement(moved, threshold, budget)
@@ -501,7 +501,7 @@ def test_first_improvement_moves_cost_by_two_opt_delta(n, seed, kind):
     tour = view.random_solution(np.random.default_rng(seed))
     for _ in range(20):
         before = tour.copy()
-        if not view.first_improvement(tour, -view.tol, Budget()):
+        if not view.first_improvement(tour, -view.inst.tol, Budget()):
             break
         # the move reversed tour positions p+1..q, whose end cities changed places
         changed = np.flatnonzero(tour.order != before.order)

@@ -5,7 +5,7 @@ into a ring of the last K - 1 flips: a per-variable last-flip clock, an
 `allowed` mask built from it and the aspiration vector, an unfreeze-all
 fallback and a masked argmax. Its flip kernel rebuilds the +-2 sign row from
 the bits on every flip. Like `tabu_search`, it counts a value as better than
-the best only past EVAL_REL_TOL times the weights' absolute sum.
+the best only past inst.tol, EVAL_REL_TOL times the weights' absolute sum.
 `tabu_search` must agree with it bit for bit: the same best solution and
 caches, the same final state of the searched solution, the same FE charges
 and the same RNG draws.
@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumparts.instances import EVAL_REL_TOL, QuboInstance, make_bitvector, qubo_value
+from sumparts.instances import QuboInstance, make_bitvector, qubo_value
 from sumparts.search import Budget, sample_tenure, tabu_search
 
 
@@ -39,7 +39,7 @@ def reference_tabu(inst, bv, rng, budget):
     n = inst.n
     tenure = sample_tenure(n, rng)
     last_flip = np.full(n, -(21 * n), dtype=np.int64)
-    tol = EVAL_REL_TOL * inst.abs_weight_sum
+    tol = inst.tol
     best = bv.copy()
     since_improve = 0
     t = 0
@@ -126,8 +126,7 @@ def test_stop_rule_fires_on_non_integral_weights():
         budget = Budget(max_fe=1000 * n * n)
         best = tabu_search(inst, bv, np.random.default_rng(seed), budget)
         assert budget.consumed_fe <= 40 * n * n
-        assert abs(best.cached_value - qubo_value(inst, best.bits)) <= (
-            EVAL_REL_TOL * inst.abs_weight_sum)
+        assert abs(best.cached_value - qubo_value(inst, best.bits)) <= inst.tol
 
 
 def test_frozen_bit_flipped_again_matches_reference(monkeypatch):
