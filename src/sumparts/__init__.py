@@ -27,7 +27,6 @@ from .escape import (
 )
 from .instances import (
     BitVector,
-    NeighborList,
     QuboInstance,
     Tour,
     TspInstance,

@@ -136,6 +136,10 @@ class CampaignSpec:
         stray = set(self.targets).difference(self.instances)
         if stray:
             raise ValueError(f"targets name no instance: {', '.join(sorted(stray))}")
+        for name, target in self.targets.items():
+            if isinstance(target, bool) or not isinstance(target, numbers.Real) or not (
+                    math.isfinite(target)):
+                raise ValueError(f"targets[{name!r}] must be a finite number, got {target!r}")
 
 
 @dataclass

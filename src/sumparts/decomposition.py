@@ -4,8 +4,10 @@ Every unit cost c is split as c = c1 + c2 with c1 drawn from a parametric
 density on (0, c): shape parameter a > 0 gives a bell peaked at c/2
 (sub-objectives correlate positively), a < 0 a valley massing near 0 and c
 (negative correlation), a = 0 the uniform. Sampling is by closed-form
-inverse CDF. One draw is shared by the two mirrored cells of a symmetric
-unit. UBQP units are drawn on (q/2 - q', q/2 + q') instead; zero units
+inverse CDF. The instance type defines what a unit is (`units`: the edges
+i < j of a TSP, the nonzero cells i <= j of a UBQP), and a split is that
+instance plus one c1 draw per unit, shared by a unit's two mirrored cells.
+UBQP units are drawn on (q/2 - q', q/2 + q') instead; zero-cost TSP edges
 split as (0, 0) and are excluded from the correlation measurement.
 """
 
@@ -22,7 +24,11 @@ from .instances import QuboInstance, TspInstance, check_numbers
 
 @dataclass(frozen=True)
 class SplitParams:
-    """Split-sampling controls: shape a, UBQP half-width q', RNG seed."""
+    """Split-sampling controls: shape a, UBQP half-width q', RNG seed.
+
+    a = inf is the bell's limit (every c1 at c/2); a = -inf would put c1 on
+    0 or c, outside the open interval, and is refused.
+    """
 
     a: float
     q_prime: float = 100.0
@@ -30,35 +36,35 @@ class SplitParams:
 
     def __post_init__(self):
         check_numbers(self, integers=("seed",), reals=("a", "q_prime"), non_negative=("seed",))
-        if self.q_prime <= 0:
-            raise ValueError("q_prime must be positive")
+        if self.a == -np.inf:
+            raise ValueError(f"a must be finite or inf, got {self.a!r}")
+        if not 0 < self.q_prime < np.inf:
+            raise ValueError(f"q_prime must be positive and finite, got {self.q_prime!r}")
 
 
 @dataclass
 class SplitCosts:
-    """A realized decomposition: per-unit cost pairs.
+    """A realized decomposition: the instance and one c1 draw per unit.
 
-    c1[u] + c2[u] reproduces the original unit cost; rho is the Pearson
-    correlation of the two arrays over units with nonzero cost. unit_i/unit_j
-    give each unit's (row, col) cell with i <= j. The dense mirrored f1
-    matrix mat1 is built on first read; f2 is never stored, and readers
-    derive its costs as the instance's minus mat1's.
+    The instance defines the units (`inst.units`: rows, columns and costs c
+    in a fixed order), and c1[u] is unit u's f1 cost; its f2 cost is
+    c[u] - c1[u] and is never stored. rho is the Pearson correlation of the
+    two over units with nonzero cost. The dense mirrored f1 matrix mat1 is
+    built on first read; readers derive f2's matrix as the instance's minus
+    mat1.
     """
 
-    kind: str  # "tsp" | "qubo"
-    n: int
-    unit_i: np.ndarray
-    unit_j: np.ndarray
+    inst: TspInstance | QuboInstance
     c1: np.ndarray
-    c2: np.ndarray
     rho: float
     source_params: SplitParams
 
     @cached_property
     def mat1(self) -> np.ndarray:
-        mat1 = np.zeros((self.n, self.n))
-        mat1[self.unit_i, self.unit_j] = self.c1
-        mat1[self.unit_j, self.unit_i] = self.c1
+        iu, ju, _ = self.inst.units
+        mat1 = np.zeros((self.inst.n, self.inst.n))
+        mat1[iu, ju] = self.c1
+        mat1[ju, iu] = self.c1
         return mat1
 
 
@@ -126,52 +132,28 @@ def _rng_for(params: SplitParams) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(params.seed), a_bits]))
 
 
-def _units(inst):
-    """(kind, full cost matrix, unit rows, unit cols) of a TSP or UBQP instance.
-
-    TSP units are the edges i < j; UBQP units are the nonzero cells i <= j.
-    """
-    if isinstance(inst, TspInstance):
-        iu, ju = np.triu_indices(inst.n, k=1)
-        return "tsp", inst.costs, iu, ju
-    if isinstance(inst, QuboInstance):
-        iu, ju = np.nonzero(np.triu(inst.q != 0.0))
-        return "qubo", inst.q, iu, ju
-    raise TypeError(f"unsupported instance type: {type(inst).__name__}")
-
-
-def _assemble(kind, mat, iu, ju, c, c1, params, rho=None) -> SplitCosts:
-    """The split of unit costs c into c1 and c - c1; rho is measured unless given."""
-    split = SplitCosts(kind=kind, n=mat.shape[0], unit_i=iu, unit_j=ju, c1=c1, c2=c - c1,
-                       rho=rho, source_params=params)
-    if rho is None:
-        split.rho = measure_rho(split)
-    return split
-
-
 def sample_split(inst, params: SplitParams) -> SplitCosts:
     """Draw one split of every unit cost of a TSP or UBQP instance.
 
     Deterministic given (instance, params). Symmetric cells share one draw.
     """
-    kind, mat, iu, ju = _units(inst)
-    c = mat[iu, ju]
+    c = inst.units[2]
     u = _rng_for(params).random(c.shape[0])
-    if kind == "tsp":
+    if inst.kind == "tsp":
         c1 = np.where(c > 0.0, c * _inv_cdf_unit(params.a, u), 0.0)
     else:
         c1 = c / 2.0 - params.q_prime + 2.0 * params.q_prime * _inv_cdf_unit(params.a, u)
-    return _assemble(kind, mat, iu, ju, c, c1, params)
+    return SplitCosts(inst, c1, measure_rho(c1, c - c1), params)
 
 
-def measure_rho(split: SplitCosts) -> float:
-    """Pearson correlation of the two split-cost arrays (1/(m-1) normalization).
+def measure_rho(c1: np.ndarray, c2: np.ndarray) -> float:
+    """Pearson correlation of two per-unit split-cost arrays (1/(m-1) normalization).
 
-    Units whose original cost is zero are forced (0, 0) draws and excluded.
+    Units whose original cost c1 + c2 is zero are forced (0, 0) draws and excluded.
     """
-    mask = (split.c1 + split.c2) != 0.0
-    x = split.c1[mask]
-    y = split.c2[mask]
+    mask = (c1 + c2) != 0.0
+    x = c1[mask]
+    y = c2[mask]
     if x.shape[0] < 2:
         raise ValueError("need at least 2 nonzero units to measure correlation")
     m = x.shape[0]
@@ -202,9 +184,7 @@ def half_split(inst) -> SplitCosts:
 
     Its recorded shape is a = inf: the bell's limit, all its mass at c/2.
     """
-    kind, mat, iu, ju = _units(inst)
-    c = mat[iu, ju]
-    return _assemble(kind, mat, iu, ju, c, c / 2.0, SplitParams(a=float("inf")), rho=1.0)
+    return SplitCosts(inst, inst.units[2] / 2.0, 1.0, SplitParams(a=float("inf")))
 
 
 # ---------------------------------------------------------------------------
@@ -212,39 +192,39 @@ def half_split(inst) -> SplitCosts:
 
 
 def split_to_json(split: SplitCosts) -> str:
+    iu, ju, _ = split.inst.units
     payload = {
-        "kind": split.kind,
-        "n": split.n,
+        "kind": split.inst.kind,
+        "n": split.inst.n,
         "a": split.source_params.a,
         "q_prime": split.source_params.q_prime,
         "seed": split.source_params.seed,
         "rho": split.rho,
-        "unit_i": split.unit_i.tolist(),
-        "unit_j": split.unit_j.tolist(),
+        "unit_i": iu.tolist(),
+        "unit_j": ju.tolist(),
         "c1": split.c1.tolist(),
     }
     return json.dumps(payload)
 
 
 def split_from_json(text: str, inst) -> SplitCosts:
-    """Rebuild a persisted split against its instance; c2 = c - c1 recomputed.
+    """Rebuild a persisted split against its instance, which supplies its units.
 
     Raises ValueError when the sidecar does not fit the instance: another
     size, kind or unit set, or a TSP c1 outside [0, c].
     """
     payload = json.loads(text)
-    kind, mat, iu, ju = _units(inst)
+    iu, ju, c = inst.units
     n = int(payload["n"])
     if n != inst.n:
         raise ValueError(f"split n={n} does not match instance n={inst.n}")
-    if payload["kind"] != kind:
-        raise ValueError(f"split kind {payload['kind']!r} does not match a {kind} instance")
+    if payload["kind"] != inst.kind:
+        raise ValueError(f"split kind {payload['kind']!r} does not match a {inst.kind} instance")
     if not (np.array_equal(payload["unit_i"], iu) and np.array_equal(payload["unit_j"], ju)):
         raise ValueError("split units do not match the instance's units")
-    c = mat[iu, ju]
     c1 = np.asarray(payload["c1"], dtype=np.float64)
-    if kind == "tsp" and not np.all((c1 >= 0.0) & (c1 <= c)):
+    if inst.kind == "tsp" and not np.all((c1 >= 0.0) & (c1 <= c)):
         raise ValueError("split c1 lies outside [0, c] on some edge of the instance")
     params = SplitParams(a=payload["a"], q_prime=payload["q_prime"],
                          seed=payload["seed"])
-    return _assemble(kind, mat, iu, ju, c, c1, params, rho=float(payload["rho"]))
+    return SplitCosts(inst, c1, float(payload["rho"]), params)

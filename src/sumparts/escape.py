@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import MINIMIZE, Tour, TspInstance, check_numbers
-from .search import Budget, NeighborList, better, lk_search, penalized_rows
+from .search import Budget, better, lk_search, penalized_rows
 
 
 def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -155,22 +155,23 @@ def add_random_penalty(x_star: Tour, inst: TspInstance, cfg: PenaltyConfig,
     return penalized_rows(inst, edges, inst.max_cost if cfg.c_tilde is None else cfg.c_tilde)
 
 
-def further_exploit(x_star: Tour, inst: TspInstance, neighbors: NeighborList,
+def further_exploit(x_star: Tour, inst: TspInstance, neighbors: list[list[int]],
                     cfg: PenaltyConfig, budget: Budget, rng: np.random.Generator) -> Tour:
     """Penalty-driven exploitation of an LK local optimum.
 
     Up to T rounds: surcharge k random tour edges drawn from rng, LK-search
-    those cost rows from the optimum, then the plain costs from the result,
-    both from a cold start that queues every city; return the first strict
-    improvement (in plain cost) immediately. After T failed rounds (or
-    budget exhaustion) the original tour is returned.
+    those cost rows on a copy of the optimum, then the plain costs on the
+    same copy, both from a cold start that queues every city; return the
+    first strict improvement (in plain cost) immediately. After T failed
+    rounds (or budget exhaustion) the original tour is returned.
     """
     for _ in range(cfg.rounds):
         if budget.exhausted():
             break
         penalized = add_random_penalty(x_star, inst, cfg, rng)
-        x_p = lk_search(inst, neighbors, x_star.copy(), budget, objective=penalized)[0]
-        x_pp = lk_search(inst, neighbors, x_p, budget)[0]
-        if x_pp.cached_cost < x_star.cached_cost:
-            return x_pp
+        x = x_star.copy()
+        lk_search(inst, neighbors, x, budget, objective=penalized)
+        lk_search(inst, neighbors, x, budget)
+        if x.cached_cost < x_star.cached_cost:
+            return x
     return x_star

@@ -60,6 +60,7 @@ class TspInstance:
     costs: np.ndarray
 
     sense = MINIMIZE
+    kind = "tsp"
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.costs, dtype=np.float64)
@@ -89,6 +90,12 @@ class TspInstance:
         """The cost matrix as nested lists, for scalar-indexed inner loops."""
         return self.costs.tolist()
 
+    @cached_property
+    def units(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges i < j a split draws for: (rows, columns, costs)."""
+        iu, ju = np.triu_indices(self.n, k=1)
+        return iu, ju, self.costs[iu, ju]
+
 
 @dataclass(frozen=True)
 class QuboInstance:
@@ -105,6 +112,7 @@ class QuboInstance:
     q: np.ndarray
 
     sense = MAXIMIZE
+    kind = "qubo"
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=np.float64)
@@ -121,6 +129,12 @@ class QuboInstance:
     def tol(self) -> float:
         # row by row: |Q| as one temporary would add its size to peak memory
         return EVAL_REL_TOL * float(sum(np.abs(row).sum() for row in self.q))
+
+    @cached_property
+    def units(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero cells i <= j a split draws for: (rows, columns, costs)."""
+        iu, ju = np.nonzero(np.triu(self.q != 0.0))
+        return iu, ju, self.q[iu, ju]
 
 
 # ---------------------------------------------------------------------------
@@ -407,32 +421,20 @@ def _flip(row, gains, twice, bits, i, product) -> float:
 # neighbor lists
 
 
-@dataclass(frozen=True)
-class NeighborList:
-    """Per-city nearest-neighbor candidate lists, ties broken by city index."""
+def build_neighbor_lists(inst: TspInstance, k: int) -> list[list[int]]:
+    """The k (at most n - 1) nearest other cities of every city, by edge cost then index.
 
-    lists: np.ndarray  # (n, k) city indices, ascending cost; k is lists.shape[1]
-
-    @cached_property
-    def rows(self) -> list[list[int]]:
-        """The lists as nested Python lists, for scalar-indexed inner loops."""
-        return self.lists.tolist()
-
-
-def build_neighbor_lists(inst: TspInstance, k: int) -> NeighborList:
-    """The k (at most n - 1) nearest other cities of every city, by edge cost then index."""
+    Row c lists city c's candidates as nested Python lists, for the
+    scalar-indexed LK loops.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
-    n = inst.n
-    k_eff = min(k, n - 1)
-    lists = np.empty((n, k_eff), dtype=np.intp)
-    idx = np.arange(n)
-    for city in range(n):
+    idx = np.arange(inst.n)
+    rows = []
+    for city in range(inst.n):
         order = np.lexsort((idx, inst.costs[city]))
-        order = order[order != city]
-        lists[city] = order[:k_eff]
-    lists.setflags(write=False)
-    return NeighborList(lists=lists)
+        rows.append(order[order != city][:k].tolist())
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +494,7 @@ def brute_force_qubo(inst: QuboInstance) -> float:
 
 def synthetic_orlib_text(n: int, seed: int, density: float = 0.1) -> str:
     """OR-Library-format text for a random UBQP; exercises the sparse parser."""
-    inst = random_qubo_instance(n, seed, density)
-    iu, ju = np.nonzero(np.triu(inst.q != 0.0))
+    iu, ju, q = random_qubo_instance(n, seed, density).units
     lines = [f"{n} {iu.shape[0]}"]
-    lines += [f"{i + 1} {j + 1} {int(inst.q[i, j])}" for i, j in zip(iu, ju)]
+    lines += [f"{i + 1} {j + 1} {int(v)}" for i, j, v in zip(iu, ju, q)]
     return "\n".join(lines) + "\n"

@@ -58,7 +58,8 @@ class SolverConfig:
     """One solver run: algorithm, budget, seed and the escape settings it needs.
 
     split is the SplitParams sampled when the run starts, or a realized
-    SplitCosts. Wrongly typed or out-of-range settings raise ValueError here.
+    SplitCosts. Wrongly typed or out-of-range settings raise ValueError here;
+    so does an infinite max_fe or target, which None (the default) spells.
     """
 
     algorithm: str
@@ -79,6 +80,10 @@ class SolverConfig:
                       reals=("flip_fraction", "warmup_fraction"),
                       optional=("max_fe", "max_wall", "target"),
                       non_negative=("seed", "max_fe", "max_wall"))
+        for name in ("max_fe", "target"):
+            if getattr(self, name) in (np.inf, -np.inf):
+                raise ValueError(f"{name} must be finite (leave it out for none), "
+                                 f"got {getattr(self, name)!r}")
         if not 0 < self.flip_fraction <= 1:
             raise ValueError("flip_fraction must be in (0, 1]")
         if not 0 <= self.warmup_fraction <= 1:
@@ -232,7 +237,8 @@ def run(config: SolverConfig, inst) -> RunTrace:
         if family == "its":
             return tabu_search(inst, x, tabu_rng, budget)
         active = None if kicked_from is None else new_edge_endpoints(kicked_from.order, x.order)
-        return lk_search(inst, neighbors, x, budget, active=active)[0]
+        lk_search(inst, neighbors, x, budget, active=active)
+        return x
 
     def escape(x):
         if alg in ("ils_nds", "its_nds"):

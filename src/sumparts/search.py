@@ -32,7 +32,6 @@ from .instances import (
     MAXIMIZE,
     MINIMIZE,
     BitVector,
-    NeighborList,
     QuboInstance,
     Tour,
     TspInstance,
@@ -593,17 +592,17 @@ def new_edge_endpoints(before: np.ndarray, after: np.ndarray) -> list[int]:
     return sorted({*tails.tolist(), *succ_new[tails].tolist()})
 
 
-def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour, budget: Budget,
+def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget: Budget,
               objective: list[list[float]] | None = None,
               depth: int = LK_DEPTH, breadth2: int = LK_BREADTH2,
-              active: Iterable[int] | None = None):
+              active: Iterable[int] | None = None) -> bool:
     """Bounded-depth sequential edge exchange (Lin-Kernighan style) descent.
 
     A chain is anchored at a city and a direction: the incident tour edge is
-    removed and candidate edges from the neighbor lists are chained while the
-    cumulative gain stays positive; the tour closes at the best gain seen.
-    The first level tries every gain-positive candidate, the second up to
-    breadth2, deeper levels extend greedily.
+    removed and candidate edges from the rows of `build_neighbor_lists` are
+    chained while the cumulative gain stays positive; the tour closes at the
+    best gain seen. The first level tries every gain-positive candidate, the
+    second up to breadth2, deeper levels extend greedily.
 
     Each move is a 2-Opt reversal of the order array: it removes (base, end)
     and (t4, t3) and adds (end, t3) and (t4, base), with end = succ(base) and
@@ -633,15 +632,15 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour, budget: Bu
     or the budget runs out; the budget is checked between chains, so a run
     overshoots `max_fe` by at most one chain.
 
-    Returns (tour, converged), where converged means the queue emptied. A
-    chain's gain also depends on edges away from its anchor, so a converged
-    tour is not always unchanged by a further cold start. Gains are summed
-    over `objective`, cost rows such as `penalized_rows` returns (None: the
-    instance's own), and the returned tour caches its plain cost, recomputed
-    once. Charges budget one FE for the start and one per candidate move evaluated.
+    Improves tour in place and returns whether it converged, that is,
+    whether the queue emptied. A chain's gain also depends on edges away
+    from its anchor, so a converged tour is not always unchanged by a further
+    cold start. Gains are summed over `objective`, cost rows such as
+    `penalized_rows` returns (None: the instance's own), and the tour then
+    caches its plain cost, recomputed once. Charges budget one FE for the
+    start and one per candidate move evaluated.
     """
     cost = inst.cost_rows if objective is None else objective
-    cand = neighbors.rows
     order = tour.order.tolist()
     n = len(order)
     pos = [0] * n
@@ -700,7 +699,7 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour, budget: Bu
             row = cost[end]
             i = pos[end]
             s_end, p_end = order[i + 1 - n], order[i - 1]
-            for t3 in cand[end]:
+            for t3 in neighbors[end]:
                 fe += 1
                 if row[t3] >= bound:
                     return best_k, best_sum  # cost-sorted: none later can fit
@@ -726,7 +725,7 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour, budget: Bu
         row0 = cost[e0]
         i = pos[e0]
         s0, p0 = order[i + 1 - n], order[i - 1]
-        for t3 in cand[e0]:
+        for t3 in neighbors[e0]:
             fe += 1
             if row0[t3] >= g0:
                 break
@@ -744,7 +743,7 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour, budget: Bu
             i = pos[e1]
             s1, p1 = order[i + 1 - n], order[i - 1]
             tried = 0
-            for t5 in cand[e1]:
+            for t5 in neighbors[e1]:
                 fe += 1
                 if row1[t5] >= bound1:
                     break
@@ -793,4 +792,4 @@ def lk_search(inst: TspInstance, neighbors: NeighborList, tour: Tour, budget: Bu
 
     tour.order[:] = order
     tour.cached_cost = tour_cost(inst, tour.order)
-    return tour, not queue
+    return not queue

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from sumparts import bench, cli, decomposition, metaheuristics, search
@@ -228,7 +229,7 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("flag, value", [
     ("--warmup-fraction", "2.0"), ("--flip-fraction", "0"), ("--neighbor-k", "1"),
     ("--seed", "-2"), ("--max-fe", "-5"), ("--max-wall", "-1"), ("--max-fe", "nan"),
-    ("--max-wall", "nan"), ("--penalty-cost", "nan"),
+    ("--max-wall", "nan"), ("--penalty-cost", "nan"), ("--max-fe", "inf"), ("--target", "inf"),
 ])
 def test_out_of_range_setting_exits_before_any_run(eil51_path, monkeypatch, capsys,
                                                    flag, value):
@@ -279,12 +280,17 @@ def test_bench_out_of_range_setting_exits_before_any_run(tmp_path, eil51_path, m
     {"targets": {"eil52": 426}},
     {"max_fe": float("nan")},
     {"algorithms": [{"algorithm": "ils", "max_wall": float("nan")}]},
+    {"max_fe": float("inf")},
+    {"algorithms": [{"algorithm": "ils", "a": float("-inf")}]},
+    {"targets": {"eil51": float("inf")}},
+    {"targets": {"eil51": "426"}},
 ], ids=["entry-typo", "top-level-typo", "entry-seed", "entry-target", "duplicate-algorithm",
         "entry-max-fe-string", "seeds-not-a-list", "flip-fraction-string",
         "warmup-fraction-string", "penalty-rounds-string", "q-prime-string", "a-string",
         "split-seed-fraction", "negative-seed", "negative-split-seed", "negative-max-fe",
         "no-seeds", "no-instances", "reference-not-an-entry", "target-not-an-instance",
-        "nan-max-fe", "nan-max-wall"])
+        "nan-max-fe", "nan-max-wall", "inf-max-fe", "negative-inf-a", "inf-target",
+        "target-string"])
 def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, capsys, change):
     campaign = {"instances": {"eil51": eil51_path}, "algorithms": [{"algorithm": "ils"}],
                 "seeds": [0], "max_fe": 1e4, **change}
@@ -302,6 +308,7 @@ def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, ca
     ("penalty_cost", "9", "must be a number"), ("penalty_cost", -1, "must be positive"),
     ("penalty_cost", float("nan"), "must be a number, got nan"),
     ("q_prime", float("nan"), "must be a number, got nan"),
+    ("q_prime", float("inf"), "must be positive and finite, got inf"),
 ])
 def test_bad_setting_is_reported_under_its_key(tmp_path, eil51_path, monkeypatch, capsys,
                                                key, value, rule):
@@ -321,6 +328,30 @@ def test_analyze_without_a_shape_exits_before_any_optimum(eil51_path, monkeypatc
     assert main(["analyze", "--instance", eil51_path, "--a", ",", "--optima", "2",
                  "--seed", seed]) == 2
     assert capsys.readouterr().err == "error: a_values must be nonempty\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "--a", "-inf"], ["sweep-a", "--a", "-inf,0"], ["analyze", "--a", "0,-inf"],
+    ["solve", "--alg", "ils_nds", "--a", "-inf"],
+    ["solve", "--alg", "ils_nds", "--a", "2", "--q-prime", "inf"],
+], ids=["decompose", "sweep-a", "analyze", "solve-a", "solve-q_prime"])
+def test_infinite_split_shape_exits_before_any_split(eil51_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(decomposition, "_rng_for", lambda *args: pytest.fail("a split drawn"))
+    monkeypatch.setattr(cli, "collect_local_optima", lambda *args: pytest.fail("optima collected"))
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("a run started"))
+    assert main(command + ["--instance", eil51_path]) == 2
+    name = "q_prime" if "--q-prime" in command else "a"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be ") and "finite" in err
+
+
+def test_bell_limit_sidecar_round_trips(eil51_path, tmp_path):
+    out = tmp_path / "split.json"
+    assert main(["decompose", "--instance", eil51_path, "--a", "inf", "-o", str(out)]) == 0
+    inst = load_bundled_tsp("eil51")
+    split = decomposition.split_from_json(out.read_text(), inst)
+    assert split.source_params.a == float("inf")
+    assert np.array_equal(split.c1, inst.units[2] / 2.0)
 
 
 def test_negative_split_seed_is_reported_under_its_flag(eil51_path, monkeypatch, capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +21,13 @@ from sumparts.decomposition import (
     split_to_json,
     sweep_a,
 )
-from sumparts.instances import random_qubo_instance, random_tsp_instance, tour_cost
+from sumparts.instances import (
+    parse_orlib_bqp,
+    random_qubo_instance,
+    random_tsp_instance,
+    synthetic_orlib_text,
+    tour_cost,
+)
 
 
 class TestPdfShape:
@@ -95,8 +103,7 @@ class TestInverseCdf:
 class TestSampleSplit:
     def test_tsp_range_and_sum(self, eil51):
         split = sample_split(eil51, SplitParams(a=-3.0, seed=7))
-        c = split.c1 + split.c2
-        iu, ju = split.unit_i, split.unit_j
+        iu, ju, c = eil51.units
         np.testing.assert_allclose(c, eil51.costs[iu, ju], rtol=1e-12)
         pos = eil51.costs[iu, ju] > 0
         assert np.all(split.c1[pos] > 0)
@@ -117,7 +124,8 @@ class TestSampleSplit:
     def test_qubo_interval_and_zero_rule(self):
         inst = random_qubo_instance(40, seed=2, density=0.3)
         split = sample_split(inst, SplitParams(a=1.0, q_prime=100.0, seed=3))
-        q = inst.q[split.unit_i, split.unit_j]
+        iu, ju, _ = inst.units
+        q = inst.q[iu, ju]
         assert np.all(q != 0)  # zero units are not sampled at all
         assert np.all(split.c1 > q / 2 - 100.0)
         assert np.all(split.c1 < q / 2 + 100.0)
@@ -142,27 +150,21 @@ class TestSampleSplit:
 
 class TestMeasureRho:
     def test_half_split_is_one(self, eil51):
-        assert measure_rho(half_split(eil51)) == pytest.approx(1.0)
+        split = half_split(eil51)
+        assert measure_rho(split.c1, eil51.units[2] - split.c1) == pytest.approx(1.0)
 
     def test_perfect_anticorrelation(self):
-        split = SplitCosts(kind="tsp", n=4,
-                           unit_i=np.array([0, 0]), unit_j=np.array([1, 2]),
-                           c1=np.array([1.0, 2.0]), c2=np.array([2.0, 1.0]),
-                           rho=0.0, source_params=SplitParams(a=0.0))
-        assert measure_rho(split) == pytest.approx(-1.0)
+        assert measure_rho(np.array([1.0, 2.0]), np.array([2.0, 1.0])) == pytest.approx(-1.0)
 
     def test_zero_variance_rejected(self):
-        split = SplitCosts(kind="tsp", n=4,
-                           unit_i=np.array([0, 0]), unit_j=np.array([1, 2]),
-                           c1=np.array([1.0, 1.0]), c2=np.array([2.0, 3.0]),
-                           rho=0.0, source_params=SplitParams(a=0.0))
         with pytest.raises(ValueError, match="variance"):
-            measure_rho(split)
+            measure_rho(np.array([1.0, 1.0]), np.array([2.0, 3.0]))
 
     def test_matches_numpy_corrcoef(self, eil51):
         split = sample_split(eil51, SplitParams(a=2.0, seed=11))
-        expected = np.corrcoef(split.c1, split.c2)[0, 1]
-        assert measure_rho(split) == pytest.approx(expected, rel=1e-12)
+        c2 = eil51.units[2] - split.c1
+        expected = np.corrcoef(split.c1, c2)[0, 1]
+        assert measure_rho(split.c1, c2) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSweepA:
@@ -240,6 +242,31 @@ class TestSerialization:
         text = split_to_json(sample_split(src, SplitParams(a=0.0, seed=0)))
         with pytest.raises(ValueError, match=r"outside \[0, c\]"):
             split_from_json(text, dst)
+
+    def test_split_is_its_instance_and_one_draw(self, eil51):
+        split = sample_split(eil51, SplitParams(a=1.0, seed=0))
+        assert [f.name for f in fields(SplitCosts)] == ["inst", "c1", "rho", "source_params"]
+        assert split.inst is eil51
+        assert split.c1.shape == eil51.units[2].shape
+
+    def test_persisted_bytes_pinned(self, eil51):
+        # sha256 of the sidecars and sweep rows, recorded before the split
+        # stopped storing its units; the sidecar format must not drift
+        ubqp60 = parse_orlib_bqp(synthetic_orlib_text(60, seed=1))
+        outputs = {
+            "eil51": split_to_json(sample_split(eil51, SplitParams(a=2.0, seed=5))),
+            "ubqp60": split_to_json(sample_split(ubqp60, SplitParams(a=-2.0, seed=9))),
+            "half": split_to_json(half_split(eil51)),
+            "sweep": repr(sweep_a(eil51, [-12, -2, 0, 2, 10], seed=3)),
+        }
+        digests = {name: hashlib.sha256(text.encode()).hexdigest()
+                   for name, text in outputs.items()}
+        assert digests == {
+            "eil51": "890df104455479225849aaf322f14a478db5cfa5927a4e1bbe308f88d58b81cc",
+            "ubqp60": "9129e6aa4350d70692c268419c431fb346cc568b9026d8759a509bdf1654bf65",
+            "half": "130899845b1017d652c57cf7068da7d11fa43cfc9c39235c2b74013b425fd9d6",
+            "sweep": "90b981e8a03d42d9f3bd3bdfc5670d4e62e3a0e87f21aba82efe4f7231085bf2",
+        }
 
     def test_json_is_plain_data(self, eil51):
         payload = json.loads(split_to_json(sample_split(eil51, SplitParams(a=1.0, seed=0))))

@@ -1,6 +1,8 @@
-"""Every module under src/ and tests/ uses each name it imports."""
+"""Every module under src/ and tests/ uses each name it imports, and every
+module-level definition in the package is read somewhere."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # __init__.py and conftest.py import names to re-export them
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
                  if p.name not in ("__init__.py", "conftest.py"))
+PACKAGE = sorted(p for p in (ROOT / "src" / "sumparts").glob("*.py") if p.name != "__init__.py")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
@@ -19,3 +22,31 @@ def test_no_unused_imports(path):
                 and getattr(node, "module", None) != "__future__" for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"imported but never used: {sorted(imported - used)}"
+
+
+@functools.cache
+def _loaded_names() -> set[str]:
+    """Names read anywhere in src/, tests/ or perfbench/: as a name, an attribute or an import."""
+    loaded = set()
+    for path in (p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name.split(".")[-1])
+    return loaded
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_dead_definitions(path):
+    defined = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    dead = defined - _loaded_names()
+    assert not dead, f"defined but never read: {sorted(dead)}"

@@ -264,21 +264,21 @@ class TestNeighborLists:
         inst = random_tsp_instance(9, seed=0)
         nl = build_neighbor_lists(inst, k=8)
         for city in range(9):
-            assert sorted(nl.lists[city].tolist()) == [c for c in range(9) if c != city]
+            assert sorted(nl[city]) == [c for c in range(9) if c != city]
 
     def test_square_side_adjacency(self):
         inst = parse_tsplib(SQUARE10)
         nl = build_neighbor_lists(inst, k=2)
         side = {0: {1, 3}, 1: {0, 2}, 2: {1, 3}, 3: {0, 2}}
         for city, expect in side.items():
-            assert set(nl.lists[city].tolist()) == expect
+            assert set(nl[city]) == expect
 
     def test_eil51_k20(self, eil51):
         nl = build_neighbor_lists(eil51, k=20)
-        assert nl.lists.shape == (51, 20)
+        assert np.shape(nl) == (51, 20)
         for city in range(51):
-            row = nl.lists[city]
-            assert len(set(row.tolist())) == 20
+            row = nl[city]
+            assert len(set(row)) == 20
             costs = eil51.costs[city, row]
             assert np.all(np.diff(costs) >= 0)
 
@@ -289,7 +289,7 @@ class TestNeighborLists:
     def test_tie_break_by_index(self):
         inst = parse_tsplib(UNIT_SQUARE)  # all costs tie at 1
         nl = build_neighbor_lists(inst, k=2)
-        assert nl.lists[0].tolist() == [1, 2]
+        assert nl[0] == [1, 2]
 
 
 @settings(max_examples=25, deadline=None)

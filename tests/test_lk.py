@@ -32,7 +32,7 @@ def reference_lk_search(inst, neighbors, tour, budget, objective=None,
     raw = inst.cost_rows
     pen = raw if objective is None else objective
     plain = objective is None
-    cand = neighbors.rows
+    cand = neighbors
     order = tour.order.tolist()
     n = len(order)
     pos = [0] * n
@@ -187,7 +187,7 @@ def reference_lk_search(inst, neighbors, tour, budget, objective=None,
 
     tour.order[:] = order
     tour.cached_cost = raw_cost
-    return tour, not queue
+    return not queue
 
 
 def start_tour(inst, neighbors, start, seed):
@@ -235,6 +235,6 @@ def test_lk_matches_reference_chain(n, seed, k, penalized, start, depth, breadth
                           (lk_search, 10 * full.consumed_fe if max_fe is None else max_fe)):
         out = tour.copy()
         budget = Budget(max_fe=limit)
-        _, converged = search(inst, neighbors, out, budget, **kwargs)
+        converged = search(inst, neighbors, out, budget, **kwargs)
         runs.append((out.order.tobytes(), out.cached_cost, budget.consumed_fe, converged))
     assert runs[0] == runs[1]

@@ -94,7 +94,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"flip_fraction": 0.0}, {"flip_fraction": -3.0}, {"flip_fraction": 1.5},
         {"warmup_fraction": 2.0}, {"warmup_fraction": -0.1}, {"neighbor_k": 1},
-        {"seed": -1}, {"max_fe": -5.0}, {"max_wall": -1.0},
+        {"seed": -1}, {"max_fe": -5.0}, {"max_wall": -1.0}, {"max_fe": float("inf")},
+        {"target": float("inf")}, {"target": float("-inf")},
     ])
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -103,6 +104,7 @@ class TestConfigValidation:
     def test_range_ends_accepted(self):
         SolverConfig(algorithm="ilk_e", flip_fraction=1.0, warmup_fraction=1.0, neighbor_k=2)
         SolverConfig(algorithm="ilk_e", warmup_fraction=0.0, seed=0, max_fe=0, max_wall=0)
+        SolverConfig(algorithm="ilk_e", max_wall=float("inf"), split=SplitParams(a=float("inf")))
 
     @pytest.mark.parametrize("cls, name, value", [
         (SolverConfig, "max_fe", "1e4"), (SolverConfig, "max_wall", True),
@@ -114,11 +116,13 @@ class TestConfigValidation:
         (PenaltyConfig, "c_tilde", "9.5"), (SolverConfig, "max_fe", float("nan")),
         (SolverConfig, "max_wall", float("nan")), (SolverConfig, "target", float("nan")),
         (SplitParams, "a", float("nan")), (SplitParams, "q_prime", float("nan")),
-        (PenaltyConfig, "c_tilde", float("nan")),
+        (PenaltyConfig, "c_tilde", float("nan")), (SplitParams, "a", float("-inf")),
+        (SplitParams, "q_prime", float("inf")),
     ], ids=["max_fe", "max_wall", "target", "seed", "neighbor_k", "flip_fraction",
             "warmup_fraction", "split-a", "split-q_prime", "split-seed", "penalty-rounds",
             "penalty-k_edges", "penalty-c_tilde", "max_fe-nan", "max_wall-nan", "target-nan",
-            "split-a-nan", "split-q_prime-nan", "penalty-c_tilde-nan"])
+            "split-a-nan", "split-q_prime-nan", "penalty-c_tilde-nan", "split-a-negative-inf",
+            "split-q_prime-inf"])
     def test_wrong_type_rejected(self, cls, name, value):
         required = {SolverConfig: {"algorithm": "ilk_e"}, SplitParams: {"a": 2.0},
                     PenaltyConfig: {}}[cls]
@@ -232,7 +236,7 @@ class TestIlk:
         for base in range(n):
             for forward in (True, False):
                 e = succ(base) if forward else pred(base)
-                for t3 in nl.lists[e]:
+                for t3 in nl[e]:
                     t3 = int(t3)
                     if C[e, t3] >= C[base, e]:
                         break

@@ -258,7 +258,7 @@ class TestLkSearch:
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(1))
         lk_search(inst, nl, t, Budget())
         before = t.order.copy()
-        _, converged = lk_search(inst, nl, t, Budget())
+        converged = lk_search(inst, nl, t, Budget())
         assert converged
         assert np.array_equal(t.order, before)
 
@@ -269,7 +269,7 @@ class TestLkSearch:
         lk_search(inst, nl, t, Budget())
         for _ in range(4):
             before = t.cached_cost
-            _, converged = lk_search(inst, nl, t, Budget())
+            converged = lk_search(inst, nl, t, Budget())
             assert converged
             assert sorted(t.order.tolist()) == list(range(inst.n))
             assert t.cached_cost <= before
@@ -282,10 +282,10 @@ class TestLkSearch:
         hits = 0
         for s in range(10):
             t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(s))
-            out, converged = lk_search(inst, nl, t, Budget())
+            converged = lk_search(inst, nl, t, Budget())
             assert converged
-            assert out.cached_cost == pytest.approx(tour_cost(inst, out), rel=1e-9)
-            hits += (out.cached_cost == opt)
+            assert t.cached_cost == pytest.approx(tour_cost(inst, t), rel=1e-9)
+            hits += (t.cached_cost == opt)
         assert hits >= 8
 
     def test_descent_and_validity(self):
@@ -293,17 +293,17 @@ class TestLkSearch:
         nl = build_neighbor_lists(inst, k=12)
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(4))
         start = t.cached_cost
-        out, _ = lk_search(inst, nl, t, Budget())
-        assert out.cached_cost <= start
-        assert sorted(out.order.tolist()) == list(range(60))
-        assert out.cached_cost == pytest.approx(tour_cost(inst, out), rel=1e-9)
+        lk_search(inst, nl, t, Budget())
+        assert t.cached_cost <= start
+        assert sorted(t.order.tolist()) == list(range(60))
+        assert t.cached_cost == pytest.approx(tour_cost(inst, t), rel=1e-9)
 
     def test_two_opt_optimal_within_candidate_subgraph(self):
         # oracle mirrors the chain's level-1 move set exactly
         inst = random_tsp_instance(40, seed=12)
         nl = build_neighbor_lists(inst, k=10)
-        out, converged = lk_search(
-            inst, nl, TwoOptNeighborhood(inst).random_solution(np.random.default_rng(8)), Budget())
+        out = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(8))
+        converged = lk_search(inst, nl, out, Budget())
         assert converged
         order = out.order
         n = inst.n
@@ -320,7 +320,7 @@ class TestLkSearch:
         for base in range(n):
             for forward in (True, False):
                 e = succ(base) if forward else pred(base)
-                for t3 in nl.lists[e]:
+                for t3 in nl[e]:
                     t3 = int(t3)
                     if C[e, t3] >= C[base, e]:
                         break
@@ -338,8 +338,8 @@ class TestLkSearch:
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(0))
         lk_search(inst, nl, t, Budget())
         pen = penalized_rows(inst, [(int(t.order[0]), int(t.order[1]))], 500.0)
-        out, _ = lk_search(inst, nl, t, Budget(), objective=pen)
-        assert out.cached_cost == pytest.approx(tour_cost(inst, out), rel=1e-9)
+        lk_search(inst, nl, t, Budget(), objective=pen)
+        assert t.cached_cost == pytest.approx(tour_cost(inst, t), rel=1e-9)
 
     @pytest.mark.parametrize("penalized", [False, True], ids=["plain", "penalized"])
     def test_cached_cost_recomputed_over_stale_input(self, penalized):
@@ -349,14 +349,14 @@ class TestLkSearch:
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(0))
         t.cached_cost += 7.0
         rows = penalized_rows(inst, [(int(t.order[0]), int(t.order[1]))], 500.0)
-        out, _ = lk_search(inst, nl, t, Budget(), objective=rows if penalized else None)
-        assert out.cached_cost == tour_cost(inst, out)
+        lk_search(inst, nl, t, Budget(), objective=rows if penalized else None)
+        assert t.cached_cost == tour_cost(inst, t)
 
     def test_budget_exhaustion_returns_current(self):
         inst = random_tsp_instance(30, seed=5)
         nl = build_neighbor_lists(inst, k=10)
         t = TwoOptNeighborhood(inst).random_solution(np.random.default_rng(3))
-        _, converged = lk_search(inst, nl, t, Budget(max_fe=5))
+        converged = lk_search(inst, nl, t, Budget(max_fe=5))
         assert not converged
         assert sorted(t.order.tolist()) == list(range(30))
 
@@ -417,12 +417,12 @@ def test_lk_permutation_cache_and_overshoot(n, seed, k, penalized, kicked, max_f
                  for p in rng.choice(n, size=5, replace=False)]
         objective = penalized_rows(inst, edges, inst.max_cost)
     budget = Budget(max_fe=max_fe)
-    out, _ = lk_search(inst, nl, tour, budget, objective=objective, active=active)
-    assert sorted(out.order.tolist()) == list(range(n))
-    exact = tour_cost(inst, out)
-    assert abs(out.cached_cost - exact) <= EVAL_REL_TOL * exact
+    lk_search(inst, nl, tour, budget, objective=objective, active=active)
+    assert sorted(tour.order.tolist()) == list(range(n))
+    exact = tour_cost(inst, tour)
+    assert abs(tour.cached_cost - exact) <= EVAL_REL_TOL * exact
     if max_fe is not None:
-        assert budget.consumed_fe - max_fe <= lk_chain_bound(nl.lists.shape[1])
+        assert budget.consumed_fe - max_fe <= lk_chain_bound(len(nl[0]))
 
 
 @settings(max_examples=40, deadline=None)
