@@ -46,10 +46,9 @@ def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
 
 # A block of a two-hop scan holds BLOCK_DELTAS // n neighbors: 321 on eil51,
 # 16 on a 1000-variable UBQP, enough to amortize numpy's per-call cost (on
-# eil51, blocks of 13 made ens twice as slow as blocks of 64-321). Its 8-byte
-# temporaries n wide come to 128 kB, glibc's default threshold for giving an
-# allocation its own mapping, and its (n+1)-row index arrays exceed it:
-# 52 x 321 x 8 = 133,536 B on eil51.
+# eil51, blocks of 13 made ens twice as slow as blocks of 64-321). A block's
+# temporaries, about 130 kB each on eil51 (52 x 321 x 8 = 133,536 B), live
+# in the view's scratch: allocated by its first block, reused by later ones.
 BLOCK_DELTAS = 1 << 14
 
 

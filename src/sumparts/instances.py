@@ -136,6 +136,11 @@ class QuboInstance:
         iu, ju = np.nonzero(np.triu(self.q != 0.0))
         return iu, ju, self.q[iu, ju]
 
+    @cached_property
+    def _flip_row(self) -> np.ndarray:
+        """flip_delta_and_update's product row, written anew by every flip."""
+        return np.empty(self.n)
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -386,13 +391,14 @@ def flip_delta_and_update(inst: QuboInstance, bv: BitVector, i: int) -> float:
     x_j = q_ij * twice_j, which is exact (a factor of +-2 only scales and
     signs q_ij), then adds x to the gains when s_i = +1 and subtracts it
     when s_i = -1. Since g - x equals g + (-x) bit for bit, every gain is
-    the one q_ij * (2 s_i s_j) gives, however that product is grouped. Only
+    the one q_ij * (2 s_i s_j) gives, however that product is grouped. x
+    goes to a row the instance keeps, so a flip allocates nothing. Only
     f's gains are kept; sub-objective gains are computed from the bits on
     demand (FlipNeighborhood.split_deltas).
     """
     if not 0 <= i < bv.n:
         raise ValueError(f"bit index {i} out of range")
-    delta = _flip(inst.q[i], bv.gains, bv.twice, bv.bits, i, np.empty(bv.n))
+    delta = _flip(inst.q[i], bv.gains, bv.twice, bv.bits, i, inst._flip_row)
     bv.cached_value += delta
     return delta
 

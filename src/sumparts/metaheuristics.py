@@ -176,8 +176,17 @@ def _solution_state(sol):
     return sol.bits.copy().astype(np.int8)
 
 
+def _same_instance(a, b) -> bool:
+    """True when a and b are one object, or of one kind and size with equal units."""
+    return a is b or (a.kind == b.kind and a.n == b.n
+                      and all(np.array_equal(x, y) for x, y in zip(a.units, b.units)))
+
+
 def check_fits(config: SolverConfig, inst):
-    """Raise unless config applies to inst's kind and size; run and campaigns check first."""
+    """Raise unless config applies to inst's kind and size; run and campaigns check first.
+
+    A realized split fits only the instance it was drawn for, or an equal copy.
+    """
     if isinstance(inst, TspInstance):
         kind, foreign = "TSP", "its"  # tabu search flips bits
     elif isinstance(inst, QuboInstance):
@@ -191,6 +200,10 @@ def check_fits(config: SolverConfig, inst):
                          f"{inst.n} (round(flip_fraction * n) == 0)")
     if config.algorithm in ("ilk_e", "ilk_nde") and config.penalty.k_edges > inst.n:
         raise ValueError(f"penalty_edges {config.penalty.k_edges} exceeds a tour's {inst.n} edges")
+    split = config.split
+    if isinstance(split, SplitCosts) and not _same_instance(split.inst, inst):
+        raise ValueError(f"the split was drawn for {split.inst.name} (n={split.inst.n}), "
+                         f"not for {inst.name} (n={inst.n})")
 
 
 def run(config: SolverConfig, inst) -> RunTrace:

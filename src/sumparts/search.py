@@ -20,6 +20,7 @@ every city.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from collections.abc import Iterable
@@ -76,21 +77,54 @@ def better(sense: int, a: float, b: float) -> bool:
 # fixed lexicographic order, with vectorized delta computation whose FE
 # charges match a sequential scan exactly.
 #
-# Every 2-Opt kernel gathers costs with `take` from the flat, C-contiguous
-# cost matrix, at index arrays cached once per n (`_two_opt_index`) and shared
-# by every view of that size; none indexes in 2D or rolls an array per call.
-# `deltas` and the two-hop tables first gather the wrapped position table
-# b[x, y] = m[t[x % n], t[y % n]] for x, y <= n, so a move's four costs sit at
-# fixed flat indices of b and successors are slices; the two-hop rows read b
-# at each neighbor's tour positions, its reversed segment included. Values
-# and the order they are added in are those of `two_opt_delta`'s
+# Every 2-Opt kernel first gathers the wrapped position table
+# b[x, y] = m[t[x % n], t[y % n]] for x, y <= n with two `take`s, the tour's
+# rows of m and then their columns, so a move's four costs sit at fixed flat
+# indices of b and successors are slices. Those flat indices are cached once
+# per n (`_two_opt_index`) and shared by every view of that size; no kernel
+# indexes in 2D or rolls an array per call. The two-hop rows read b at each
+# neighbor's tour positions, its reversed segment included. Values and the
+# order they are added in are those of `two_opt_delta`'s
 # m[a, c] + m[b, d] - m[a, b] - m[c, d].
+#
+# The kernels write their temporaries into the view's scratch (`_Scratch`)
+# with `out=`, and pass numpy's ufuncs no broadcast or strided operand larger
+# than a row: numpy then allocates a buffer of up to 8192 elements for each
+# such operand on every call. Such a term is first copied out to contiguous
+# scratch with `np.copyto`, which needs no buffer.
 
 
-def _suffix_min(a: np.ndarray, axis: int) -> np.ndarray:
-    """Running minimum from the far end of the axis (a reversed view)."""
-    rev = (slice(None),) * axis + (slice(None, None, -1),)
-    return np.minimum.accumulate(a[rev], axis=axis)[rev]
+class _Scratch:
+    """Named arrays a view's kernels write into, each allocated on first use.
+
+    A name's array is reused by every later call, whatever its shape, and is
+    reallocated only when a call needs more elements than any before it.
+    Steps that never overlap share names, so a view holds the largest of
+    their arrays, not all of them. Nothing in it outlives the call that
+    writes it: the kernels return, and the two-hop `best` functions keep,
+    fresh arrays only. Gathers into it use `take(..., mode="clip")`, because
+    numpy copies `out` in the default mode; every index is in range, so the
+    values are those of a plain `take`. Each (name, shape) view is kept as
+    well: building it anew on every call took over a microsecond, a few
+    percent of a flip block.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}
+
+    def __call__(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:
+        view = self._views.get((name, shape))
+        if view is None:
+            size = math.prod(shape)
+            flat = self._arrays.get(name)
+            if flat is None or flat.size < size:
+                flat = self._arrays[name] = np.empty(size, dtype)
+                self._views.clear()  # no view may keep an old array alive
+            elif len(self._views) >= 64:
+                self._views.clear()  # the last block of a scan has a new shape each time
+            view = self._views[name, shape] = flat[:size].reshape(shape)
+        return view
 
 
 @dataclass(frozen=True)
@@ -116,6 +150,7 @@ class _TwoOptIndex:
     at_rr: np.ndarray  # [p+2, q]
     at_lr: np.ndarray  # [p, q]
     at_rh: np.ndarray  # [p+2, q+2]
+    below: np.ndarray  # below[x, y] = x < y, for x, y <= n
 
 
 @lru_cache(maxsize=32)
@@ -132,7 +167,7 @@ def _two_opt_index(n: int) -> _TwoOptIndex:
         at_ac=p * v + q, at_bd=(p + 1) * v + q + 1, at_ab=p * v + p + 1, at_cd=q * v + q + 1,
         near=np.subtract.outer(i, i) > -2,
         at_d=(p + 1) * w + q + 1, at_lh=p * w + q + 2, at_rr=(p + 2) * w + q,
-        at_lr=p * w + q, at_rh=(p + 2) * w + q + 2)
+        at_lr=p * w + q, at_rh=(p + 2) * w + q + 2, below=np.less.outer(col, col))
     for a in vars(index).values():
         a.setflags(write=False)
     return index
@@ -170,34 +205,43 @@ class TwoOptNeighborhood:
     p = property(lambda self: self._ix.p)
     q = property(lambda self: self._ix.q)
 
-    def _table_index(self, tour: Tour) -> np.ndarray:
-        """Flat cost indices of the wrapped position table b, shape (n+1, n+1)."""
+    @cached_property
+    def _scratch(self) -> _Scratch:
+        """The kernels' scratch arrays, built on first use: LK and tabu runs never build them."""
+        return _Scratch()
+
+    def _table(self, mat: np.ndarray, tour: Tour, out: np.ndarray | None = None) -> np.ndarray:
+        """The wrapped position table of mat, (n+1, n+1), written to out (default: fresh)."""
         tw = tour.order.take(self._ix.wrap)
-        return np.add.outer(tw * self.inst.n, tw)
+        rows = mat.take(tw, axis=0, out=self._scratch("rows", tw.size, self.inst.n), mode="clip")
+        return rows.take(tw, axis=1, out=out, mode="clip")
 
     def _moves(self, b: np.ndarray) -> np.ndarray:
-        """Deltas of every move from a flat wrapped position table, as in two_opt_delta."""
+        """Deltas of every move from a wrapped position table, as in two_opt_delta."""
         ix = self._ix
+        b = b.ravel()
+        cost = self._scratch("cost", self.size)
         x = b.take(ix.at_ac)
-        x += b.take(ix.at_bd)
-        x -= b.take(ix.at_ab)
-        x -= b.take(ix.at_cd)
+        x += b.take(ix.at_bd, out=cost, mode="clip")
+        x -= b.take(ix.at_ab, out=cost, mode="clip")
+        x -= b.take(ix.at_cd, out=cost, mode="clip")
         return x
 
     def deltas(self, tour: Tour) -> np.ndarray:
         """f deltas of every move; the scan that reads them charges the FEs."""
-        return self._moves(self.inst.costs.ravel().take(self._table_index(tour).ravel()))
+        v = self.inst.n + 1
+        return self._moves(self._table(self.inst.costs, tour, self._scratch("table", v, v)))
 
     def split_deltas(self, tour: Tour):
         """(f, f1, f2) deltas of every move; the scan that reads them charges the FEs.
 
         The f delta comes from the original cost matrix, not from d1 + d2,
         so downstream cache arithmetic stays exact on integer instances.
-        f2's costs are f's minus f1's, gathered at the same table.
+        f2's costs are f's minus f1's, gathered at the same table. The two
+        tables are fresh, not scratch: a view that classifies one optimum
+        calls this once and would keep them for nothing.
         """
-        at = self._table_index(tour).ravel()
-        b0 = self.inst.costs.ravel().take(at)
-        b1 = self.split.mat1.ravel().take(at)
+        b0, b1 = self._table(self.inst.costs, tour), self._table(self.split.mat1, tour)
         return self._moves(b0), self._moves(b1), self._moves(b0 - b1)
 
     def first_improvement(self, tour: Tour, threshold: float, budget: Budget) -> bool:
@@ -225,63 +269,98 @@ class TwoOptNeighborhood:
         and triangles come from O(n^2) cumulative-min tables built once here,
         of which one value per move is kept. The function then scores only
         the ~2n moves through each neighbor's two new edges, so a neighbor
-        costs O(n). Building the tables holds about seven (n+2)^2 float arrays
-        at its peak.
+        costs O(n). The tables are four (n+2)^2 float arrays of the view's
+        scratch, and the cumulative minima run in place in them; the
+        function's blocks also work in scratch. Only the table b and the
+        per-move minima are fresh, so a function stays valid after later calls.
         """
-        n, w, ix = self.inst.n, self.inst.n + 2, self._ix
-        costs = self.inst.costs.ravel()
+        n, w, ix, scratch = self.inst.n, self.inst.n + 2, self._ix, self._scratch
         # the wrapped position table: b's successor rows and columns are
         # slices of it and e is a diagonal
-        bw = costs.take(self._table_index(tour))
+        bw = self._table(self.inst.costs, tour)
         b, e = bw[:-1, :-1], bw[:-1, 1:].diagonal()
         # d, X and Z padded by a border of inf, so position x is index x + 1
         # and an empty range reads inf; entries with y < x + 2 are no move
-        # and are left out of every minimum
-        dm, x, z = np.full((3, w, w), np.inf)
+        # and are left out of every minimum. The tables are dead before
+        # any block starts, so they take the arrays the blocks write later.
+        tables = scratch("edge", 4, w, w)
+        tables.fill(np.inf)
+        dm, x, z, corner = tables
         dm.ravel().put(ix.at_d, d)
-        inner = x[1:-1, 1:-1]
-        np.add(bw[:-1, 1:], bw[1:, :-1], out=inner)
-        inner -= e[:, None]
-        inner -= e
-        inner = z[1:-1, 1:-1]
-        np.add(bw[1:, 1:], b, out=inner)
-        inner -= e
-        inner -= e[:, None]
-        del b, inner
+
+        def fill(table, first, second, third, fourth):
+            # the inside of table = ((first + second) - third) - fourth,
+            # each term copied out to contiguous scratch first
+            total, term = scratch("delta", n, n), scratch("cost", n, n)
+            np.copyto(total, first)
+            np.copyto(term, second)
+            total += term
+            np.copyto(term, third)
+            total -= term
+            np.copyto(term, fourth)
+            total -= term
+            np.copyto(table[1:-1, 1:-1], total)
+
+        fill(x, bw[:-1, 1:], bw[1:, :-1], e[:, None], e)
+        fill(z, bw[1:, 1:], b, e, e[:, None])
         near = ix.near
-        z[near] = np.inf
+        np.copyto(z, np.inf, where=near)
         P, Q = ix.p, ix.q
-        static = np.minimum(np.minimum.accumulate(dm.min(axis=0)).take(P),  # L x L
-                            _suffix_min(dm.min(axis=1), axis=0).take(Q + 2))  # H x H
-        corner = np.minimum.accumulate(_suffix_min(dm, axis=1), axis=0)  # x <= a, y >= b
-        np.minimum(static, corner.ravel().take(ix.at_lh), out=static)  # L x H
-        corner = _suffix_min(np.minimum.accumulate(z, axis=1), axis=0)  # x >= a, y <= b
-        np.minimum(static, corner.ravel().take(ix.at_rr), out=static)  # R x R
-        corner = np.minimum.accumulate(x, axis=0)  # x' <= x
-        corner[near] = np.inf
-        corner = np.minimum.accumulate(corner, axis=1)
-        np.minimum(static, corner.ravel().take(ix.at_lr), out=static)  # L x R
-        corner = _suffix_min(x, axis=1)  # y' >= y
-        corner[near] = np.inf
-        corner = _suffix_min(corner, axis=0)
-        np.minimum(static, corner.ravel().take(ix.at_rh), out=static)  # R x H
-        del dm, x, z, corner
+        line = dm.min(axis=0, out=scratch("line", w))
+        static = np.minimum.accumulate(line, out=line).take(P)  # L x L
+        cost = scratch("cost", len(P))
+
+        def keep(table, at):
+            np.minimum(static, table.ravel().take(at, out=cost, mode="clip"), out=static)
+
+        dm.min(axis=1, out=line)
+        np.minimum.accumulate(line[::-1], out=line[::-1])
+        keep(line[2:], Q)  # H x H
+        # corners, each a running minimum in place: x <= a, y >= b
+        np.minimum.accumulate(dm[:, ::-1], axis=1, out=dm[:, ::-1])
+        np.minimum.accumulate(dm, axis=0, out=dm)
+        keep(dm, ix.at_lh)  # L x H
+        np.minimum.accumulate(z, axis=1, out=z)  # x >= a, y <= b
+        np.minimum.accumulate(z[::-1], axis=0, out=z[::-1])
+        keep(z, ix.at_rr)  # R x R
+        np.minimum.accumulate(x, axis=0, out=corner)  # x' <= x
+        np.copyto(corner, np.inf, where=near)
+        np.minimum.accumulate(corner, axis=1, out=corner)
+        keep(corner, ix.at_lr)  # L x R
+        np.minimum.accumulate(x[:, ::-1], axis=1, out=x[:, ::-1])  # y' >= y
+        np.copyto(x, np.inf, where=near)
+        np.minimum.accumulate(x[::-1], axis=0, out=x[::-1])
+        keep(x, ix.at_rh)  # R x H
         v = n + 1
         flat = bw.ravel()
-        col, wrap = ix.col[:, None], ix.wrap[:, None]
-        pos = col[:-1]
+        col, below = ix.col[:, None], ix.below
         step = np.array([-1, 0, 1])[:, None]
 
         def best(ks: np.ndarray):
+            r = len(ks)
             # column i: the tour positions of neighbor ks[i]'s cities, wrapped,
             # with its segment [P+1, Q] reversed, so bw[at[j], at[j + 1]] is
             # its edge at position j
             pk, qk = P.take(ks), Q.take(ks)
             lo = pk + 1
-            at = np.where((col >= lo) & (col <= qk), lo + qk - col, wrap)
-            edge = flat.take(at[:-1] * v + at[1:])
+            inside = below.take(qk + 1, axis=1, out=scratch("inside", v, r, dtype=bool),
+                                mode="clip")
+            inside ^= below.take(lo, axis=1, out=scratch("mask", v, r, dtype=bool),
+                                 mode="clip")  # j <= Q, minus j < P+1
+            at = scratch("at", v, r, dtype=np.intp)
+            rev = scratch("gather", v, r, dtype=np.intp)  # dead before gather is written
+            np.copyto(at, col)
+            np.copyto(rev, lo + qk)
+            np.subtract(rev, at, out=at, where=inside)
+            at[-1] = 0  # position n wraps to 0, and no segment reaches it
+            gather = scratch("gather", n, r, dtype=np.intp)
+            np.multiply(at[:-1], v, out=gather)
+            gather += at[1:]
+            edge = flat.take(gather, out=scratch("edge", n, r), mode="clip")
+            delta, cost = scratch("delta", n, r), scratch("cost", n, r)
+            before = scratch("mask", n, r, dtype=bool)
             out = static.take(ks)
-            cols = np.arange(len(ks))
+            cols = np.arange(r)
             # neighbor k's new edge at its position P joins the cities at
             # tour positions P and Q, the one at Q those at P+1 and Q+1
             for new, pu, pv in ((pk, pk, qk), (qk, lo, qk + 1)):
@@ -289,14 +368,20 @@ class TwoOptNeighborhood:
                 # deltas() adds on the built neighbor, then the edge at the
                 # lower position subtracted first, as there
                 pu = pu * v
-                delta = flat.take(at[:-1] + pu)
-                delta += flat.take(at[1:] + pv * v)
-                before = pos < new
+                np.copyto(gather, pu)
+                gather += at[:-1]
+                flat.take(gather, out=delta, mode="clip")
+                np.copyto(gather, pv * v)
+                gather += at[1:]
+                delta += flat.take(gather, out=cost, mode="clip")
+                below[:-1].take(new, axis=1, out=before, mode="clip")  # j < new
                 np.subtract(delta, edge, out=delta, where=before)
-                delta -= flat.take(pu + pv)
-                np.subtract(delta, edge, out=delta, where=~before)
+                np.copyto(cost, flat.take(pu + pv))
+                delta -= cost
+                np.logical_not(before, out=before)
+                np.subtract(delta, edge, out=delta, where=before)
                 # adjacent edges: no move
-                delta.ravel().put((new + step) % n * len(ks) + cols, np.inf)
+                delta.ravel().put((new + step) % n * r + cols, np.inf)
                 np.minimum(out, delta.min(axis=0), out=out)
             return out, tour.cached_cost + d[ks]
 
@@ -338,6 +423,8 @@ class FlipNeighborhood:
         self.size = inst.n
         self.flip_fraction = flip_fraction
 
+    _scratch = TwoOptNeighborhood._scratch
+
     def deltas(self, bv: BitVector) -> np.ndarray:
         """f gains of every flip; the scan that reads them charges the FEs."""
         return bv.gains.copy()
@@ -363,16 +450,21 @@ class FlipNeighborhood:
         flip_delta_and_update's gain update, q_kj scaled by exactly +-2 and
         added to the same gains, without copying the solution. A flip's
         neighborhood shares no structure worth tabulating, so each neighbor
-        costs O(n).
+        costs O(n), and a block's rows are written into the view's scratch.
         """
         twice, half = bv.twice, 0.5 * bv.twice
 
         def best(ks: np.ndarray):
-            rows = self.inst.q.take(ks, axis=0)
-            rows *= twice[ks][:, None]
-            rows *= half
-            rows += bv.gains
-            rows[np.arange(len(ks)), ks] = -bv.gains[ks]
+            r, n = len(ks), self.size
+            rows, term = self._scratch("rows", r, n), self._scratch("term", r, n)
+            self.inst.q.take(ks, axis=0, out=rows, mode="clip")
+            np.copyto(term, twice[ks][:, None])
+            rows *= term
+            np.copyto(term, half)
+            rows *= term
+            np.copyto(term, bv.gains)
+            rows += term
+            rows[np.arange(r), ks] = -bv.gains[ks]
             return rows.max(axis=1), bv.cached_value + d[ks]
 
         return best

@@ -133,6 +133,15 @@ class TestConfigValidation:
         SolverConfig(algorithm="ilk_e", seed=np.int64(3), neighbor_k=np.int32(8),
                      max_fe=np.float64(1e4), max_wall=2, target=np.int64(426))
 
+    def test_split_of_another_instance_rejected(self, eil51):
+        for other in (random_tsp_instance(60, seed=1), random_tsp_instance(51, seed=1)):
+            split = sample_split(other, SplitParams(a=2.0))
+            with pytest.raises(ValueError, match="split was drawn for"):
+                run(SolverConfig("ils_nds", split=split, max_fe=2e4), eil51)
+        # an equal copy of the instance fits
+        split = sample_split(load_bundled_tsp("eil51"), SplitParams(a=2.0))
+        assert run(SolverConfig("ils_nds", split=split, max_fe=2e4), eil51).rho == split.rho
+
 
 class TestIlsEns:
     def test_zero_budget(self):

@@ -8,6 +8,8 @@ charges, also under `max_fe` caps that stop the scan before its first
 neighbor, mid-block and on a block boundary.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +22,10 @@ from sumparts.instances import (
     MINIMIZE,
     QuboInstance,
     TspInstance,
+    parse_orlib_bqp,
     random_qubo_instance,
     random_tsp_instance,
+    synthetic_orlib_text,
 )
 from sumparts.landscape import promising_flags
 from sumparts.search import Budget, FlipNeighborhood, TwoOptNeighborhood, descend
@@ -198,6 +202,19 @@ def tsp_costs_view(n, seed, costs):
     return TwoOptNeighborhood(TspInstance(name=inst.name, n=n, costs=c))
 
 
+def scores_in_two_chunks(view, sol, d, ks):
+    """`two_hop_best(sol, d)` of ks, scored in a chunk larger than any block
+    before it on view and then a smaller one. In between, the view scores the
+    first chunk for another solution, which rewrites its scratch."""
+    best_of = view.two_hop_best(sol, d)
+    cut = len(ks) // 2 + 1
+    first = best_of(ks[:cut])
+    other = view.random_solution(np.random.default_rng(len(ks)))
+    view.two_hop_best(other, view.deltas(other))(ks[:cut])
+    second = best_of(ks[cut:])
+    return np.concatenate([first[0], second[0]]), np.concatenate([first[1], second[1]])
+
+
 class TestTwoHopBest:
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(4, 40), seed=st.integers(0, 10_000),
@@ -214,7 +231,7 @@ class TestTwoHopBest:
         d = view.deltas(tour)
         # every neighbor, so also those with lo = 1 and with hi = n - 1
         ks = np.random.default_rng(seed + 1).permutation(view.size)
-        best, values = view.two_hop_best(tour, d)(ks)
+        best, values = scores_in_two_chunks(view, tour, d, ks)
         for k, got, value in zip(ks, best, values):
             cand = view.neighbor(tour, int(k), float(d[k]))
             assert got == view.deltas(cand).min()
@@ -227,7 +244,7 @@ class TestTwoHopBest:
         bv = view.random_solution(np.random.default_rng(seed))
         d = view.deltas(bv)
         ks = np.random.default_rng(seed + 1).permutation(n)
-        best, values = view.two_hop_best(bv, d)(ks)
+        best, values = scores_in_two_chunks(view, bv, d, ks)
         for k, got, value in zip(ks, best, values):
             cand = view.neighbor(bv, int(k), float(d[k]))
             assert got == view.deltas(cand).max()
@@ -254,6 +271,43 @@ class TestTwoHopBest:
                     fe = assert_same_as_sequential(fast, slow, tour, view, cap)
                     assert cap is None or fe - cap <= view.size
         assert past_first_block == {nds, ens}
+
+
+def warm_peak_bytes(call) -> int:
+    """Bytes a second call of call allocates at its peak beyond its starting level."""
+    call()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_warm_scans_allocate_less_than_one_block(eil51):
+    """Once a view has scanned, its kernels write into its scratch: a second
+    scan allocates less than one block-sized float array at any time (the
+    block's (n+1) x 321 positions on eil51, its 16 x 1000 rows on bqp1000)."""
+    view = TwoOptNeighborhood(eil51)
+    tour = view.random_solution(np.random.default_rng(4))
+    descend(view, tour, Budget())
+    block = (escape.BLOCK_DELTAS // eil51.n) * (eil51.n + 1) * 8
+    assert warm_peak_bytes(lambda: promising_flags(tour, view)) < block
+
+    inst = parse_orlib_bqp(synthetic_orlib_text(1000, seed=1))
+    view = FlipNeighborhood(inst, sample_split(inst, SplitParams(a=0.0, seed=0)))
+    bv = view.random_solution(np.random.default_rng(1))
+    descend(view, bv, Budget())
+    rows = escape.BLOCK_DELTAS // inst.n
+    assert warm_peak_bytes(lambda: nds(bv, view, Budget())) < rows * inst.n * 8
+    budget = Budget()
+    nds(bv, view, budget)
+    assert budget.consumed_fe > (1 + rows) * view.size  # the scan went past its first block
 
 
 @pytest.mark.parametrize("qubo", [False, True])
