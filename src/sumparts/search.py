@@ -694,7 +694,9 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
     removed and candidate edges from the rows of `build_neighbor_lists` are
     chained while the cumulative gain stays positive; the tour closes at the
     best gain seen. The first level tries every gain-positive candidate, the
-    second up to breadth2, deeper levels extend greedily.
+    second up to breadth2, deeper levels extend greedily; they inline
+    `do_move`'s rule term by term, and score the last level's move first and
+    apply it only if it sets a new best (same FEs).
 
     Each move is a 2-Opt reversal of the order array: it removes (base, end)
     and (t4, t3) and adds (end, t3) and (t4, base), with end = succ(base) and
@@ -719,9 +721,10 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
     Chains are driven by a queue of active (city, direction) pairs, the
     don't-look bits of Bentley's 2-Opt. `active` lists the cities queued
     first, both directions each; None (a cold start) queues every city in
-    index order. A chain that improves queues the endpoints of every edge it
-    changed that are not queued yet. The search stops when the queue empties
-    or the budget runs out; the budget is checked between chains, so a run
+    index order; a city outside 0..n-1 raises ValueError before any FE. A
+    chain that improves queues the endpoints of every edge it changed that
+    are not queued yet. The search stops when the queue empties or the
+    budget runs out; the budget is checked between chains, so a run
     overshoots `max_fe` by at most one chain.
 
     Improves tour in place and returns whether it converged, that is,
@@ -741,7 +744,6 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
     # snapshots: the tour at the chain's start, and after its first move
     order0, pos0 = order[:], pos[:]
     order1, pos1 = order[:], pos[:]
-    budget.charge(1)
 
     # the running chain: reversals applied, their endpoints and prefix-sum gains
     moves: list[tuple[int, int]] = []
@@ -752,9 +754,11 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
     # position i: the negative indices wrap around the array's ends
 
     def reverse(lo: int, hi: int):
-        order[lo:hi + 1] = order[hi:lo - 1 if lo else None:-1]
-        for i in range(lo, hi + 1):
-            pos[order[i]] = i
+        seg = order[hi:lo - 1 if lo else None:-1]
+        order[lo:hi + 1] = seg
+        for c in seg:
+            pos[c] = lo
+            lo += 1
 
     def do_move(base: int, end: int, t3: int, forward: bool):
         # chained 2-Opt: remove (base,end),(t4,t3); add (end,t3),(t4,base)
@@ -781,28 +785,50 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
             order[:], pos[:] = order0, pos0
         del moves[k:], ends[3 * k:], cost_sum[k + 1:]
 
-    def extend_greedy(base: int, forward: bool, best_k: int, best_sum: float):
-        # deeper levels: first acceptable candidate, no alternatives
+    def extend_greedy(base: int, forward: bool):
+        # deeper levels, do_move inlined: first acceptable candidate, no alternatives
         nonlocal fe
-        for _ in range(3, depth + 1):
+        total = cost_sum[2]
+        best_k, best_sum = (2, total) if total < -1e-12 else (-1, 0.0)
+        scanned = 0
+        for level in range(3, depth + 1):
             i = pos[base]
             end = order[i + 1 - n] if forward else order[i - 1]
-            bound = cost[base][end] - cost_sum[-1]
+            g = cost[base][end]
+            bound = g - total
             row = cost[end]
             i = pos[end]
             s_end, p_end = order[i + 1 - n], order[i - 1]
             for t3 in neighbors[end]:
-                fe += 1
+                scanned += 1
                 if row[t3] >= bound:
+                    fe += scanned
                     return best_k, best_sum  # cost-sorted: none later can fit
-                if t3 == s_end or t3 == p_end:
-                    continue
-                do_move(base, end, t3, forward)
-                break
+                if t3 != s_end and t3 != p_end:
+                    break
             else:
-                return best_k, best_sum
-            if cost_sum[-1] < best_sum - 1e-12:
-                best_k, best_sum = len(moves), cost_sum[-1]
+                break
+            p3 = pos[t3]
+            t4 = order[p3 - 1] if forward else order[p3 + 1 - n]
+            total = total + (row[t3] + cost[t4][base] - g - cost[t4][t3])
+            if total < best_sum - 1e-12:
+                best_k, best_sum = level, total
+            elif level == depth:
+                break  # the last move would be rolled back: leave it unapplied
+            pe, p4 = pos[end], pos[t4]
+            if forward:
+                lo, hi = (pe, p4) if pe <= p4 else (p3, pos[base])
+            else:
+                lo, hi = (p4, pe) if p4 <= pe else (pos[base], p3)
+            cost_sum.append(total)
+            moves.append((lo, hi))
+            ends.extend((end, t3, t4))
+            seg = order[hi:lo - 1 if lo else None:-1]
+            order[lo:hi + 1] = seg
+            for c in seg:
+                pos[c] = lo
+                lo += 1
+        fe += scanned
         return best_k, best_sum
 
     def chain_from(base: int, forward: bool) -> int:
@@ -843,8 +869,7 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
                     continue
                 do_move(base, e1, t5, forward)
                 tried += 1
-                best_k, best_sum = (2, cost_sum[2]) if cost_sum[2] < -1e-12 else (-1, 0.0)
-                best_k, best_sum = extend_greedy(base, forward, best_k, best_sum)
+                best_k, best_sum = extend_greedy(base, forward)
                 if best_sum < -1e-12:
                     if best_k < len(moves):
                         rollback(best_k)
@@ -865,7 +890,11 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
                 queue.append(item)
 
     for city in (range(n) if active is None else active):
-        push(int(city))
+        city = int(city)
+        if not 0 <= city < n:
+            raise ValueError(f"active city {city} is not a city of {inst.name} (0..{n - 1})")
+        push(city)
+    budget.charge(1)
     while queue and not budget.exhausted():
         item = queue.popleft()
         queued[item] = False

@@ -3,19 +3,24 @@
 The reference below is `lk_search` as it was before a failed chain was
 rolled back from snapshots of the tour: it takes every tentative move back
 by reversing the applied segments again, last first (`undo_to`), and a
-commit undoes the moves past the winning prefix the same way. `lk_search`
-must agree with it bit for bit: the same order array, cached cost, FE
-charges and convergence flag, on plain and penalized views, from cold and
-kicked starts, with the budget cut anywhere.
+commit undoes the moves past the winning prefix the same way. It still
+applies every move through one `do_move`, the chain's last level included,
+where `lk_search` applies its greedy levels inline and scores the last level
+before applying it. `lk_search` must agree with it bit for bit: the same
+order array, cached cost, FE charges and convergence flag, on plain and
+penalized views, from cold and kicked starts, at every depth up to the
+production one, with the budget cut anywhere.
 """
 
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumparts.instances import Tour, build_neighbor_lists, random_tsp_instance
+from sumparts.metaheuristics import SolverConfig
 from sumparts.search import (
     LK_BREADTH2,
     LK_DEPTH,
@@ -205,7 +210,7 @@ def start_tour(inst, neighbors, start, seed):
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(5, 60), seed=st.integers(0, 10_000), k=st.integers(2, 10),
        penalized=st.booleans(), start=st.sampled_from(["cold", "kicked"]),
-       depth=st.integers(2, 6), breadth2=st.integers(1, 4),
+       depth=st.integers(2, LK_DEPTH), breadth2=st.integers(1, 4),
        cap=st.sampled_from(["zero", "mid-chain", "none"]), data=st.data())
 def test_lk_matches_reference_chain(n, seed, k, penalized, start, depth, breadth2, cap, data):
     if start == "kicked" and n < 8:
@@ -238,3 +243,37 @@ def test_lk_matches_reference_chain(n, seed, k, penalized, start, depth, breadth
         converged = search(inst, neighbors, out, budget, **kwargs)
         runs.append((out.order.tobytes(), out.cached_cost, budget.consumed_fe, converged))
     assert runs[0] == runs[1]
+
+
+def test_lk_matches_reference_in_production_configuration():
+    """rand100 with the solver's neighbor lists, default depth and breadth: a
+    cold start, then five double-bridge kicks from the LK optimum."""
+    inst = random_tsp_instance(100, seed=900)
+    neighbors = build_neighbor_lists(inst, SolverConfig(algorithm="ilk").neighbor_k)
+    rng = np.random.default_rng(900)
+    tour, active = start_tour(inst, neighbors, "cold", 900)
+    for kick in range(6):
+        if kick:
+            kicked = double_bridge(inst, tour, rng)
+            tour, active = kicked, new_edge_endpoints(tour.order, kicked.order)
+        runs = []
+        for search in (reference_lk_search, lk_search):
+            out = tour.copy()
+            budget = Budget()
+            converged = search(inst, neighbors, out, budget, active=active)
+            runs.append((out.order.tobytes(), out.cached_cost, budget.consumed_fe, converged))
+        assert runs[0] == runs[1]
+        tour = out
+
+
+@pytest.mark.parametrize("city", [-1, 20])
+def test_active_city_out_of_range_is_rejected(city):
+    inst = random_tsp_instance(20, seed=3)
+    neighbors = build_neighbor_lists(inst, 5)
+    tour, _ = start_tour(inst, neighbors, "cold", 3)
+    order = tour.order.copy()
+    budget = Budget()
+    with pytest.raises(ValueError, match=f"active city {city} "):
+        lk_search(inst, neighbors, tour, budget, active=[3, city])
+    assert budget.consumed_fe == 0
+    assert np.array_equal(tour.order, order)
