@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .instances import (
-    QuboInstance,
     bundled_optima,
     load_bundled_tsp,
     parse_orlib_bqp,
@@ -175,8 +174,7 @@ def load_instance(name: str, path: str):
     head = text.lstrip()[:400].upper()
     if "EDGE_WEIGHT_TYPE" in head or "NODE_COORD_SECTION" in head:
         return parse_tsplib(text)
-    inst = parse_orlib_bqp(text)
-    return QuboInstance(name=name, n=inst.n, q=inst.q)
+    return parse_orlib_bqp(text, name=name)
 
 
 def run_campaign(spec: CampaignSpec, instances: dict | None = None) -> list[ExcessSummary]:

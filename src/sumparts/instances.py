@@ -8,6 +8,7 @@ with full recomputation to EVAL_REL_TOL relative tolerance.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,6 +49,12 @@ def check_numbers(obj, integers=(), reals=(), optional=(), non_negative=()):
 # instance types
 
 
+def _finite(m: np.ndarray) -> bool:
+    """Whether every entry of m is finite; min and max spread any nan or inf
+    without an isfinite temporary of m's size."""
+    return math.isfinite(m.min()) and math.isfinite(m.max())
+
+
 @dataclass(frozen=True)
 class TspInstance:
     """Symmetric TSP with a full cost matrix (EUC_2D coordinates are not kept).
@@ -68,6 +75,8 @@ class TspInstance:
             raise ValueError(f"TSP needs n >= 4, got n={self.n}")
         if c.shape != (self.n, self.n):
             raise ValueError(f"cost matrix shape {c.shape} != ({self.n}, {self.n})")
+        if not _finite(c):
+            raise ValueError("cost matrix must be finite")
         if not np.array_equal(c, c.T):
             raise ValueError("cost matrix must be symmetric")
         if np.any(np.diag(c) != 0.0):
@@ -120,6 +129,8 @@ class QuboInstance:
             raise ValueError("UBQP needs n >= 1")
         if q.shape != (self.n, self.n):
             raise ValueError(f"Q shape {q.shape} != ({self.n}, {self.n})")
+        if not _finite(q):
+            raise ValueError("Q must be finite")
         if not np.array_equal(q, q.T):
             raise ValueError("Q must be stored symmetric")
         q.setflags(write=False)
@@ -165,7 +176,9 @@ def parse_tsplib(text: str) -> TspInstance:
     """Parse a TSPLIB file with EDGE_WEIGHT_TYPE EUC_2D or EXPLICIT/FULL_MATRIX.
 
     EUC_2D costs use the TSPLIB convention: nearest-integer rounded Euclidean
-    distance. Unsupported edge weight types are rejected by name.
+    distance. Unsupported edge weight types are rejected by name, and a
+    coordinate or weight that is not finite (nan, inf or an overflow such
+    as 1e400) by its line.
     """
     lines = _tsplib_lines(text)
     header: dict[str, str] = {}
@@ -207,6 +220,8 @@ def parse_tsplib(text: str) -> TspInstance:
                 x, y = float(parts[1]), float(parts[2])
             except (IndexError, ValueError):
                 raise ParseError(f"malformed coordinate line {lineno}: {raw!r}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"non-finite coordinate line {lineno}: {raw!r}")
             _require(1 <= idx <= n, f"coordinate index {idx} out of range at line {lineno}")
             _require(not seen[idx - 1], f"duplicate coordinate index {idx} at line {lineno}")
             seen[idx - 1] = True
@@ -223,9 +238,12 @@ def parse_tsplib(text: str) -> TspInstance:
     values: list[float] = []
     for lineno, raw in lines:
         try:
-            values.extend(float(tok) for tok in raw.split())
+            row = [float(tok) for tok in raw.split()]
         except ValueError:
             raise ParseError(f"malformed weight line {lineno}: {raw!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"non-finite weight line {lineno}: {raw!r}")
+        values.extend(row)
     _require(len(values) == n * n,
              f"expected {n * n} matrix entries, found {len(values)}")
     costs = np.asarray(values, dtype=np.float64).reshape(n, n)
@@ -238,12 +256,32 @@ def _euc_2d_costs(coords: np.ndarray) -> np.ndarray:
     return np.floor(np.sqrt((d * d).sum(axis=2)) + 0.5)  # the diagonal rounds to 0
 
 
-def parse_orlib_bqp(text: str) -> QuboInstance:
+def _convert_column(tokens: list[str], convert) -> list:
+    """convert of each token, up to the first that it refuses."""
+    values = []
+    try:
+        values.extend(map(convert, tokens))  # keeps what it appended before a raise
+    except ValueError:
+        pass
+    return values
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in mask, or its length when there is none."""
+    return int(mask.argmax()) if mask.any() else mask.shape[0]
+
+
+def parse_orlib_bqp(text: str, name: str = "orlib_bqp") -> QuboInstance:
     """Parse an OR-Library sparse UBQP: header ``n nnz`` then 1-indexed triples.
 
     Each (i, j, value) triple is mirrored into both q[i][j] and q[j][i];
-    entries not listed are zero. Duplicate pairs and out-of-range indices
-    are rejected.
+    entries not listed are zero. Indices are read by Python's int and
+    values by its float. A triple is refused, in this order, when a token
+    does not convert (malformed) or its value is not finite (nan, inf or
+    an overflow such as 1e400), when an index is outside [1, n], and when
+    its pair, in either order, was listed before. Of several bad triples
+    the first in the file is reported. The file has no name line: the
+    instance is called name.
     """
     tokens = text.split()
     _require(len(tokens) >= 2, "missing header (n, nonzero count)")
@@ -256,21 +294,38 @@ def parse_orlib_bqp(text: str) -> QuboInstance:
     _require(len(tokens) == 2 + 3 * nnz,
              f"expected {3 * nnz} triple tokens, found {len(tokens) - 2}")
     q = np.zeros((n, n), dtype=np.float64)
-    filled = set()
-    for k in range(nnz):
-        si, sj, sv = tokens[2 + 3 * k: 5 + 3 * k]
-        try:
-            i, j, v = int(si), int(sj), float(sv)
-        except ValueError:
-            raise ParseError(f"malformed triple #{k + 1}: {(si, sj, sv)}") from None
-        _require(1 <= i <= n and 1 <= j <= n,
-                 f"triple #{k + 1} index out of [1, {n}]: ({i}, {j})")
-        key = (min(i, j), max(i, j))
-        _require(key not in filled, f"duplicate triple for pair ({i}, {j})")
-        filled.add(key)
-        q[i - 1, j - 1] = v
-        q[j - 1, i - 1] = v
-    return QuboInstance(name="orlib_bqp", n=n, q=q)
+
+    # each check runs on the triples before every earlier check's first
+    # failure, so the first failing triple is reported with its first fault
+    ii = _convert_column(tokens[2::3], int)
+    jj = _convert_column(tokens[3::3], int)
+    vv = _convert_column(tokens[4::3], float)
+    converted = min(len(ii), len(jj), len(vv))
+    values = np.array(vv[:converted], dtype=np.float64)
+    finite = _first(~np.isfinite(values))
+    # Python ints beyond int64 make an object or float array; both compare exactly enough
+    i, j = np.array(ii[:finite]), np.array(jj[:finite])
+    in_range = _first((i < 1) | (i > n) | (j < 1) | (j > n))
+    i = i[:in_range].astype(np.intp) - 1
+    j = j[:in_range].astype(np.intp) - 1
+    pairs = np.minimum(i, j) * n + np.maximum(i, j)
+    order = np.argsort(pairs, kind="stable")  # a pair's earliest triple sorts first
+    ranked = pairs[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    unique = int(repeats.min()) if repeats.size else in_range
+
+    if unique < in_range:
+        raise ParseError(f"duplicate triple for pair ({ii[unique]}, {jj[unique]})")
+    if in_range < finite:
+        k = in_range
+        raise ParseError(f"triple #{k + 1} index out of [1, {n}]: ({ii[k]}, {jj[k]})")
+    if finite < nnz:
+        k = finite
+        fault = "non-finite value in" if k < converted else "malformed"
+        raise ParseError(f"{fault} triple #{k + 1}: {tuple(tokens[2 + 3 * k: 5 + 3 * k])}")
+    q[i, j] = values
+    q[j, i] = values
+    return QuboInstance(name=name, n=n, q=q)
 
 
 # ---------------------------------------------------------------------------

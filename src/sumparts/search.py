@@ -21,6 +21,7 @@ every city.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import deque
 from collections.abc import Iterable
@@ -721,7 +722,8 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
     Chains are driven by a queue of active (city, direction) pairs, the
     don't-look bits of Bentley's 2-Opt. `active` lists the cities queued
     first, both directions each; None (a cold start) queues every city in
-    index order; a city outside 0..n-1 raises ValueError before any FE. A
+    index order; a city that is not an integer (numpy's integers are) or
+    lies outside 0..n-1 raises ValueError before any FE. A
     chain that improves queues the endpoints of every edge it changed that
     are not queued yet. The search stops when the queue empties or the
     budget runs out; the budget is checked between chains, so a run
@@ -890,6 +892,8 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
                 queue.append(item)
 
     for city in (range(n) if active is None else active):
+        if not isinstance(city, numbers.Integral):
+            raise ValueError(f"active city {city!r} is not an integer")
         city = int(city)
         if not 0 <= city < n:
             raise ValueError(f"active city {city} is not a city of {inst.name} (0..{n - 1})")

@@ -5,7 +5,7 @@ import pytest
 
 from sumparts import bench, cli, decomposition, metaheuristics, search
 from sumparts.cli import _merge_negative_values, build_parser, main
-from sumparts.instances import load_bundled_tsp, synthetic_orlib_text
+from sumparts.instances import QuboInstance, load_bundled_tsp, synthetic_orlib_text
 from sumparts.search import TwoOptNeighborhood
 
 
@@ -111,6 +111,69 @@ def test_qubo_solve_from_sparse_file(tmp_path):
     assert main(["solve", "--alg", "its", "--instance", str(path),
                  "--seed", "1", "--max-fe", "2e4", "-o", str(out)]) == 0
     assert "fe,best_f" in out.read_text()
+
+
+def test_ubqp_load_builds_one_instance_named_by_file_stem(tmp_path, monkeypatch):
+    path = tmp_path / "bqp60.sparse"
+    path.write_text(synthetic_orlib_text(60, seed=1))
+    built = []
+    post_init = QuboInstance.__post_init__
+
+    def counting(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(QuboInstance, "__post_init__", counting)
+    assert cli._load(str(path)).name == "bqp60"
+    assert built == ["bqp60"]
+
+
+_SQUARE = """NAME: square
+DIMENSION: 4
+EDGE_WEIGHT_TYPE: EUC_2D
+NODE_COORD_SECTION
+1 0 0
+2 1 0
+3 1 {}
+4 0 1
+EOF
+"""
+
+_MATRIX = """NAME: m
+DIMENSION: 4
+EDGE_WEIGHT_TYPE: EXPLICIT
+EDGE_WEIGHT_FORMAT: FULL_MATRIX
+EDGE_WEIGHT_SECTION
+0 2 3 4
+2 0 5 6
+3 5 0 {}
+4 6 7 0
+"""
+
+
+@pytest.mark.parametrize("text, error", [
+    (_SQUARE.format("nan"), "error: non-finite coordinate line 7: '3 1 nan'"),
+    (_SQUARE.format("inf"), "error: non-finite coordinate line 7: '3 1 inf'"),
+    (_SQUARE.format("1e400"), "error: non-finite coordinate line 7: '3 1 1e400'"),
+    (_MATRIX.format("-inf"), "error: non-finite weight line 8: '3 5 0 -inf'"),
+    ("2 1\n1 2 inf\n", "error: non-finite value in triple #1: ('1', '2', 'inf')"),
+    ("2 1\n1 2 1e400\n", "error: non-finite value in triple #1: ('1', '2', '1e400')"),
+    ("2 1\n1 2 nan\n", "error: non-finite value in triple #1: ('1', '2', 'nan')"),
+], ids=["coordinate-nan", "coordinate-inf", "coordinate-overflow", "weight-inf",
+        "ubqp-inf", "ubqp-overflow", "ubqp-nan"])
+def test_solve_refuses_non_finite_numbers(tmp_path, capsys, text, error):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["solve", "--alg", "ils", "--instance", str(path), "--max-fe", "100"]) == 2
+    assert capsys.readouterr().err.strip() == error
+
+
+def test_solve_refuses_coordinates_whose_costs_overflow(tmp_path, capsys):
+    path = tmp_path / "far.tsp"
+    path.write_text(_SQUARE.format("1e200"))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["solve", "--alg", "ils", "--instance", str(path), "--max-fe", "100"]) == 2
+    assert capsys.readouterr().err.strip() == "error: cost matrix must be finite"
 
 
 def test_kick_that_flips_no_bit_exits_before_any_run(tmp_path, monkeypatch, capsys):

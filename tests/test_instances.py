@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from sumparts.instances import (
     EVAL_REL_TOL,
     ParseError,
     QuboInstance,
+    TspInstance,
     build_neighbor_lists,
     flip_delta_and_update,
     make_bitvector,
@@ -115,9 +117,16 @@ EDGE_WEIGHT_SECTION
         (UNIT_SQUARE, UNIT_SQUARE.replace("DIMENSION : 4", "DIMENSION 4"), None),
         (UNIT_SQUARE, UNIT_SQUARE.replace("3 1 1", "2 1 1"),
          "duplicate coordinate index 2 at line 8"),
+        (UNIT_SQUARE, UNIT_SQUARE.replace("3 1 1", "3 nan 1"), "non-finite coordinate line 8: '3 nan 1'"),
+        (UNIT_SQUARE, UNIT_SQUARE.replace("3 1 1", "9 1 -inf"), "non-finite coordinate line 8: '9 1 -inf'"),
+        (UNIT_SQUARE, UNIT_SQUARE.replace("3 1 1", "3 1e400 1"), "non-finite coordinate line 8: '3 1e400 1'"),
+        (EXPLICIT4, EXPLICIT4.replace("3 5 0 7", "3 5 0 inf"), "non-finite weight line 8: '3 5 0 inf'"),
+        (EXPLICIT4, EXPLICIT4.replace("3 5 0 7", "3 nan x 7"), "malformed weight line 8: '3 nan x 7'"),
     ], ids=["blank-lines-in-section", "line-numbers-count-blank-lines", "eof-ends-weights",
             "text-after-eof-ignored", "lines-after-last-coordinate-ignored",
-            "header-without-colon", "duplicate-index-line"])
+            "header-without-colon", "duplicate-index-line", "nan-coordinate",
+            "non-finite-before-index-range", "overflowing-coordinate", "inf-weight",
+            "malformed-before-non-finite-weight"])
     def test_line_scan(self, base, text, error):
         if error is None:
             assert np.array_equal(parse_tsplib(text).costs, parse_tsplib(base).costs)
@@ -155,6 +164,160 @@ class TestParseOrlib:
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_orlib_bqp("3 2\n1 2 5\n2 1 4\n")
+
+    def test_name(self):
+        assert parse_orlib_bqp("2 1\n1 1 5\n").name == "orlib_bqp"
+        assert parse_orlib_bqp("2 1\n1 1 5\n", name="bqp2").name == "bqp2"
+
+    @pytest.mark.parametrize("text, error", [
+        ("3 2\n4 1 5\n1 x 2\n", "triple #1 index out of [1, 3]: (4, 1)"),
+        ("3 2\n1 x 2\n4 1 5\n", "malformed triple #1: ('1', 'x', '2')"),
+        ("3 3\n1 2 5\n2 1 4\n1 x 2\n", "duplicate triple for pair (2, 1)"),
+        ("3 3\n1 2 5\n4 1 4\n2 1 2\n", "triple #2 index out of [1, 3]: (4, 1)"),
+        ("3 3\n1 2 5\n2 1 nan\n2 1 2\n", "non-finite value in triple #2: ('2', '1', 'nan')"),
+        ("3 2\n1 2 inf\n1 x 2\n", "non-finite value in triple #1: ('1', '2', 'inf')"),
+        ("3 1\n4 x inf\n", "malformed triple #1: ('4', 'x', 'inf')"),
+        ("3 1\n4 1 1e400\n", "non-finite value in triple #1: ('4', '1', '1e400')"),
+        ("3 1\n1 2 -inf\n", "non-finite value in triple #1: ('1', '2', '-inf')"),
+        ("3 2\n1 1 1\n-4 1 x\n", "malformed triple #2: ('-4', '1', 'x')"),
+        (f"3 2\n1 1 1\n{10**30} 1 5\n", f"triple #2 index out of [1, 3]: ({10**30}, 1)"),
+        (f"3 2\n1 1 1\n1 {2**63} 5\n", f"triple #2 index out of [1, 3]: (1, {2**63})"),
+        (f"3 2\n-{10**30} 1 5\n1 1 x\n", f"triple #1 index out of [1, 3]: (-{10**30}, 1)"),
+    ], ids=["range-before-malformed", "malformed-before-range", "duplicate-first",
+            "range-before-duplicate", "non-finite-before-duplicate", "non-finite-before-malformed",
+            "malformed-within-triple", "non-finite-before-range-within-triple", "minus-inf",
+            "malformed-value", "huge-index", "int64-overflow-index", "huge-negative-index"])
+    def test_first_failing_triple_reported(self, text, error):
+        for parse in (parse_orlib_bqp, reference_parse_orlib_bqp):
+            with pytest.raises(ParseError, match=re.escape(error) + "$"):
+                parse(text)
+
+    def test_shuffled_and_mirrored_file_matches_reference(self):
+        rng = np.random.default_rng(5)
+        lines = synthetic_orlib_text(300, seed=3).splitlines()
+        triples = [line.split() for line in lines[1:]]
+        for t in triples:
+            if rng.random() < 0.5:
+                t[0], t[1] = t[1], t[0]
+        triples = [triples[k] for k in rng.permutation(len(triples))]
+        text = "\n".join([lines[0]] + [" ".join(t) for t in triples])
+        inst, ref = parse_orlib_bqp(text), reference_parse_orlib_bqp(text)
+        assert inst.q.tobytes() == ref.q.tobytes()
+        # mirrored copies of many triples, appended in another order: the
+        # first copy is reported, named as it was written
+        copies = [triples[k] for k in rng.permutation(len(triples))[:500]]
+        header = f"300 {len(triples) + len(copies)}"
+        late = "\n".join([header] + [" ".join(t) for t in triples]
+                         + [f"{j} {i} 1" for i, j, _ in copies])
+        i, j, _ = copies[0]
+        message = f"duplicate triple for pair ({int(j)}, {int(i)})"
+        for parse in (parse_orlib_bqp, reference_parse_orlib_bqp):
+            with pytest.raises(ParseError, match=re.escape(message) + "$"):
+                parse(late)
+
+
+def reference_parse_orlib_bqp(text: str) -> QuboInstance:
+    """parse_orlib_bqp as it was, one triple at a time, plus the non-finite
+    rule: the oracle its whole-column passes must match."""
+    tokens = text.split()
+    if len(tokens) < 2:
+        raise ParseError("missing header (n, nonzero count)")
+    try:
+        n, nnz = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ParseError(f"bad header tokens: {tokens[:2]}") from None
+    if n < 1:
+        raise ParseError(f"bad variable count {n}")
+    if nnz < 0:
+        raise ParseError(f"bad nonzero count {nnz}")
+    if len(tokens) != 2 + 3 * nnz:
+        raise ParseError(f"expected {3 * nnz} triple tokens, found {len(tokens) - 2}")
+    q = np.zeros((n, n), dtype=np.float64)
+    filled = set()
+    for k in range(nnz):
+        si, sj, sv = tokens[2 + 3 * k: 5 + 3 * k]
+        try:
+            i, j, v = int(si), int(sj), float(sv)
+        except ValueError:
+            raise ParseError(f"malformed triple #{k + 1}: {(si, sj, sv)}") from None
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite value in triple #{k + 1}: {(si, sj, sv)}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(f"triple #{k + 1} index out of [1, {n}]: ({i}, {j})")
+        key = (min(i, j), max(i, j))
+        if key in filled:
+            raise ParseError(f"duplicate triple for pair ({i}, {j})")
+        filled.add(key)
+        q[i - 1, j - 1] = v
+        q[j - 1, i - 1] = v
+    return QuboInstance(name="orlib_bqp", n=n, q=q)
+
+
+def _parse_outcome(parse, text):
+    """(n, q) of a parse, or the type and message of what it raised."""
+    try:
+        inst = parse(text)
+    except ValueError as err:
+        return type(err), str(err)
+    return inst.n, inst.q
+
+
+# tokens a mutation writes over any token: indices at and past the bounds,
+# spellings Python's int reads (or refuses) and values that are not finite
+_MUTANTS = ["0", "-1", "+3", "03", "1_0", "0_1", "1.0", "\u0663", str(10**30), f"-{10**30}",
+            str(2**63), "x", "nan", "inf", "-inf", "1e400", "-0", "2.5", "1e3"]
+
+
+@st.composite
+def _mutated_orlib_texts(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                          unique_by=lambda p: (min(p), max(p)), min_size=1, max_size=7))
+    tokens = [str(n), str(len(pairs))]
+    for i, j in pairs:
+        tokens += [str(i), str(j), draw(st.sampled_from(["1", "-7", "0", "0.5", "-0"]))]
+    mutants = _MUTANTS + [str(n), str(n + 1)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if not tokens:
+            break
+        kind = draw(st.sampled_from(["replace"] * 3 + ["drop", "duplicate"] + ["mirror"] * 2))
+        pos = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+        if kind == "replace":
+            tokens[pos] = draw(st.sampled_from(mutants))
+        elif kind == "drop":
+            del tokens[pos]
+        elif kind == "duplicate":
+            tokens.insert(pos, tokens[pos])
+        elif len(tokens) >= 5:  # append a listed pair again, in the other order
+            k = 2 + 3 * (pos % ((len(tokens) - 2) // 3))
+            tokens += [tokens[k + 1], tokens[k], draw(st.sampled_from(["3", "nan"]))]
+    if draw(st.integers(min_value=0, max_value=3)) and len(tokens) >= 2:
+        tokens[1] = str((len(tokens) - 2) // 3)  # most texts keep a matching count
+    return draw(st.sampled_from([" ", "\n", "\t "])).join(tokens)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_mutated_orlib_texts())
+def test_parse_orlib_matches_scalar_reference(text):
+    got, want = _parse_outcome(parse_orlib_bqp, text), _parse_outcome(reference_parse_orlib_bqp, text)
+    if isinstance(want[1], str):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_refused_before_symmetry(bad):
+    costs = random_tsp_instance(5, seed=0).costs.copy()
+    costs[1, 2] = bad  # no longer symmetric either
+    with pytest.raises(ValueError, match="cost matrix must be finite"):
+        TspInstance(name="bad", n=5, costs=costs)
+    q = np.zeros((3, 3))
+    q[0, 1] = bad
+    with pytest.raises(ValueError, match="Q must be finite"):
+        QuboInstance(name="bad", n=3, q=q)
 
 
 class TestTourCost:

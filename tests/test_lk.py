@@ -12,6 +12,7 @@ penalized views, from cold and kicked starts, at every depth up to the
 production one, with the budget cut anywhere.
 """
 
+import re
 from collections import deque
 
 import numpy as np
@@ -264,6 +265,31 @@ def test_lk_matches_reference_in_production_configuration():
             runs.append((out.order.tobytes(), out.cached_cost, budget.consumed_fe, converged))
         assert runs[0] == runs[1]
         tour = out
+
+
+@pytest.mark.parametrize("city", [3.7, np.float64(19.9)], ids=["float", "numpy-float"])
+def test_non_integral_active_city_is_rejected(city):
+    inst = random_tsp_instance(20, seed=3)
+    neighbors = build_neighbor_lists(inst, 5)
+    tour, _ = start_tour(inst, neighbors, "cold", 3)
+    order = tour.order.copy()
+    budget = Budget()
+    with pytest.raises(ValueError, match=re.escape(f"active city {city!r} is not an integer")):
+        lk_search(inst, neighbors, tour, budget, active=[3, city])
+    assert budget.consumed_fe == 0
+    assert np.array_equal(tour.order, order)
+
+
+def test_numpy_integer_active_cities_are_accepted():
+    inst = random_tsp_instance(20, seed=3)
+    neighbors = build_neighbor_lists(inst, 5)
+    runs = []
+    for active in ([3, 19], [np.int64(3), np.int32(19)]):
+        tour, _ = start_tour(inst, neighbors, "cold", 3)
+        budget = Budget()
+        converged = lk_search(inst, neighbors, tour, budget, active=active)
+        runs.append((tour.order.tobytes(), tour.cached_cost, budget.consumed_fe, converged))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("city", [-1, 20])
