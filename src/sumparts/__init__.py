@@ -9,13 +9,8 @@ from .bench import CampaignSpec, ExcessSummary, excess, rank_sum_test, run_campa
 from .decomposition import (
     SplitCosts,
     SplitParams,
-    half_split,
-    inverse_cdf_sample,
     measure_rho,
-    pdf_shape,
     sample_split,
-    split_from_json,
-    split_to_json,
     sweep_a,
 )
 from .escape import (
@@ -34,7 +29,6 @@ from .instances import (
     flip_delta_and_update,
     load_bundled_tsp,
     make_bitvector,
-    make_tour,
     parse_orlib_bqp,
     parse_tsplib,
     random_qubo_instance,

@@ -1,4 +1,4 @@
-"""Command-line front end: decompose, sweep-a, analyze, solve, bench, verify.
+"""Command-line front end: sweep-a, analyze, solve, bench, verify.
 
 Every randomized subcommand takes a seed (default 0) that is echoed into its
 output, and every output file starts with the full invocation for provenance.
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bench import CampaignSpec, load_instance, run_campaign, summary_csv
-from .decomposition import SplitParams, sample_split, split_to_json, sweep_a
+from .decomposition import SplitParams, sample_split, sweep_a
 from .escape import PenaltyConfig
 from .instances import (
     ParseError,
@@ -66,23 +66,6 @@ def _load(path: str):
     return load_instance(name, path)
 
 
-def _sampling_params(args, a: float) -> SplitParams:
-    """The split `decompose` and `analyze` sample; q_prime is passed only when given."""
-    given = {} if args.q_prime is None else {"q_prime": args.q_prime}
-    return SplitParams(a=a, seed=args.seed, **given)
-
-
-def cmd_decompose(args) -> int:
-    inst = _load(args.instance)
-    split = sample_split(inst, _sampling_params(args, args.a))
-    payload = json.loads(split_to_json(split))
-    payload["invocation"] = _invocation(args)
-    _write(args.output, json.dumps(payload) + "\n")
-    print(f"decomposed {inst.name}: a={args.a} seed={args.seed} rho={split.rho:.4f}",
-          file=sys.stderr)
-    return 0
-
-
 def cmd_sweep_a(args) -> int:
     inst = _load(args.instance)
     a_values = [float(tok) for tok in args.a.split(",") if tok]
@@ -95,8 +78,11 @@ def cmd_sweep_a(args) -> int:
 
 def cmd_analyze(args) -> int:
     inst = _load(args.instance)
-    # built first, so that SplitParams reports a bad --seed before rng_stream sees it
-    shapes = [_sampling_params(args, float(tok)) for tok in args.a.split(",") if tok]
+    # built first, so that SplitParams reports a bad --seed before rng_stream sees it;
+    # q_prime is passed only when given
+    given = {} if args.q_prime is None else {"q_prime": args.q_prime}
+    shapes = [SplitParams(a=float(tok), seed=args.seed, **given)
+              for tok in args.a.split(",") if tok]
     if not shapes:
         raise ValueError("a_values must be nonempty")
     rng = rng_stream(args.seed, "init")
@@ -263,9 +249,8 @@ def _verify_qubo(n: int, seed: int, split: SplitParams) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    if args.n > 10:
-        print("verify brute-forces all tours; --n must be <= 10", file=sys.stderr)
-        return USAGE_ERROR
+    if not 4 <= args.n <= 10:
+        raise ValueError("verify brute-forces all tours; --n must be >= 4 and <= 10")
     # SplitParams checks --seed before any rng_stream sees it
     split = SplitParams(a=0.0, seed=args.seed)
     failures = _verify_tsp(args.n, args.seed, split)
@@ -284,14 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Objective-decomposition metaheuristics for TSP and UBQP.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="sample a split and write its sidecar")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--q-prime", dest="q_prime", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", "-o", default="-")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("sweep-a", help="measure rho across shape values")
     p.add_argument("--instance", required=True)

@@ -13,7 +13,6 @@ split as (0, 0) and are excluded from the correlation measurement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,7 +56,6 @@ class SplitCosts:
     inst: TspInstance | QuboInstance
     c1: np.ndarray
     rho: float
-    source_params: SplitParams
 
     @cached_property
     def mat1(self) -> np.ndarray:
@@ -66,25 +64,6 @@ class SplitCosts:
         mat1[iu, ju] = self.c1
         mat1[ju, iu] = self.c1
         return mat1
-
-
-def pdf_shape(t: float, c: float, a: float) -> float:
-    """Unnormalized split density at t in (0, c).
-
-    Bell for a > 0 (t^a rising to (c/2)^a, then (c-t)^a), valley for a < 0,
-    constant 1 for a = 0.
-    """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if not 0 < t < c:
-        raise ValueError(f"t={t} outside (0, {c})")
-    half = c / 2.0
-    sign = (a > 0) - (a < 0)
-    if t <= half:
-        base = half - sign * (half - t)
-    else:
-        base = half + sign * (half - t)
-    return float(base ** abs(a))
 
 
 def _inv_cdf_unit(a: float, u: np.ndarray) -> np.ndarray:
@@ -99,32 +78,6 @@ def _inv_cdf_unit(a: float, u: np.ndarray) -> np.ndarray:
         scale = 1.0 - 0.5 ** (m + 1.0)
         r = 1.0 - (1.0 - 2.0 * v * scale) ** (1.0 / (m + 1.0))
     return np.where(lo, r, 1.0 - r)
-
-
-def inverse_cdf_sample(c: float, a: float, u: float) -> float:
-    """Map a uniform u in (0, 1) to a split point t in (0, c).
-
-    Strictly increasing in u; u = 0.5 gives c/2 for every a.
-    """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return float(c * _inv_cdf_unit(a, np.asarray(u, dtype=np.float64)))
-
-
-def split_cdf(t: float, c: float, a: float) -> float:
-    """CDF matching inverse_cdf_sample (closed form, for verification)."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    r = min(max(t / c, 0.0), 1.0)
-    lo = r <= 0.5
-    v = r if lo else 1.0 - r
-    m = abs(a)
-    if a >= 0:
-        f = 0.5 * (2.0 * v) ** (m + 1.0)
-    else:
-        scale = 1.0 - 0.5 ** (m + 1.0)
-        f = (1.0 - (1.0 - v) ** (m + 1.0)) / (2.0 * scale)
-    return float(f if lo else 1.0 - f)
 
 
 def _rng_for(params: SplitParams) -> np.random.Generator:
@@ -143,7 +96,7 @@ def sample_split(inst, params: SplitParams) -> SplitCosts:
         c1 = np.where(c > 0.0, c * _inv_cdf_unit(params.a, u), 0.0)
     else:
         c1 = c / 2.0 - params.q_prime + 2.0 * params.q_prime * _inv_cdf_unit(params.a, u)
-    return SplitCosts(inst, c1, measure_rho(c1, c - c1), params)
+    return SplitCosts(inst, c1, measure_rho(c1, c - c1))
 
 
 def measure_rho(c1: np.ndarray, c2: np.ndarray) -> float:
@@ -177,54 +130,3 @@ def sweep_a(inst, a_values, seed: int = 0) -> list[tuple[float, float]]:
         split = sample_split(inst, SplitParams(a=a, seed=seed))
         out.append((float(a), split.rho))
     return out
-
-
-def half_split(inst) -> SplitCosts:
-    """The degenerate c1 = c2 = c/2 decomposition (rho = 1 when costs vary).
-
-    Its recorded shape is a = inf: the bell's limit, all its mass at c/2.
-    """
-    return SplitCosts(inst, inst.units[2] / 2.0, 1.0, SplitParams(a=float("inf")))
-
-
-# ---------------------------------------------------------------------------
-# persistence: JSON sidecar storing one c1 per unit, bit-exact on reload
-
-
-def split_to_json(split: SplitCosts) -> str:
-    iu, ju, _ = split.inst.units
-    payload = {
-        "kind": split.inst.kind,
-        "n": split.inst.n,
-        "a": split.source_params.a,
-        "q_prime": split.source_params.q_prime,
-        "seed": split.source_params.seed,
-        "rho": split.rho,
-        "unit_i": iu.tolist(),
-        "unit_j": ju.tolist(),
-        "c1": split.c1.tolist(),
-    }
-    return json.dumps(payload)
-
-
-def split_from_json(text: str, inst) -> SplitCosts:
-    """Rebuild a persisted split against its instance, which supplies its units.
-
-    Raises ValueError when the sidecar does not fit the instance: another
-    size, kind or unit set, or a TSP c1 outside [0, c].
-    """
-    payload = json.loads(text)
-    iu, ju, c = inst.units
-    n = int(payload["n"])
-    if n != inst.n:
-        raise ValueError(f"split n={n} does not match instance n={inst.n}")
-    if payload["kind"] != inst.kind:
-        raise ValueError(f"split kind {payload['kind']!r} does not match a {inst.kind} instance")
-    if not (np.array_equal(payload["unit_i"], iu) and np.array_equal(payload["unit_j"], ju)):
-        raise ValueError("split units do not match the instance's units")
-    c1 = np.asarray(payload["c1"], dtype=np.float64)
-    if inst.kind == "tsp" and not np.all((c1 >= 0.0) & (c1 <= c)):
-        raise ValueError("split c1 lies outside [0, c] on some edge of the instance")
-    params = SplitParams(a=payload["a"], q_prime=payload["q_prime"],
-                         seed=payload["seed"])
-    return SplitCosts(inst, c1, float(payload["rho"]), params)

@@ -252,8 +252,10 @@ def parse_tsplib(text: str) -> TspInstance:
 
 def _euc_2d_costs(coords: np.ndarray) -> np.ndarray:
     """TSPLIB EUC_2D costs of (n, 2) coordinates: nearest-integer rounded distances."""
-    d = coords[:, None, :] - coords[None, :, :]
-    return np.floor(np.sqrt((d * d).sum(axis=2)) + 0.5)  # the diagonal rounds to 0
+    # a cost that overflows is inf, which TspInstance then refuses as not finite
+    with np.errstate(over="ignore"):
+        d = coords[:, None, :] - coords[None, :, :]
+        return np.floor(np.sqrt((d * d).sum(axis=2)) + 0.5)  # the diagonal rounds to 0
 
 
 def _convert_column(tokens: list[str], convert) -> list:
@@ -364,13 +366,6 @@ def tour_cost(inst: TspInstance, tour, split=None):
     return float(c1.sum()), float((costs - c1).sum())
 
 
-def make_tour(inst: TspInstance, order) -> Tour:
-    order = np.asarray(order, dtype=np.intp)
-    if sorted(order.tolist()) != list(range(inst.n)):
-        raise ValueError("order is not a permutation of 0..n-1")
-    return Tour(order, tour_cost(inst, order))
-
-
 def two_opt_delta(inst: TspInstance, tour: Tour, i: int, j: int) -> float:
     """Cost change of reversing tour positions [i+1..j] (a 2-Opt move).
 
@@ -415,11 +410,10 @@ class BitVector:
         return self.bits.shape[0]
 
 
-def qubo_value(inst: QuboInstance, bits, mat: np.ndarray | None = None) -> float:
-    """z^T M z for M = Q by default (or a split sub-matrix)."""
+def qubo_value(inst: QuboInstance, bits) -> float:
+    """z^T Q z."""
     z = np.asarray(bits, dtype=np.float64)
-    m = inst.q if mat is None else mat
-    return float(z @ m @ z)
+    return float(z @ inst.q @ z)
 
 
 def flip_gains(mat: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -55,13 +55,13 @@ class NeighborStats:
         }
 
 
-def collect_local_optima(inst, count: int, rng: np.random.Generator) -> list:
-    """Locally optimal solutions from independent random starts (duplicates kept)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+def collect_local_optima(inst, optima: int, rng: np.random.Generator) -> list:
+    """optima locally optimal solutions from independent random starts (duplicates kept)."""
+    if optima < 1:
+        raise ValueError("optima must be >= 1")
     view = neighborhood_for(inst)
     out = []
-    for _ in range(count):
+    for _ in range(optima):
         sol = view.random_solution(rng)
         converged = descend(view, sol, Budget())
         assert converged

@@ -1,11 +1,11 @@
 import json
+import warnings
 
-import numpy as np
 import pytest
 
-from sumparts import bench, cli, decomposition, metaheuristics, search
+from sumparts import bench, cli, decomposition, landscape, metaheuristics, search
 from sumparts.cli import _merge_negative_values, build_parser, main
-from sumparts.instances import QuboInstance, load_bundled_tsp, synthetic_orlib_text
+from sumparts.instances import QuboInstance, synthetic_orlib_text
 from sumparts.search import TwoOptNeighborhood
 
 
@@ -54,22 +54,8 @@ def test_sweep_a_rows_increasing(eil51_path, tmp_path):
     assert rhos[0] < rhos[1] < rhos[2]
 
 
-def test_decompose_sidecar(eil51_path, tmp_path):
-    out = tmp_path / "split.json"
-    assert main(["decompose", "--instance", eil51_path, "--a", "2",
-                 "--seed", "5", "-o", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["kind"] == "tsp"
-    assert payload["seed"] == 5
-    assert "invocation" in payload
-    from sumparts.decomposition import split_from_json
-
-    split = split_from_json(json.dumps(payload), load_bundled_tsp("eil51"))
-    assert split.rho == payload["rho"]
-
-
-def test_sweep_a_and_decompose_leave_splits_sparse(eil51_path, tmp_path, monkeypatch):
-    """Neither command reads the dense f1 matrix, so neither builds it."""
+def test_sweep_a_leaves_splits_sparse(eil51_path, tmp_path, monkeypatch):
+    """sweep-a reads no dense f1 matrix, so it builds none."""
     real, splits = decomposition.sample_split, []
 
     def recording(inst, params):
@@ -77,12 +63,9 @@ def test_sweep_a_and_decompose_leave_splits_sparse(eil51_path, tmp_path, monkeyp
         return splits[-1]
 
     monkeypatch.setattr(decomposition, "sample_split", recording)
-    monkeypatch.setattr(cli, "sample_split", recording)
     assert main(["sweep-a", "--instance", eil51_path, "--a", "-12,10",
                  "--seed", "1", "-o", str(tmp_path / "sweep.csv")]) == 0
-    assert main(["decompose", "--instance", eil51_path, "--a", "2",
-                 "--seed", "5", "-o", str(tmp_path / "split.json")]) == 0
-    assert len(splits) == 3
+    assert len(splits) == 2
     assert all("mat1" not in vars(split) for split in splits)
 
 
@@ -169,11 +152,16 @@ def test_solve_refuses_non_finite_numbers(tmp_path, capsys, text, error):
 
 
 def test_solve_refuses_coordinates_whose_costs_overflow(tmp_path, capsys):
+    # a squared distance overflows at 1e200, a coordinate difference at +-1e308;
+    # neither may print a numpy warning before the error
     path = tmp_path / "far.tsp"
-    path.write_text(_SQUARE.format("1e200"))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert main(["solve", "--alg", "ils", "--instance", str(path), "--max-fe", "100"]) == 2
-    assert capsys.readouterr().err.strip() == "error: cost matrix must be finite"
+    for text in (_SQUARE.format("1e200"), _SQUARE.replace("1 0 0", "1 -1e308 0").format("1e308")):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--alg", "ils", "--instance", str(path),
+                         "--max-fe", "100"]) == 2
+        assert capsys.readouterr().err.strip() == "error: cost matrix must be finite"
 
 
 def test_kick_that_flips_no_bit_exits_before_any_run(tmp_path, monkeypatch, capsys):
@@ -249,6 +237,24 @@ def test_negative_seed_is_named_before_any_rng(eil51_path, monkeypatch, capsys, 
     instance = ["--instance", eil51_path] if command[0] == "analyze" else []
     assert main(command + instance + ["--seed", "-1"]) == 2
     assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -1")
+
+
+_VERIFY_N = "error: verify brute-forces all tours; --n must be >= 4 and <= 10"
+
+
+@pytest.mark.parametrize("command, error", [
+    (["analyze", "--a", "0", "--optima", "0"], "error: optima must be >= 1"),
+    (["analyze", "--a", "0", "--optima", "-3"], "error: optima must be >= 1"),
+    (["verify", "--n", "-1"], _VERIFY_N), (["verify", "--n", "0"], _VERIFY_N),
+    (["verify", "--n", "3"], _VERIFY_N), (["verify", "--n", "11"], _VERIFY_N),
+], ids=["optima-0", "optima-negative", "n-negative", "n-0", "n-3", "n-11"])
+def test_out_of_range_size_is_named_before_any_work(eil51_path, monkeypatch, capsys,
+                                                     command, error):
+    monkeypatch.setattr(landscape, "descend", lambda *args: pytest.fail("a descent ran"))
+    monkeypatch.setattr(cli, "random_tsp_instance", lambda *args: pytest.fail("a TSP was built"))
+    instance = ["--instance", eil51_path] if command[0] == "analyze" else []
+    assert main(command + instance) == 2
+    assert capsys.readouterr().err == error + "\n"
 
 
 def test_verify_passes():
@@ -394,10 +400,10 @@ def test_analyze_without_a_shape_exits_before_any_optimum(eil51_path, monkeypatc
 
 
 @pytest.mark.parametrize("command", [
-    ["decompose", "--a", "-inf"], ["sweep-a", "--a", "-inf,0"], ["analyze", "--a", "0,-inf"],
+    ["sweep-a", "--a", "-inf,0"], ["analyze", "--a", "0,-inf"],
     ["solve", "--alg", "ils_nds", "--a", "-inf"],
     ["solve", "--alg", "ils_nds", "--a", "2", "--q-prime", "inf"],
-], ids=["decompose", "sweep-a", "analyze", "solve-a", "solve-q_prime"])
+], ids=["sweep-a", "analyze", "solve-a", "solve-q_prime"])
 def test_infinite_split_shape_exits_before_any_split(eil51_path, monkeypatch, capsys, command):
     monkeypatch.setattr(decomposition, "_rng_for", lambda *args: pytest.fail("a split drawn"))
     monkeypatch.setattr(cli, "collect_local_optima", lambda *args: pytest.fail("optima collected"))
@@ -406,15 +412,6 @@ def test_infinite_split_shape_exits_before_any_split(eil51_path, monkeypatch, ca
     name = "q_prime" if "--q-prime" in command else "a"
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} must be ") and "finite" in err
-
-
-def test_bell_limit_sidecar_round_trips(eil51_path, tmp_path):
-    out = tmp_path / "split.json"
-    assert main(["decompose", "--instance", eil51_path, "--a", "inf", "-o", str(out)]) == 0
-    inst = load_bundled_tsp("eil51")
-    split = decomposition.split_from_json(out.read_text(), inst)
-    assert split.source_params.a == float("inf")
-    assert np.array_equal(split.c1, inst.units[2] / 2.0)
 
 
 def test_negative_split_seed_is_reported_under_its_flag(eil51_path, monkeypatch, capsys):

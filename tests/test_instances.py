@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumparts.decomposition import SplitParams, half_split, sample_split
+from conftest import half_split, make_tour
+from sumparts.decomposition import SplitParams, sample_split
 from sumparts.instances import (
     EVAL_REL_TOL,
     ParseError,
@@ -15,7 +16,6 @@ from sumparts.instances import (
     build_neighbor_lists,
     flip_delta_and_update,
     make_bitvector,
-    make_tour,
     parse_orlib_bqp,
     parse_tsplib,
     qubo_value,
@@ -511,9 +511,9 @@ def test_split_deltas_after_any_flip_sequence(n, seed, steps):
     d0, d1, d2 = view.split_deltas(bv)
     assert np.array_equal(d0, bv.gains)
     for mat, d in ((split.mat1, d1), (inst.q - split.mat1, d2)):
-        before = qubo_value(inst, bv.bits, mat)
-        change = [qubo_value(inst, np.where(np.arange(n) == i, 1.0 - bv.bits, bv.bits), mat)
-                  - before for i in range(n)]
+        before = bv.bits @ mat @ bv.bits
+        flipped = (np.where(np.arange(n) == i, 1.0 - bv.bits, bv.bits) for i in range(n))
+        change = [z @ mat @ z - before for z in flipped]
         np.testing.assert_allclose(d, change, rtol=0, atol=EVAL_REL_TOL * np.abs(mat).sum())
     copy = bv.copy()
     for name in ("bits", "gains", "twice"):

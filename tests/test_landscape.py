@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_tsp
-from sumparts.decomposition import SplitParams, half_split, sample_split
+from conftest import brute_force_tsp, half_split
+from sumparts.decomposition import SplitParams, sample_split
 from sumparts.instances import random_tsp_instance, tour_cost
 from sumparts.landscape import (
     NeighborStats,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import sumparts.metaheuristics as mh
-from conftest import brute_force_qubo, brute_force_tsp
-from sumparts.decomposition import SplitParams, half_split, sample_split
+from conftest import brute_force_qubo, brute_force_tsp, half_split
+from sumparts.decomposition import SplitParams, sample_split
 from sumparts.escape import PenaltyConfig, two_hop_blocks
 from sumparts.instances import (
     load_bundled_tsp,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_qubo, brute_force_tsp, lk_chain_bound
+from conftest import brute_force_qubo, brute_force_tsp, lk_chain_bound, make_tour
 from sumparts import metaheuristics
 from sumparts.decomposition import SplitParams, sample_split
 from sumparts.instances import (
@@ -12,7 +12,6 @@ from sumparts.instances import (
     TspInstance,
     build_neighbor_lists,
     make_bitvector,
-    make_tour,
     qubo_value,
     random_qubo_instance,
     random_tsp_instance,
