@@ -112,6 +112,14 @@ class CampaignSpec:
     reference_algorithm: str | None = None
 
     def __post_init__(self):
+        for key, what in (("instances", "paths"), ("targets", "optima")):
+            if not isinstance(getattr(self, key), dict):
+                raise ValueError(f"{key} must map names to {what}, got {getattr(self, key)!r}")
+        for name, path in self.instances.items():
+            if not isinstance(path, str):
+                raise ValueError(f"instances[{name!r}] must be a path string, got {path!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a path string or null, got {self.out_dir!r}")
         if not isinstance(self.seeds, list) or not all(
                 isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0
                 for s in self.seeds):
@@ -139,6 +147,8 @@ class CampaignSpec:
             if isinstance(target, bool) or not isinstance(target, numbers.Real) or not (
                     math.isfinite(target)):
                 raise ValueError(f"targets[{name!r}] must be a finite number, got {target!r}")
+            if target == 0:
+                raise ValueError(f"targets[{name!r}] must be nonzero: excess is relative to it")
 
 
 @dataclass

@@ -153,6 +153,8 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.campaign, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"a campaign file holds one JSON object, got {type(raw).__name__}")
     # max_fe and max_wall apply to every entry; every other key is a CampaignSpec field
     shared = {k: raw.pop(k) for k in ("max_fe", "max_wall") if k in raw}
     spec_fields = fields(CampaignSpec)
@@ -163,8 +165,11 @@ def cmd_bench(args) -> int:
                if f.name not in raw and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"missing campaign key(s): {', '.join(missing)}")
+    entries = raw["algorithms"]
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        raise ValueError(f"algorithms must be a list of objects, got {entries!r}")
     algorithms = []
-    for entry in raw["algorithms"]:
+    for entry in entries:
         if "seed" in entry or "target" in entry:
             raise ValueError("a campaign entry takes its seed and target from seeds and targets")
         algorithms.append(config_from({**shared, **entry}))

@@ -747,10 +747,8 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
     order0, pos0 = order[:], pos[:]
     order1, pos1 = order[:], pos[:]
 
-    # the running chain: reversals applied, their endpoints and prefix-sum gains
-    moves: list[tuple[int, int]] = []
-    ends: list[int] = []
-    cost_sum = [0.0]
+    # the running chain: one (lo, hi, end, t3, t4) record per reversal applied
+    chain: list[tuple[int, int, int, int, int]] = []
     fe = 0
     # order[i + 1 - n] and order[i - 1] are the cities after and before
     # position i: the negative indices wrap around the array's ends
@@ -762,36 +760,34 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
             pos[c] = lo
             lo += 1
 
-    def do_move(base: int, end: int, t3: int, forward: bool):
+    def do_move(base: int, end: int, t3: int, forward: bool, total: float) -> float:
         # chained 2-Opt: remove (base,end),(t4,t3); add (end,t3),(t4,base)
         p3 = pos[t3]
         t4 = order[p3 - 1] if forward else order[p3 + 1 - n]
-        cost_sum.append(cost_sum[-1] + (cost[end][t3] + cost[t4][base]
-                                        - cost[base][end] - cost[t4][t3]))
         pe, p4 = pos[end], pos[t4]
         if forward:
             lo, hi = (pe, p4) if pe <= p4 else (p3, pos[base])
         else:
             lo, hi = (p4, pe) if p4 <= pe else (pos[base], p3)
         reverse(lo, hi)
-        moves.append((lo, hi))
-        ends.extend((end, t3, t4))
+        chain.append((lo, hi, end, t3, t4))
+        return total + (cost[end][t3] + cost[t4][base] - cost[base][end] - cost[t4][t3])
 
     def rollback(k: int):
         # the tour after the chain's first k moves, from the nearest snapshot
         if k:
             order[:], pos[:] = order1, pos1
-            for lo, hi in moves[1:k]:
-                reverse(lo, hi)
+            for move in chain[1:k]:
+                reverse(move[0], move[1])
         else:
             order[:], pos[:] = order0, pos0
-        del moves[k:], ends[3 * k:], cost_sum[k + 1:]
+        del chain[k:]
 
-    def extend_greedy(base: int, forward: bool):
-        # deeper levels, do_move inlined: first acceptable candidate, no alternatives
+    def extend_greedy(base: int, forward: bool, total: float) -> int:
+        # deeper levels, do_move inlined: first acceptable candidate, no alternatives;
+        # returns the level to commit, 0 for none
         nonlocal fe
-        total = cost_sum[2]
-        best_k, best_sum = (2, total) if total < -1e-12 else (-1, 0.0)
+        best_k, best_sum = (2, total) if total < -1e-12 else (0, 0.0)
         scanned = 0
         for level in range(3, depth + 1):
             i = pos[base]
@@ -805,7 +801,7 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
                 scanned += 1
                 if row[t3] >= bound:
                     fe += scanned
-                    return best_k, best_sum  # cost-sorted: none later can fit
+                    return best_k  # cost-sorted: none later can fit
                 if t3 != s_end and t3 != p_end:
                     break
             else:
@@ -822,16 +818,14 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
                 lo, hi = (pe, p4) if pe <= p4 else (p3, pos[base])
             else:
                 lo, hi = (p4, pe) if p4 <= pe else (pos[base], p3)
-            cost_sum.append(total)
-            moves.append((lo, hi))
-            ends.extend((end, t3, t4))
+            chain.append((lo, hi, end, t3, t4))
             seg = order[hi:lo - 1 if lo else None:-1]
             order[lo:hi + 1] = seg
             for c in seg:
                 pos[c] = lo
                 lo += 1
         fe += scanned
-        return best_k, best_sum
+        return best_k
 
     def chain_from(base: int, forward: bool) -> int:
         """One anchored chain; commits the winning prefix or restores the tour.
@@ -851,14 +845,14 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
                 break
             if t3 == s0 or t3 == p0:
                 continue
-            do_move(base, e0, t3, forward)
-            if cost_sum[1] < -1e-12:
+            total1 = do_move(base, e0, t3, forward, 0.0)
+            if total1 < -1e-12:
                 return 1  # improving 2-Opt move, commit immediately
             order1[:], pos1[:] = order, pos
             # second level: try a few alternatives, each extended greedily
             i = pos[base]
             e1 = order[i + 1 - n] if forward else order[i - 1]
-            bound1 = cost[base][e1] - cost_sum[1]
+            bound1 = cost[base][e1] - total1
             row1 = cost[e1]
             i = pos[e1]
             s1, p1 = order[i + 1 - n], order[i - 1]
@@ -869,11 +863,10 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
                     break
                 if t5 == s1 or t5 == p1:
                     continue
-                do_move(base, e1, t5, forward)
                 tried += 1
-                best_k, best_sum = extend_greedy(base, forward)
-                if best_sum < -1e-12:
-                    if best_k < len(moves):
+                best_k = extend_greedy(base, forward, do_move(base, e1, t5, forward, total1))
+                if best_k:
+                    if best_k < len(chain):
                         rollback(best_k)
                     return best_k
                 rollback(1)
@@ -908,11 +901,10 @@ def lk_search(inst: TspInstance, neighbors: list[list[int]], tour: Tour, budget:
         fe = 0
         if k:
             push(base)
-            for city in ends:
-                push(city)
-            moves.clear()
-            ends.clear()
-            del cost_sum[1:]
+            for move in chain:
+                for city in move[2:]:
+                    push(city)
+            chain.clear()
             order0[:], pos0[:] = order, pos
 
     tour.order[:] = order

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -13,7 +15,12 @@ from sumparts.bench import (
     verdict_vs_reference,
 )
 from sumparts.decomposition import SplitParams
-from sumparts.instances import random_qubo_instance, random_tsp_instance
+from sumparts.instances import (
+    load_bundled_tsp,
+    random_qubo_instance,
+    random_tsp_instance,
+    tour_cost,
+)
 from sumparts.metaheuristics import SolverConfig
 
 
@@ -128,6 +135,24 @@ class TestCampaign:
         assert out[0].mean_excess == 0.0
         assert (tmp_path / "camp" / "traces" / "r7_ils_s3.csv").exists()
         assert (tmp_path / "camp" / "summary.csv").exists()
+
+    def test_bundled_instance_by_name_writes_matching_trace_files(self, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)  # no file here is named eil51
+        spec = CampaignSpec(instances={"eil51": "eil51"},
+                            algorithms=[SolverConfig(algorithm="ils", max_fe=2e4)],
+                            seeds=[0], out_dir="camp")
+        out = run_campaign(spec)
+        assert out[0].excesses == [excess(out[0].finals[0], 426.0)]  # the bundled optimum
+        base = tmp_path / "camp" / "traces" / "eil51_ils_s0"
+        trace = json.loads(base.with_suffix(".json").read_text())
+        best = np.asarray(trace["final_best"])
+        assert sorted(best.tolist()) == list(range(51))
+        assert tour_cost(load_bundled_tsp("eil51"), best) == trace["final_value"] == out[0].finals[0]
+        rows = [line.split(",") for line in base.with_suffix(".csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows[0] == ["fe", "best_f"]
+        assert [[int(fe), float(f)] for fe, f in rows[1:]] == trace["events"]
 
     def test_deterministic_rerun_byte_identical(self, tmp_path):
         inst = random_tsp_instance(8, seed=1)

@@ -164,6 +164,14 @@ def test_solve_refuses_coordinates_whose_costs_overflow(tmp_path, capsys):
         assert capsys.readouterr().err.strip() == "error: cost matrix must be finite"
 
 
+def test_sweep_a_on_fewer_than_two_nonzero_units_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.sparse"
+    path.write_text("2 0\n")
+    assert main(["sweep-a", "--instance", str(path), "--a", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: need at least 2 nonzero units to measure correlation\n")
+
+
 def test_kick_that_flips_no_bit_exits_before_any_run(tmp_path, monkeypatch, capsys):
     # round(0.01 * 50) == 0: every kick would return the same bits
     path = tmp_path / "synth50.sparse"
@@ -326,48 +334,83 @@ def test_bench_out_of_range_setting_exits_before_any_run(tmp_path, eil51_path, m
     assert main(["bench", "--campaign", str(spec_path)]) == 2
 
 
-@pytest.mark.parametrize("change", [
-    {"algorithms": [{"algorithm": "ils", "max_fes": 1e7}]},
-    {"max_fes": 1e7},
-    {"algorithms": [{"algorithm": "ils", "seed": 3}]},
-    {"algorithms": [{"algorithm": "ils", "target": 426}]},
-    {"algorithms": [{"algorithm": "ils_nds", "a": -12}, {"algorithm": "ils_nds", "a": 10}]},
-    {"algorithms": [{"algorithm": "ils", "max_fe": "1e4"}]},
-    {"seeds": 3},
-    {"algorithms": [{"algorithm": "its", "flip_fraction": "0.3"}]},
-    {"algorithms": [{"algorithm": "ilk_e", "warmup_fraction": "0.1"}]},
-    {"algorithms": [{"algorithm": "ilk_e", "penalty_rounds": "5"}]},
-    {"algorithms": [{"algorithm": "ils", "a": 2, "q_prime": "1"}]},
-    {"algorithms": [{"algorithm": "ils", "a": "x"}]},
-    {"algorithms": [{"algorithm": "ils", "a": 2, "split_seed": 1.5}]},
-    {"seeds": [-1, 2]},
-    {"algorithms": [{"algorithm": "ils", "a": 2, "split_seed": -3}]},
-    {"algorithms": [{"algorithm": "ils", "max_fe": -5}]},
-    {"seeds": []},
-    {"instances": {}},
-    {"reference_algorithm": "ils_nds"},
-    {"targets": {"eil52": 426}},
-    {"max_fe": float("nan")},
-    {"algorithms": [{"algorithm": "ils", "max_wall": float("nan")}]},
-    {"max_fe": float("inf")},
-    {"algorithms": [{"algorithm": "ils", "a": float("-inf")}]},
-    {"targets": {"eil51": float("inf")}},
-    {"targets": {"eil51": "426"}},
+_ENTRY_SEED_OR_TARGET = "a campaign entry takes its seed and target from seeds and targets"
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"algorithms": [{"algorithm": "ils", "max_fes": 1e7}]}, "unknown setting(s): max_fes"),
+    ({"max_fes": 1e7}, "unknown campaign key(s): max_fes"),
+    ({"algorithms": [{"algorithm": "ils", "seed": 3}]}, _ENTRY_SEED_OR_TARGET),
+    ({"algorithms": [{"algorithm": "ils", "target": 426}]}, _ENTRY_SEED_OR_TARGET),
+    ({"algorithms": [{"algorithm": "ils_nds", "a": -12}, {"algorithm": "ils_nds", "a": 10}]},
+     "algorithm names must be distinct"),
+    ({"algorithms": [{"algorithm": "ils", "max_fe": "1e4"}]}, "max_fe must be a number"),
+    ({"seeds": 3}, "seeds must be a list"),
+    ({"algorithms": [{"algorithm": "its", "flip_fraction": "0.3"}]}, "flip_fraction must be"),
+    ({"algorithms": [{"algorithm": "ilk_e", "warmup_fraction": "0.1"}]}, "warmup_fraction must be"),
+    ({"algorithms": [{"algorithm": "ilk_e", "penalty_rounds": "5"}]}, "penalty_rounds must be"),
+    ({"algorithms": [{"algorithm": "ils", "a": 2, "q_prime": "1"}]}, "q_prime must be"),
+    ({"algorithms": [{"algorithm": "ils", "a": "x"}]}, "a must be a number"),
+    ({"algorithms": [{"algorithm": "ils", "a": 2, "split_seed": 1.5}]}, "split_seed must be"),
+    ({"seeds": [-1, 2]}, "seeds must be a list of integers >= 0"),
+    ({"algorithms": [{"algorithm": "ils", "a": 2, "split_seed": -3}]}, "split_seed must be >= 0"),
+    ({"algorithms": [{"algorithm": "ils", "max_fe": -5}]}, "max_fe must be >= 0"),
+    ({"seeds": []}, "seeds must list at least one seed"),
+    ({"instances": {}}, "instances must name at least one instance"),
+    ({"reference_algorithm": "ils_nds"}, "reference_algorithm 'ils_nds' is not one"),
+    ({"targets": {"eil52": 426}}, "targets name no instance: eil52"),
+    ({"max_fe": float("nan")}, "max_fe must be a number, got nan"),
+    ({"algorithms": [{"algorithm": "ils", "max_wall": float("nan")}]}, "max_wall must be"),
+    ({"max_fe": float("inf")}, "max_fe must be finite"),
+    ({"algorithms": [{"algorithm": "ils", "a": float("-inf")}]}, "a must be finite or inf"),
+    ({"targets": {"eil51": float("inf")}}, "targets['eil51'] must be a finite number"),
+    ({"targets": {"eil51": "426"}}, "targets['eil51'] must be a finite number"),
+    # excess is relative to the target, so a zero one would fail after every cell ran
+    ({"targets": {"eil51": 0}}, "targets['eil51'] must be nonzero"),
+    ({"algorithms": ["ils"]}, "algorithms must be a list of objects, got ['ils']"),
+    ({"algorithms": {"algorithm": "ils"}}, "algorithms must be a list of objects"),
+    ({"instances": ["eil51"]}, "instances must map names to paths, got ['eil51']"),
+    ({"targets": ["eil51"]}, "targets must map names to optima"),
+    ({"out_dir": 5}, "out_dir must be a path string or null, got 5"),
+    # a number would be opened as a file descriptor
+    ({"instances": {"eil51": 7}}, "instances['eil51'] must be a path string, got 7"),
+    ({"algorithms": []}, "no algorithms configured"),
+    ({"algorithms": [{"a": 2}]}, "a run needs an algorithm"),
+    ({"algorithms": [{"algorithm": "foo"}]}, "unknown algorithm 'foo'"),
 ], ids=["entry-typo", "top-level-typo", "entry-seed", "entry-target", "duplicate-algorithm",
         "entry-max-fe-string", "seeds-not-a-list", "flip-fraction-string",
         "warmup-fraction-string", "penalty-rounds-string", "q-prime-string", "a-string",
         "split-seed-fraction", "negative-seed", "negative-split-seed", "negative-max-fe",
         "no-seeds", "no-instances", "reference-not-an-entry", "target-not-an-instance",
         "nan-max-fe", "nan-max-wall", "inf-max-fe", "negative-inf-a", "inf-target",
-        "target-string"])
-def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, capsys, change):
+        "target-string", "zero-target", "entry-string", "algorithms-object", "instances-list",
+        "targets-list", "out-dir-number", "instance-path-number", "no-algorithms",
+        "entry-without-algorithm", "unknown-algorithm"])
+def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, capsys, change,
+                                           error):
     campaign = {"instances": {"eil51": eil51_path}, "algorithms": [{"algorithm": "ils"}],
                 "seeds": [0], "max_fe": 1e4, **change}
     spec_path = tmp_path / "campaign.json"
     spec_path.write_text(json.dumps(campaign))
     monkeypatch.setattr(cli, "run_campaign", lambda *args: pytest.fail("a run started"))
     assert main(["bench", "--campaign", str(spec_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
+@pytest.mark.parametrize("shape, error", [
+    ("list", "error: a campaign file holds one JSON object, got list"),
+    ("no-seeds", "error: missing campaign key(s): seeds"),
+], ids=["list", "no-seeds"])
+def test_campaign_file_of_the_wrong_shape_exits_before_any_run(tmp_path, eil51_path,
+                                                               monkeypatch, capsys, shape, error):
+    campaign = {"instances": {"eil51": eil51_path}, "algorithms": [{"algorithm": "ils"}],
+                "seeds": [0]}
+    raw = [campaign] if shape == "list" else {k: v for k, v in campaign.items() if k != "seeds"}
+    spec_path = tmp_path / "campaign.json"
+    spec_path.write_text(json.dumps(raw))
+    monkeypatch.setattr(cli, "run_campaign", lambda *args: pytest.fail("a run started"))
+    assert main(["bench", "--campaign", str(spec_path)]) == 2
+    assert capsys.readouterr().err == error + "\n"
 
 
 @pytest.mark.parametrize("key, value, rule", [

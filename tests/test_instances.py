@@ -122,11 +122,13 @@ EDGE_WEIGHT_SECTION
         (UNIT_SQUARE, UNIT_SQUARE.replace("3 1 1", "3 1e400 1"), "non-finite coordinate line 8: '3 1e400 1'"),
         (EXPLICIT4, EXPLICIT4.replace("3 5 0 7", "3 5 0 inf"), "non-finite weight line 8: '3 5 0 inf'"),
         (EXPLICIT4, EXPLICIT4.replace("3 5 0 7", "3 nan x 7"), "malformed weight line 8: '3 nan x 7'"),
+        (UNIT_SQUARE, UNIT_SQUARE.replace("DIMENSION : 4", "DIMENSION : four"),
+         "bad DIMENSION value: 'four'"),
     ], ids=["blank-lines-in-section", "line-numbers-count-blank-lines", "eof-ends-weights",
             "text-after-eof-ignored", "lines-after-last-coordinate-ignored",
             "header-without-colon", "duplicate-index-line", "nan-coordinate",
             "non-finite-before-index-range", "overflowing-coordinate", "inf-weight",
-            "malformed-before-non-finite-weight"])
+            "malformed-before-non-finite-weight", "bad-dimension"])
     def test_line_scan(self, base, text, error):
         if error is None:
             assert np.array_equal(parse_tsplib(text).costs, parse_tsplib(base).costs)
@@ -320,6 +322,31 @@ def test_non_finite_matrix_refused_before_symmetry(bad):
         QuboInstance(name="bad", n=3, q=q)
 
 
+def _costs_with(i, j, value):
+    """A 5-city cost matrix with its entries (i, j) and (j, i) set to value."""
+    costs = random_tsp_instance(5, seed=0).costs.copy()
+    costs[i, j] = costs[j, i] = value
+    return costs
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: TspInstance(name="bad", n=5, costs=np.zeros((5, 4))),
+     r"cost matrix shape \(5, 4\) != \(5, 5\)"),
+    (lambda: TspInstance(name="bad", n=5, costs=_costs_with(2, 2, 1.0)),
+     "cost matrix diagonal must be zero"),
+    (lambda: TspInstance(name="bad", n=5, costs=_costs_with(1, 3, -1.0)),
+     "edge costs must be non-negative"),
+    (lambda: QuboInstance(name="bad", n=0, q=np.zeros((0, 0))), "UBQP needs n >= 1"),
+    (lambda: QuboInstance(name="bad", n=3, q=np.zeros((3, 2))), r"Q shape \(3, 2\) != \(3, 3\)"),
+    (lambda: QuboInstance(name="bad", n=3, q=np.triu(np.ones((3, 3)))),
+     "Q must be stored symmetric"),
+], ids=["tsp-shape", "tsp-diagonal", "tsp-negative-cost", "ubqp-empty", "ubqp-shape",
+        "ubqp-asymmetric"])
+def test_malformed_matrix_refused(make, error):
+    with pytest.raises(ValueError, match=error):
+        make()
+
+
 class TestTourCost:
     def test_identity_tour_unit_square(self):
         inst = parse_tsplib(UNIT_SQUARE)
@@ -361,6 +388,12 @@ class TestTwoOptDelta:
 
     def test_eil51_neighborhood_size(self, eil51):
         assert TwoOptNeighborhood(eil51).size == 1224
+
+    @pytest.mark.parametrize("i, j", [(-1, 3), (3, 3), (4, 2), (0, 51)])
+    def test_out_of_range_positions_rejected(self, eil51, i, j):
+        t = make_tour(eil51, np.arange(51))
+        with pytest.raises(ValueError, match=rf"need 0 <= i < j <= n-1, got \({i}, {j}\)"):
+            two_opt_delta(eil51, t, i, j)
 
     @pytest.mark.parametrize("n", [5, 17, 42, 100])
     def test_move_count_formula(self, n):
@@ -404,6 +437,20 @@ class TestFlipDelta:
             after = qubo_value(inst, bv.bits)
             assert delta == pytest.approx(after - before, abs=1e-9)
             assert bv.cached_value == pytest.approx(after, abs=1e-9)
+
+    @pytest.mark.parametrize("bits", [[0, 1, 2], [0.5, 0, 1], [0, 1]], ids=["two", "half", "short"])
+    def test_bits_not_a_zero_one_vector_rejected(self, bits):
+        inst = random_qubo_instance(3, seed=3, density=0.5)
+        with pytest.raises(ValueError, match="bits must be a 0/1 vector of length n"):
+            make_bitvector(inst, bits)
+
+    @pytest.mark.parametrize("i", [-1, 20])
+    def test_out_of_range_flip_rejected(self, i):
+        inst = random_qubo_instance(20, seed=3, density=0.5)
+        bv = make_bitvector(inst, np.zeros(20))
+        with pytest.raises(ValueError, match=f"bit index {i} out of range"):
+            flip_delta_and_update(inst, bv, i)
+        assert bv.cached_value == 0.0 and not bv.bits.any()
 
     def test_neighborhood_size_is_n(self):
         text = synthetic_orlib_text(1000, seed=1)

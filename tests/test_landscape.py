@@ -43,6 +43,12 @@ class TestCollectLocalOptima:
 
 
 class TestClassifyNeighbors:
+    def test_view_without_split_rejected(self):
+        view = TwoOptNeighborhood(random_tsp_instance(6, seed=1))
+        t = view.random_solution(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="split-aware view"):
+            classify_neighbors(t, view, np.zeros(view.size, dtype=bool))
+
     def test_global_optimum_no_two_hop_improvement_p_zero(self):
         inst = random_tsp_instance(6, seed=1)
         opt = brute_force_tsp(inst)
@@ -167,6 +173,10 @@ class TestAggregate:
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
             aggregate_stats([self._stats(), self._stats(neighborhood_size=12)])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="nothing to aggregate"):
+            aggregate_stats([])
 
 
 class TestExpectedFe:

@@ -194,6 +194,13 @@ class TestIts:
         with pytest.raises(ValueError):
             run(SolverConfig(algorithm="its", seed=0, max_fe=10), inst)
 
+    @pytest.mark.parametrize("step", [
+        lambda inst: mh.check_fits(SolverConfig(algorithm="ils"), inst), mh.neighborhood_for,
+    ], ids=["check_fits", "neighborhood_for"])
+    def test_unsupported_instance_type_rejected(self, step):
+        with pytest.raises(TypeError, match="unsupported instance type: list"):
+            step([[0.0, 1.0], [1.0, 0.0]])
+
     @pytest.mark.parametrize("n, flip_fraction", [(50, 0.01), (2, 0.25), (1, 0.25)])
     def test_kick_that_flips_no_bit_rejected(self, monkeypatch, n, flip_fraction):
         # round(0.5) == 0, so these kicks would return the same bits every time
