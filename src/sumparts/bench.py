@@ -116,6 +116,11 @@ class CampaignSpec:
             if not isinstance(getattr(self, key), dict):
                 raise ValueError(f"{key} must map names to {what}, got {getattr(self, key)!r}")
         for name, path in self.instances.items():
+            # a name is one part of a trace file's name under out_dir/traces
+            if not isinstance(name, str) or name in ("", ".", "..") or any(
+                    sep and sep in name for sep in ("/", os.sep, os.altsep)):
+                raise ValueError(f"instances[{name!r}]: an instance name must be a nonempty "
+                                 f"file name part, not '.', '..' or one holding a path separator")
             if not isinstance(path, str):
                 raise ValueError(f"instances[{name!r}] must be a path string, got {path!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):

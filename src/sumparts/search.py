@@ -65,6 +65,17 @@ class Budget:
             return True
         return self.max_wall is not None and self.elapsed() >= self.max_wall
 
+    def charges_left(self, k: int) -> int | float:
+        """How many more charges of k FEs the FE cap lets start (inf without a cap).
+
+        A charge starts while consumed_fe < max_fe, and for the integer
+        consumed_fe that holds exactly when consumed_fe < ceil(max_fe), so
+        the count is computed in integers.
+        """
+        if self.max_fe is None or self.max_fe == math.inf:
+            return math.inf
+        return max(0, -((self.consumed_fe - math.ceil(self.max_fe)) // k))
+
 
 def better(sense: int, a: float, b: float) -> bool:
     """True when value a improves on value b under the given sense."""
@@ -578,6 +589,14 @@ def random_flip_perturbation(inst: QuboInstance, bv: BitVector, fraction: float,
 # tabu search (UBQP)
 
 
+@lru_cache(maxsize=32)
+def _bit_keys(n: int) -> np.ndarray:
+    """Fixed random 63-bit keys of n bits; their XOR over the set bits fingerprints a vector."""
+    keys = np.random.default_rng(0x7AB0).integers(0, 2**63, n, dtype=np.int64)
+    keys.setflags(write=False)
+    return keys
+
+
 def sample_tenure(n: int, rng: np.random.Generator) -> int:
     """Tenure drawn uniformly from [n/100 + 1, n/100 + 10] (integer division)."""
     base = n // 100
@@ -613,12 +632,35 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
     flip is at most that of the argmax. The move is then the argmax of
     gains + mask. The flip runs the kernel flip_delta_and_update uses, on
     bv's own caches and one product row allocated once per call.
+
+    After the last improvement the walk is deterministic, and once it is back
+    in a state it held before, it repeats the moves since then. That state is
+    the bits, the gains, the value and the ring in age order: the sign row,
+    the counts and the mask follow from them once the ring is full, and the
+    best is fixed. One checkpoint of it moves whenever the idle count is a
+    power of two and the ring is full (Brent's schedule), and is dropped on
+    an improvement. An XOR of fixed per-bit keys over the set bits screens
+    each idle move; on a match the full state is compared, the gains and the
+    value bit for bit. If equal, the whole periods that the stop rule and the
+    FE cap leave are skipped: charged n FEs a move and counted as idle, while
+    the state stays as it is. So the best, the final state, the FE charges
+    and the RNG draws are those of the full walk. Under a max_wall budget the
+    skipped moves take no time; wall-budget runs are not reproducible anyway.
     """
     n = inst.n
     ring = [0] * (sample_tenure(n, rng) - 1)
     count = [0] * n
     q, gains, twice, bits = inst.q, bv.gains, bv.twice, bv.bits
     product, masked, mask = np.empty(n), np.empty(n), np.zeros(n)
+    keys = _bit_keys(n)
+    h = int(np.bitwise_xor.reduce(keys[bits != 0.0]))
+    check_h, check_t, check_value_ring = -1, 0, None  # -1: no checkpoint, h is never negative
+    check_bits, check_gains = np.empty(n), np.empty(n)
+
+    def value_and_ring():  # the value bit for bit, and the ring from its oldest flip
+        s = t % len(ring) if ring else 0
+        return bv.cached_value.hex(), ring[s:] + ring[:s]
+
     best = bv.copy()
     bar = best.cached_value + inst.tol
     since_improve = 0
@@ -632,6 +674,7 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
             if masked.item(j) > -np.inf:  # else everything is frozen: unfreeze all
                 k = j
         bv.cached_value += _flip(q[k], gains, twice, bits, k, product)
+        h ^= keys.item(k)
         if ring:
             slot = t % len(ring)
             if t >= len(ring):
@@ -647,8 +690,20 @@ def tabu_search(inst: QuboInstance, bv: BitVector, rng: np.random.Generator,
             best = bv.copy()
             bar = best.cached_value + inst.tol
             since_improve = 0
-        else:
-            since_improve += 1
+            check_h = -1
+            continue
+        since_improve += 1
+        if (h == check_h and value_and_ring() == check_value_ring
+                and np.array_equal(bits, check_bits)
+                and np.array_equal(gains.view(np.int64), check_gains.view(np.int64))):
+            left = min(20 * n - since_improve, budget.charges_left(n))
+            skip = left - left % (t - check_t)
+            budget.charge(skip * n)
+            since_improve += skip
+        elif not since_improve & (since_improve - 1) and t >= len(ring):
+            check_h, check_t, check_value_ring = h, t, value_and_ring()
+            np.copyto(check_bits, bits)
+            np.copyto(check_gains, gains)
     return best
 
 

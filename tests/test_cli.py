@@ -374,6 +374,12 @@ _ENTRY_SEED_OR_TARGET = "a campaign entry takes its seed and target from seeds a
     ({"out_dir": 5}, "out_dir must be a path string or null, got 5"),
     # a number would be opened as a file descriptor
     ({"instances": {"eil51": 7}}, "instances['eil51'] must be a path string, got 7"),
+    # a name becomes part of a trace file's path under out_dir/traces
+    ({"instances": {"sub/eil51": "eil51"}}, "instances['sub/eil51']: an instance name must"),
+    ({"instances": {"../escaped": "eil51"}}, "instances['../escaped']: an instance name must"),
+    ({"instances": {"..": "eil51"}}, "instances['..']: an instance name must"),
+    ({"instances": {".": "eil51"}}, "instances['.']: an instance name must"),
+    ({"instances": {"": "eil51"}}, "instances['']: an instance name must"),
     ({"algorithms": []}, "no algorithms configured"),
     ({"algorithms": [{"a": 2}]}, "a run needs an algorithm"),
     ({"algorithms": [{"algorithm": "foo"}]}, "unknown algorithm 'foo'"),
@@ -384,7 +390,9 @@ _ENTRY_SEED_OR_TARGET = "a campaign entry takes its seed and target from seeds a
         "no-seeds", "no-instances", "reference-not-an-entry", "target-not-an-instance",
         "nan-max-fe", "nan-max-wall", "inf-max-fe", "negative-inf-a", "inf-target",
         "target-string", "zero-target", "entry-string", "algorithms-object", "instances-list",
-        "targets-list", "out-dir-number", "instance-path-number", "no-algorithms",
+        "targets-list", "out-dir-number", "instance-path-number", "instance-name-subdir",
+        "instance-name-escapes", "instance-name-dotdot", "instance-name-dot",
+        "instance-name-empty", "no-algorithms",
         "entry-without-algorithm", "unknown-algorithm"])
 def test_bad_campaign_exits_before_any_run(tmp_path, eil51_path, monkeypatch, capsys, change,
                                            error):

@@ -9,13 +9,22 @@ the best only past inst.tol, EVAL_REL_TOL times the weights' absolute sum.
 `tabu_search` must agree with it bit for bit: the same best solution and
 caches, the same final state of the searched solution, the same FE charges
 and the same RNG draws.
+
+The reference runs every move. `tabu_search` skips whole periods of an idle
+walk that has come back to an earlier state and charges them instead, so
+the hypothesis comparison goes through that skip whenever a drawn instance
+cycles, as small ones often do. The skip tests pin it down: cycling tails
+on integral and on non-integral weights, counted by their executed flips,
+and every FE cap that ends inside a skipped span.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumparts.instances import QuboInstance, make_bitvector, qubo_value
+from sumparts import search
+from sumparts.instances import QuboInstance, _flip, make_bitvector, qubo_value
 from sumparts.search import Budget, sample_tenure, tabu_search
 
 
@@ -152,3 +161,66 @@ def test_frozen_bit_flipped_again_matches_reference(monkeypatch):
     windows = [set(flips[max(0, t - ring):t]) for t in range(len(flips))]
     assert any(k in w and len(w) < n for k, w in zip(flips, windows))
     assert runs[0] == runs[1]
+
+
+class RecordingBudget(Budget):
+    """A Budget that keeps every charge: a skipped span is one charge of many moves."""
+
+    def __init__(self, max_fe=None):
+        super().__init__(max_fe=max_fe)
+        self.charges = []
+
+    def charge(self, k):
+        self.charges.append(int(k))
+        super().charge(k)
+
+
+def skip_pair(inst, seed, max_fe, monkeypatch):
+    """tabu_search and the reference from the same start, with tabu_search's flips counted.
+
+    Returns both runs, the flips tabu_search executed and its charges.
+    """
+    flips = []
+    monkeypatch.setattr(search, "_flip", lambda *args: (flips.append(args[4]), _flip(*args))[1])
+    bits = np.random.default_rng(seed + 1).integers(0, 2, inst.n).astype(np.float64)
+    runs, charges = [], []
+    for tabu in (tabu_search, reference_tabu):
+        bv = make_bitvector(inst, bits.copy())
+        budget = RecordingBudget(max_fe)
+        rng = np.random.default_rng(seed)
+        best = tabu(inst, bv, rng, budget)
+        runs.append((state(best), state(bv), budget.consumed_fe, rng.bit_generator.state))
+        charges.append(budget.charges)
+    return runs, len(flips), charges[0]
+
+
+@pytest.mark.parametrize("seed, integral", [(1, True), (23, False)],
+                         ids=["integral", "non-integral"])
+def test_cycling_idle_tail_is_skipped(monkeypatch, seed, integral):
+    # After its last improvement each walk comes back to an earlier state,
+    # the value and the gains bit for bit (ulp drift and all on non-integral
+    # weights), and the whole periods of the rest are only charged.
+    n = 16
+    runs, flips, charges = skip_pair(qubo(n, seed, integral), seed, None, monkeypatch)
+    assert flips < runs[0][2] // n
+    assert any(c > n for c in charges)
+    assert runs[0] == runs[1]
+
+
+def test_fe_cap_inside_a_skipped_span(monkeypatch):
+    # Every cap inside the span the unbounded call skips, each half an FE
+    # past a move boundary. A skip that covered more moves than the cap lets
+    # start, ceil((max_fe - consumed) / n) of them, would overshoot the FEs
+    # and end in another state than the reference.
+    n = 16
+    inst = qubo(n, 1, integral=True)
+    _, _, charges = skip_pair(inst, 1, None, monkeypatch)
+    at = next(i for i, c in enumerate(charges) if c > n)
+    skipped = 0
+    for moves in range(charges[at] // n):
+        runs, flips, _ = skip_pair(inst, 1, sum(charges[:at]) + moves * n + 0.5, monkeypatch)
+        assert runs[0] == runs[1]
+        skipped += flips < runs[0][2] // n
+    assert skipped
+    assert runs[0][2] < sum(charges)
+
