@@ -10,26 +10,27 @@ Scan order is the same fixed lexicographic order local search uses, so the
 filtered scan consumes a subset of the unfiltered scan's evaluations on the
 same input.
 
-Two-hop scans run in blocks, and each neighbor's best move delta costs O(n)
-work (`two_hop_best`): a flip view takes the best of its n gains, and a
-2-Opt view reads O(n^2) tables built once per scan instead of scoring the
-neighbor's n(n-3)/2 moves. Only the first neighbor that succeeds is built,
-and the view's own `first_improvement` finds its hit. FE charges stay
-exactly those of a sequential neighbor-by-neighbor scan, and a block never
-starts more neighbors than that scan would before `max_fe` runs out, so an
-FE cap still overshoots by at most one scan. A `max_wall` budget is checked
-between blocks, so it can overrun by one block (under 2 ms on eil51).
+Two-hop scans run in blocks, and `two_hop_best` flags exactly which of a
+block's neighbors succeed: a flip view takes the best of each neighbor's n
+gains, and a 2-Opt view reads O(n^2) tables built once per scan instead of
+scoring the neighbor's n(n-3)/2 moves, so a neighbor costs O(1) work when a
+lower bound rules it out and O(n) otherwise. Only the first neighbor that
+succeeds is built, and the view's own `first_improvement` finds its hit.
+FE charges stay exactly those of a sequential neighbor-by-neighbor scan, and
+a block never starts more neighbors than that scan would before `max_fe`
+runs out, so an FE cap still overshoots by at most one scan. A `max_wall`
+budget is checked between blocks, so it can overrun by one block (under
+2 ms on eil51).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instances import MINIMIZE, Tour, TspInstance, check_numbers
-from .search import Budget, better, lk_search, penalized_rows
+from .search import Budget, lk_search, penalized_rows
 
 
 def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -47,8 +48,9 @@ def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
 # A block of a two-hop scan holds BLOCK_DELTAS // n neighbors: 321 on eil51,
 # 16 on a 1000-variable UBQP, enough to amortize numpy's per-call cost (on
 # eil51, blocks of 13 made ens twice as slow as blocks of 64-321). A block's
-# temporaries, about 130 kB each on eil51 (52 x 321 x 8 = 133,536 B), live
-# in the view's scratch: allocated by its first block, reused by later ones.
+# temporaries, up to about 130 kB each on eil51 (52 x 321 x 8 = 133,536 B),
+# live in the view's scratch: allocated by its first block, reused by later
+# ones.
 BLOCK_DELTAS = 1 << 14
 
 
@@ -62,18 +64,16 @@ def two_hop_blocks(view, sol, ks, d, budget: Budget):
     start before max_fe runs out; the caller charges what it uses.
     """
     f_star = view.value(sol)
-    best_of = view.two_hop_best(sol, d)
+    flag = view.two_hop_best(sol, d)
     cap = max(1, BLOCK_DELTAS // view.inst.n)
     start = 0
     while start < len(ks):
         if budget.exhausted():
             return
-        rows = cap
-        if budget.max_fe is not None:
-            rows = min(rows, math.ceil((budget.max_fe - budget.consumed_fe) / view.size))
-        block = ks[start:start + rows]
-        best, values = best_of(block)
-        yield block, better(view.sense, best, f_star - values)
+        block = ks[start:start + min(cap, budget.charges_left(view.size))]
+        # a move of delta x from neighbor k succeeds when x beats
+        # f_star - value(k), both differences as a sequential scan takes them
+        yield block, flag(block, f_star - (f_star + d[block]))
         start += len(block)
 
 

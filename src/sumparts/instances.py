@@ -95,6 +95,15 @@ class TspInstance:
         return EVAL_REL_TOL * self.max_cost
 
     @cached_property
+    def nearest(self) -> np.ndarray:
+        """Each city's least cost to another city."""
+        c = self.costs.copy()
+        np.fill_diagonal(c, np.inf)
+        out = c.min(axis=1)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def cost_rows(self) -> list[list[float]]:
         """The cost matrix as nested lists, for scalar-indexed inner loops."""
         return self.costs.tolist()

@@ -86,11 +86,10 @@ def classify_neighbors(x_star, view, promising: np.ndarray) -> NeighborStats:
     _, d1, d2 = view.split_deltas(x_star)
     dominated = dominated_mask(view.sense, d1, d2)
     n = view.size
-    p_d = int(np.sum(promising & dominated))
-    p_nd = int(np.sum(promising & ~dominated))
-    np_d = int(np.sum(~promising & dominated))
-    np_nd = int(np.sum(~promising & ~dominated))
-    assert p_d + p_nd + np_d + np_nd == n
+    p, d = int(np.count_nonzero(promising)), int(np.count_nonzero(dominated))
+    p_d = int(np.count_nonzero(promising & dominated))
+    p_nd, np_d = p - p_d, d - p_d
+    np_nd = n - p - np_d
     return NeighborStats(
         neighborhood_size=n, sample_size=1,
         p=(p_d + p_nd) / n, np_=(np_d + np_nd) / n,

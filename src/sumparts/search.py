@@ -199,6 +199,85 @@ def _apply_first(view, sol, hit: np.ndarray, d: np.ndarray, budget: Budget) -> b
     return True
 
 
+def _new_edge_bound(nearest: np.ndarray, gain: np.ndarray, pk: np.ndarray, qk: np.ndarray,
+                    c: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """A lower bound on neighbor (pk[i], qk[i])'s deltas over its moves through
+    one new edge and one tour edge, in O(1) work per neighbor.
+
+    With b[x, y] = m[t[x], t[y]] and e[x] = b[x, x+1], a move through the
+    new edge at P = pk[i], of cost c[i], and the tour edge e[x] adds
+    b[P, u] + b[Q, u'] for {u, u'} = {x, x+1} with u != P and u' != Q. So
+    its delta is at least nearest[P] + gain[Q] - c[i], where nearest[y] is
+    t[y]'s least cost to another city and gain[y] the least b[y, u] - e[x]
+    over u != y and the two tour edges x at u. The new edge at Q, of cost
+    c2[i], gives the same with rows P+1 and Q+1.
+    """
+    bound = nearest.take(pk)
+    bound += gain.take(qk)
+    bound -= c
+    at_q = nearest.take(pk + 1)
+    at_q += gain.take(qk + 1, mode="wrap")
+    at_q -= c2
+    return np.minimum(bound, at_q, out=bound)
+
+
+def _new_edge_best(flat: np.ndarray, ix: _TwoOptIndex, pk: np.ndarray, qk: np.ndarray,
+                   scratch: _Scratch) -> np.ndarray:
+    """Neighbor (pk[i], qk[i])'s least delta over the moves through one of its new edges.
+
+    flat is the tour's raveled wrapped position table. A column costs O(n):
+    it scores each new edge against every edge of the neighbor's tour, the
+    other new edge included, as deltas() would on the built neighbor.
+    """
+    v, r = len(ix.col), len(pk)
+    n = v - 1
+    below = ix.below
+    # column i: the tour positions of neighbor i's cities, wrapped, with its
+    # segment [P+1, Q] reversed, so flat[at[j] * v + at[j + 1]] is its edge
+    # at position j
+    lo = pk + 1
+    inside = below.take(qk + 1, axis=1, out=scratch("inside", v, r, dtype=bool), mode="clip")
+    inside ^= below.take(lo, axis=1, out=scratch("mask", v, r, dtype=bool),
+                         mode="clip")  # j <= Q, minus j < P+1
+    at = scratch("at", v, r, dtype=np.intp)
+    rev = scratch("gather", v, r, dtype=np.intp)  # dead before gather is written
+    np.copyto(at, ix.col[:, None])
+    np.copyto(rev, lo + qk)
+    np.subtract(rev, at, out=at, where=inside)
+    at[-1] = 0  # position n wraps to 0, and no segment reaches it
+    gather = scratch("gather", n, r, dtype=np.intp)
+    np.multiply(at[:-1], v, out=gather)
+    gather += at[1:]
+    edge = flat.take(gather, out=scratch("edge", n, r), mode="clip")
+    delta, cost = scratch("delta", n, r), scratch("cost", n, r)
+    before = scratch("mask", n, r, dtype=bool)
+    out = np.full(r, np.inf)
+    cols, step = np.arange(r), np.array([-1, 0, 1])[:, None]
+    # the new edge at position P joins the cities at tour positions P and Q,
+    # the one at Q those at P+1 and Q+1
+    for new, pu, pv in ((pk, pk, qk), (qk, lo, qk + 1)):
+        # moves (j, new) and (new, j): by symmetry the two costs deltas()
+        # adds on the built neighbor, then the edge at the lower position
+        # subtracted first, as there
+        pu = pu * v
+        np.copyto(gather, pu)
+        gather += at[:-1]
+        flat.take(gather, out=delta, mode="clip")
+        np.copyto(gather, pv * v)
+        gather += at[1:]
+        delta += flat.take(gather, out=cost, mode="clip")
+        below[:-1].take(new, axis=1, out=before, mode="clip")  # j < new
+        np.subtract(delta, edge, out=delta, where=before)
+        np.copyto(cost, flat.take(pu + pv))
+        delta -= cost
+        np.logical_not(before, out=before)
+        np.subtract(delta, edge, out=delta, where=before)
+        # adjacent edges: no move
+        delta.ravel().put((new + step) % n * r + cols, np.inf)
+        np.minimum(out, delta.min(axis=0), out=out)
+    return out
+
+
 class TwoOptNeighborhood:
     """2-Opt move space of a TSP instance (optionally split-aware)."""
 
@@ -262,11 +341,12 @@ class TwoOptNeighborhood:
         return _apply_first(self, tour, d < threshold, d, budget)
 
     def two_hop_best(self, tour: Tour, d: np.ndarray):
-        """A function of neighbors ks giving each one's best move delta, and their values.
+        """A function of neighbors ks and thresholds thr flagging which neighbors beat them.
 
-        d holds the tour's own move deltas. Neighbor k's best delta equals
-        deltas(neighbor(tour, k, d[k])).min() bit for bit, and its value that
-        neighbor's value. Neighbor k = (P, Q) keeps the tour's edges at positions
+        d holds the tour's own move deltas. Flag i is exactly
+        deltas(neighbor(tour, ks[i], d[ks[i]])).min() < thr[i], and the minimum
+        is that of deltas() bit for bit, so no tie or rounding moves a flag.
+        Neighbor k = (P, Q) keeps the tour's edges at positions
         L = [0, P-1] and H = [Q+1, n-1], reverses those at R = [P+1, Q-1] and
         adds new ones at P and Q. With b[x, y] = m[t[x], t[y]] and
         e[x] = b[x, x+1], a move of k that removes two of the tour's edges,
@@ -279,12 +359,18 @@ class TwoOptNeighborhood:
         neighbor, in its order: the cost matrix is bitwise symmetric and
         float addition commutes. Their minima over each neighbor's rectangles
         and triangles come from O(n^2) cumulative-min tables built once here,
-        of which one value per move is kept. The function then scores only
-        the ~2n moves through each neighbor's two new edges, so a neighbor
-        costs O(n). The tables are four (n+2)^2 float arrays of the view's
-        scratch, and the cumulative minima run in place in them; the
-        function's blocks also work in scratch. Only the table b and the
-        per-move minima are fresh, so a function stays valid after later calls.
+        of which one value per move is kept. The move through both new edges
+        is one more O(1) value. That leaves the ~2n moves through one new
+        edge and one tour edge, which `_new_edge_best` scores in O(n), and a
+        neighbor gets that only when `_new_edge_bound` minus inst.tol is below
+        thr. The margin is about 1e5 times the worst rounding of the bound's
+        four-term sums, and a NaN bound keeps the neighbor. So a neighbor the
+        bound rules out costs O(1) work and the rest O(n).
+
+        The tables are four (n+2)^2 float arrays of the view's scratch, and
+        the cumulative minima run in place in them; the function's blocks
+        also work in scratch. Only the table b and the per-move minima and
+        bounds are fresh, so a function stays valid after later calls.
         """
         n, w, ix, scratch = self.inst.n, self.inst.n + 2, self._ix, self._scratch
         # the wrapped position table: b's successor rows and columns are
@@ -343,61 +429,40 @@ class TwoOptNeighborhood:
         np.copyto(x, np.inf, where=near)
         np.minimum.accumulate(x[::-1], axis=0, out=x[::-1])
         keep(x, ix.at_rh)  # R x H
-        v = n + 1
         flat = bw.ravel()
-        col, below = ix.col[:, None], ix.below
-        step = np.array([-1, 0, 1])[:, None]
+        # the bound's vectors; gain's b - max(e[u-1], e[u]) is the least of
+        # the two differences bit for bit, as rounding is monotonic
+        nearest = self.inst.nearest.take(tour.order)
+        ends = np.maximum(e, np.roll(e, 1))
+        cut = scratch("delta", n, n)
+        np.copyto(cut, b)
+        cut -= ends
+        np.fill_diagonal(cut, np.inf)  # u = y: no move
+        gain = cut.min(axis=1)
+        # the new edges' costs, at P and at Q, and the move through both, in
+        # _new_edge_best's order, which joins the per-move minima
+        c = flat.take(ix.at_ac, out=cost, mode="clip")
+        c2 = flat.take(ix.at_bd, out=scratch("line", len(P)), mode="clip")
+        both = flat.take(ix.at_ab, out=scratch("delta", len(P)), mode="clip")
+        both += flat.take(ix.at_cd, out=scratch("edge", len(P)), mode="clip")
+        both -= c
+        both -= c2
+        np.minimum(static, both, out=static)
+        bound = _new_edge_bound(nearest, gain, P, Q, c, c2)
+        bound -= self.inst.tol
 
-        def best(ks: np.ndarray):
-            r = len(ks)
-            # column i: the tour positions of neighbor ks[i]'s cities, wrapped,
-            # with its segment [P+1, Q] reversed, so bw[at[j], at[j + 1]] is
-            # its edge at position j
-            pk, qk = P.take(ks), Q.take(ks)
-            lo = pk + 1
-            inside = below.take(qk + 1, axis=1, out=scratch("inside", v, r, dtype=bool),
-                                mode="clip")
-            inside ^= below.take(lo, axis=1, out=scratch("mask", v, r, dtype=bool),
-                                 mode="clip")  # j <= Q, minus j < P+1
-            at = scratch("at", v, r, dtype=np.intp)
-            rev = scratch("gather", v, r, dtype=np.intp)  # dead before gather is written
-            np.copyto(at, col)
-            np.copyto(rev, lo + qk)
-            np.subtract(rev, at, out=at, where=inside)
-            at[-1] = 0  # position n wraps to 0, and no segment reaches it
-            gather = scratch("gather", n, r, dtype=np.intp)
-            np.multiply(at[:-1], v, out=gather)
-            gather += at[1:]
-            edge = flat.take(gather, out=scratch("edge", n, r), mode="clip")
-            delta, cost = scratch("delta", n, r), scratch("cost", n, r)
-            before = scratch("mask", n, r, dtype=bool)
-            out = static.take(ks)
-            cols = np.arange(r)
-            # neighbor k's new edge at its position P joins the cities at
-            # tour positions P and Q, the one at Q those at P+1 and Q+1
-            for new, pu, pv in ((pk, pk, qk), (qk, lo, qk + 1)):
-                # moves (j, new) and (new, j): by symmetry the two costs
-                # deltas() adds on the built neighbor, then the edge at the
-                # lower position subtracted first, as there
-                pu = pu * v
-                np.copyto(gather, pu)
-                gather += at[:-1]
-                flat.take(gather, out=delta, mode="clip")
-                np.copyto(gather, pv * v)
-                gather += at[1:]
-                delta += flat.take(gather, out=cost, mode="clip")
-                below[:-1].take(new, axis=1, out=before, mode="clip")  # j < new
-                np.subtract(delta, edge, out=delta, where=before)
-                np.copyto(cost, flat.take(pu + pv))
-                delta -= cost
-                np.logical_not(before, out=before)
-                np.subtract(delta, edge, out=delta, where=before)
-                # adjacent edges: no move
-                delta.ravel().put((new + step) % n * r + cols, np.inf)
-                np.minimum(out, delta.min(axis=0), out=out)
-            return out, tour.cached_cost + d[ks]
+        def flag(ks: np.ndarray, thr: np.ndarray) -> np.ndarray:
+            hit = static.take(ks) < thr
+            ruled = bound.take(ks) >= thr  # a NaN bound rules nothing out
+            ruled |= hit
+            rest = np.flatnonzero(~ruled)
+            if rest.size:
+                k = ks.take(rest)
+                low = _new_edge_best(flat, ix, P.take(k), Q.take(k), scratch)
+                hit[rest] = low < thr.take(rest)
+            return hit
 
-        return best
+        return flag
 
     def apply(self, tour: Tour, k: int, delta: float):
         """Apply move k in place: reverse tour positions [p[k]+1..q[k]], add delta to the cost."""
@@ -455,18 +520,19 @@ class FlipNeighborhood:
         return _apply_first(self, bv, bv.gains > threshold, bv.gains, budget)
 
     def two_hop_best(self, bv: BitVector, d: np.ndarray):
-        """A function of neighbors ks giving each one's best flip gain, and their values.
+        """A function of neighbors ks and thresholds thr flagging which neighbors beat them.
 
-        d holds bv's own gains. Neighbor k's best gain equals
-        deltas(neighbor(bv, k)).max() bit for bit: its row applies
-        flip_delta_and_update's gain update, q_kj scaled by exactly +-2 and
-        added to the same gains, without copying the solution. A flip's
-        neighborhood shares no structure worth tabulating, so each neighbor
-        costs O(n), and a block's rows are written into the view's scratch.
+        d, bv's own gains, is not read: bv keeps them. Flag i is exactly
+        deltas(neighbor(bv, ks[i])).max() > thr[i], that maximum bit for bit:
+        its row applies flip_delta_and_update's gain update, q_kj scaled by
+        exactly +-2 and added to the same gains, without copying the
+        solution. A flip's neighborhood shares no structure worth tabulating,
+        so each neighbor costs O(n), and a block's rows are written into the
+        view's scratch.
         """
         twice, half = bv.twice, 0.5 * bv.twice
 
-        def best(ks: np.ndarray):
+        def flag(ks: np.ndarray, thr: np.ndarray) -> np.ndarray:
             r, n = len(ks), self.size
             rows, term = self._scratch("rows", r, n), self._scratch("term", r, n)
             self.inst.q.take(ks, axis=0, out=rows, mode="clip")
@@ -477,9 +543,9 @@ class FlipNeighborhood:
             np.copyto(term, bv.gains)
             rows += term
             rows[np.arange(r), ks] = -bv.gains[ks]
-            return rows.max(axis=1), bv.cached_value + d[ks]
+            return rows.max(axis=1) > thr
 
-        return best
+        return flag
 
     def apply(self, bv: BitVector, k: int, delta: float):  # the kernel reads the gain itself
         flip_delta_and_update(self.inst, bv, k)

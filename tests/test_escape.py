@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,24 @@ class TestNds:
             else:
                 exact = tour_cost(inst, out)
             assert abs(view.value(out) - exact) <= EVAL_REL_TOL * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("qubo", [False, True])
+    def test_infinite_fe_cap_is_no_cap(self, qubo):
+        """max_fe=inf means no cap, as Budget.charges_left documents: both escapes
+        return the same solution at the same FE count as under Budget()."""
+        if qubo:
+            inst = random_qubo_instance(40, seed=3, density=0.5)
+        else:
+            inst = random_tsp_instance(30, seed=3)
+        view = neighborhood_for(inst, sample_split(inst, SplitParams(a=-2.0, seed=3)))
+        for seed in range(3):
+            sol = view.random_solution(np.random.default_rng(seed))
+            descend(view, sol, Budget())
+            for escape in (nds, ens):
+                capped, free = Budget(max_fe=math.inf), Budget()
+                got, want = escape(sol, view, capped), escape(sol, view, free)
+                assert capped.consumed_fe == free.consumed_fe
+                assert (got is sol) == (want is sol) and view.value(got) == view.value(want)
 
     def test_requires_split(self):
         inst = random_tsp_instance(6, seed=0)

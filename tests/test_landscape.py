@@ -3,6 +3,7 @@ import pytest
 
 from conftest import brute_force_tsp, half_split
 from sumparts.decomposition import SplitParams, sample_split
+from sumparts.escape import dominated_mask
 from sumparts.instances import random_tsp_instance, tour_cost
 from sumparts.landscape import (
     NeighborStats,
@@ -131,6 +132,25 @@ class TestClassifyNeighbors:
         assert round(s.d * n) == counts[0] + counts[2]
         assert s.p + s.np_ == pytest.approx(1.0, abs=1e-12)
         assert s.d + s.nd == pytest.approx(1.0, abs=1e-12)
+
+    def test_cells_equal_four_mask_sums_on_eil51(self, eil51):
+        """The cells counted from three counts equal the four masks summed one by one."""
+        optima = collect_local_optima(eil51, 3, np.random.default_rng(11))
+        flags = [promising_flags(t, TwoOptNeighborhood(eil51)) for t in optima]
+        for a in (-12.0, -2.0, 0.0, 10.0):
+            view = TwoOptNeighborhood(eil51, sample_split(eil51, SplitParams(a=a, seed=0)))
+            n = view.size
+            for t, promising in zip(optima, flags):
+                _, d1, d2 = view.split_deltas(t)
+                dominated = dominated_mask(view.sense, d1, d2)
+                p_d, p_nd, np_d, np_nd = (int(np.sum(m)) for m in (
+                    promising & dominated, promising & ~dominated,
+                    ~promising & dominated, ~promising & ~dominated))
+                assert classify_neighbors(t, view, promising) == NeighborStats(
+                    neighborhood_size=n, sample_size=1,
+                    p=(p_d + p_nd) / n, np_=(np_d + np_nd) / n,
+                    d=(p_d + np_d) / n, nd=(p_nd + np_nd) / n,
+                    p_d=p_d / n, p_nd=p_nd / n, np_d=np_d / n, np_nd=np_nd / n)
 
     def test_promising_flags_reusable_across_splits(self):
         inst = random_tsp_instance(8, seed=6)

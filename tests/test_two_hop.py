@@ -3,9 +3,9 @@
 The reference loop below materializes every neighbor x', scores its whole
 neighborhood with `first_improvement` and stops at the first x'' strictly
 better than the start. The block scans must agree with it bit for bit: the
-same best delta per neighbor, the same returned solution and the same FE
-charges, also under `max_fe` caps that stop the scan before its first
-neighbor, mid-block and on a block boundary.
+same hit flag per neighbor, at any threshold, the same returned solution
+and the same FE charges, also under `max_fe` caps that stop the scan before
+its first neighbor, mid-block and on a block boundary.
 """
 
 import tracemalloc
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumparts import escape
+from sumparts import escape, search
 from sumparts.decomposition import SplitParams, sample_split
 from sumparts.escape import dominated_mask, ens, nds
 from sumparts.instances import (
@@ -202,40 +202,57 @@ def tsp_costs_view(n, seed, costs):
     return TwoOptNeighborhood(TspInstance(name=inst.name, n=n, costs=c))
 
 
-def scores_in_two_chunks(view, sol, d, ks):
-    """`two_hop_best(sol, d)` of ks, scored in a chunk larger than any block
-    before it on view and then a smaller one. In between, the view scores the
-    first chunk for another solution, which rewrites its scratch."""
-    best_of = view.two_hop_best(sol, d)
+def flags_in_two_chunks(view, sol, d, ks, thr):
+    """`two_hop_best(sol, d)` flags of ks at thresholds thr, in a chunk larger
+    than any block before it on view and then a smaller one. In between, the
+    view flags the first chunk for another solution, which rewrites its scratch."""
+    hits_of = view.two_hop_best(sol, d)
     cut = len(ks) // 2 + 1
-    first = best_of(ks[:cut])
+    first = hits_of(ks[:cut], thr[:cut])
     other = view.random_solution(np.random.default_rng(len(ks)))
-    view.two_hop_best(other, view.deltas(other))(ks[:cut])
-    second = best_of(ks[cut:])
-    return np.concatenate([first[0], second[0]]), np.concatenate([first[1], second[1]])
+    view.two_hop_best(other, view.deltas(other))(ks[:cut], thr[:cut])
+    return np.concatenate([first, hits_of(ks[cut:], thr[cut:])])
+
+
+def new_edge_moves(view, k):
+    """Which moves of neighbor k = (P, Q) remove exactly one of its new edges,
+    the ones at its positions P and Q."""
+    new = [view.p[k], view.q[k]]
+    return np.isin(view.p, new) ^ np.isin(view.q, new)
+
+
+def descended_tour(view, seed, descended):
+    tour = view.random_solution(np.random.default_rng(seed))
+    if descended:  # capped: on thirds a move and its inverse can both read just below 0
+        descend(view, tour, Budget(max_fe=100 * view.size))
+    return tour
+
+
+two_opt_cases = given(n=st.integers(4, 40), seed=st.integers(0, 10_000),
+                      costs=st.sampled_from(["integral", "real", "thirds"]),
+                      descended=st.booleans())
 
 
 class TestTwoHopBest:
     @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(4, 40), seed=st.integers(0, 10_000),
-           costs=st.sampled_from(["integral", "real", "thirds"]), descended=st.booleans())
+    @two_opt_cases
     # these fail when the two subtractions of X or of Z are swapped
     @example(n=8, seed=25, costs="real", descended=False)
     @example(n=8, seed=2, costs="thirds", descended=False)
     @example(n=9, seed=0, costs="thirds", descended=False)
     def test_two_opt_best_equals_row_min(self, n, seed, costs, descended):
+        """No neighbor beats its exact best delta, and every one beats the
+        next float above it: this pins the implied best bit for bit, through
+        the bound that rules neighbors out."""
         view = tsp_costs_view(n, seed, costs)
-        tour = view.random_solution(np.random.default_rng(seed))
-        if descended:  # capped: on thirds a move and its inverse can both read just below 0
-            descend(view, tour, Budget(max_fe=100 * view.size))
+        tour = descended_tour(view, seed, descended)
         d = view.deltas(tour)
         # every neighbor, so also those with lo = 1 and with hi = n - 1
         ks = np.random.default_rng(seed + 1).permutation(view.size)
-        best, values = scores_in_two_chunks(view, tour, d, ks)
-        for k, got, value in zip(ks, best, values):
-            cand = view.neighbor(tour, int(k), float(d[k]))
-            assert got == view.deltas(cand).min()
-            assert value == view.value(cand)
+        best = np.array([view.deltas(view.neighbor(tour, int(k), float(d[k]))).min()
+                         for k in ks])
+        assert not flags_in_two_chunks(view, tour, d, ks, best).any()
+        assert flags_in_two_chunks(view, tour, d, ks, np.nextafter(best, np.inf)).all()
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(8, 40), seed=st.integers(0, 10_000))
@@ -244,12 +261,46 @@ class TestTwoHopBest:
         bv = view.random_solution(np.random.default_rng(seed))
         d = view.deltas(bv)
         ks = np.random.default_rng(seed + 1).permutation(n)
-        best, values = scores_in_two_chunks(view, bv, d, ks)
-        for k, got, value in zip(ks, best, values):
-            cand = view.neighbor(bv, int(k), float(d[k]))
-            assert got == view.deltas(cand).max()
-            assert value == view.value(cand)
+        best = np.array([view.deltas(view.neighbor(bv, int(k), float(d[k]))).max() for k in ks])
+        assert not flags_in_two_chunks(view, bv, d, ks, best).any()
+        assert flags_in_two_chunks(view, bv, d, ks, np.nextafter(best, -np.inf)).all()
         assert np.array_equal(bv.gains, d)  # the start is not flipped
+
+    @settings(max_examples=60, deadline=None)
+    @two_opt_cases
+    def test_bound_is_below_every_new_edge_move(self, n, seed, costs, descended):
+        """The bound less tol is at most neighbor k's least delta over the moves
+        through one of its new edges and one tour edge."""
+        view = tsp_costs_view(n, seed, costs)
+        tour = descended_tour(view, seed, descended)
+        d = view.deltas(tour)
+        real, seen = search._new_edge_bound, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_new_edge_bound", lambda *args: (seen.append(real(*args)),
+                                                                 seen[-1].copy())[1])
+            view.two_hop_best(tour, d)
+        lb, = seen  # every neighbor, in move order
+        for k in range(view.size):
+            moves = new_edge_moves(view, k)
+            if moves.any():
+                cand = view.neighbor(tour, k, float(d[k]))
+                assert lb[k] - view.inst.tol <= view.deltas(cand)[moves].min()
+
+    def test_promising_flags_score_under_a_quarter_of_eil51_neighbors(self, eil51, monkeypatch):
+        """The bound rules out most neighbors of an eil51 optimum: the O(n)
+        column kernel scores fewer than a quarter of them (209 of 1224; 422
+        without gain's u != y), and the flags stay exact."""
+        view = TwoOptNeighborhood(eil51)
+        tour = view.random_solution(np.random.default_rng(4))
+        descend(view, tour, Budget())
+        columns = []
+        kernel = search._new_edge_best
+        monkeypatch.setattr(search, "_new_edge_best",
+                            lambda *args: (columns.append(len(args[2])), kernel(*args))[1])
+        flags = promising_flags(tour, view)
+        assert 0 < sum(columns) < view.size / 4
+        monkeypatch.undo()
+        assert np.array_equal(flags, sequential_promising_flags(tour, view))
 
     def test_eil51_caps_at_real_block_edges(self, eil51):
         """nds/ens against the per-neighbor loop with caps on and next to the
