@@ -10,17 +10,20 @@ Scan order is the same fixed lexicographic order local search uses, so the
 filtered scan consumes a subset of the unfiltered scan's evaluations on the
 same input.
 
-Two-hop scans run in blocks, and `two_hop_best` flags exactly which of a
-block's neighbors succeed: a flip view takes the best of each neighbor's n
-gains, and a 2-Opt view reads O(n^2) tables built once per scan instead of
-scoring the neighbor's n(n-3)/2 moves, so a neighbor costs O(1) work when a
-lower bound rules it out and O(n) otherwise. Only the first neighbor that
+A two-hop scan flags exactly which neighbors succeed, in two stages from
+the view's `two_hop_best`. The screen costs O(1) per neighbor: a 2-Opt view
+reads O(n^2) tables built once per scan instead of scoring the neighbor's
+n(n-3)/2 moves, and flags a neighbor or rules it out with a lower bound. The
+score costs O(n) per neighbor it is left: a 2-Opt view scores the moves
+through the neighbor's new edges, and a flip view, whose screen leaves it
+every neighbor, the neighbor's n gains. The scan screens every neighbor that
+a sequential neighbor-by-neighbor scan would start before `max_fe` runs out
+at once, then scores the survivors in chunks of at most BLOCK_DELTAS // n,
+each chunk ending a block of neighbors. Only the first neighbor that
 succeeds is built, and the view's own `first_improvement` finds its hit.
-FE charges stay exactly those of a sequential neighbor-by-neighbor scan, and
-a block never starts more neighbors than that scan would before `max_fe`
-runs out, so an FE cap still overshoots by at most one scan. A `max_wall`
-budget is checked between blocks, so it can overrun by one block (under
-2 ms on eil51).
+FE charges stay exactly those of the sequential scan, so an FE cap still
+overshoots by at most one scan. A `max_wall` budget is checked before every
+chunk, so it can overrun by one chunk (under 1 ms on eil51).
 """
 
 from __future__ import annotations
@@ -45,36 +48,54 @@ def dominated_mask(sense: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return (d1 <= 0.0) & (d2 <= 0.0) & ((d1 < 0.0) | (d2 < 0.0))
 
 
-# A block of a two-hop scan holds BLOCK_DELTAS // n neighbors: 321 on eil51,
-# 16 on a 1000-variable UBQP, enough to amortize numpy's per-call cost (on
-# eil51, blocks of 13 made ens twice as slow as blocks of 64-321). A block's
-# temporaries, up to about 130 kB each on eil51 (52 x 321 x 8 = 133,536 B),
-# live in the view's scratch: allocated by its first block, reused by later
-# ones.
+# A chunk of a two-hop scan's O(n) score holds up to BLOCK_DELTAS // n of the
+# neighbors its screen leaves: 321 survivors on eil51 (one chunk for all of
+# an optimum's, about 200 of 1224), 16 neighbors on a 1000-variable UBQP,
+# enough to amortize numpy's per-call cost (on eil51, blocks of 13 made ens
+# twice as slow as blocks of 64-321). A chunk's temporaries, up to about
+# 130 kB each on eil51 (52 x 321 x 8 = 133,536 B), live in the view's
+# scratch: allocated by its first chunk, reused by later ones.
 BLOCK_DELTAS = 1 << 14
 
 
-def two_hop_blocks(view, sol, ks, d, budget: Budget):
+def two_hop_blocks(view, sol, ks, d, budget: Budget, *, first_hit: bool):
     """Flag, in order and a block at a time, which of sol's neighbors ks succeed.
 
-    d holds sol's own move deltas. Yields (block, hits): hits[i] says whether
-    neighbor block[i] succeeds, that is, whether one of its moves reaches a
-    solution strictly better than sol. The budget is checked before every
-    block, and a block holds no more neighbors than a sequential scan would
-    start before max_fe runs out; the caller charges what it uses.
+    d holds sol's own move deltas. Yields (block, hits), consecutive slices
+    of ks: hits[i] says whether neighbor block[i] succeeds, that is, whether
+    one of its moves reaches a solution strictly better than sol. Every
+    neighbor a sequential scan would start before max_fe runs out is
+    screened at once; the survivors are then scored in chunks of at most
+    BLOCK_DELTAS // n, and a block ends at its chunk's last survivor (the
+    last block at the end of the screened neighbors). With first_hit the
+    scan ends at the first neighbor the screen flags, so no survivor after
+    it is scored. The budget is checked before every chunk, so a max_wall
+    budget overruns by at most one; the caller charges what it uses of each
+    block.
     """
     f_star = view.value(sol)
-    flag = view.two_hop_best(sol, d)
+    screen, score = view.two_hop_best(sol, d)
+    left = budget.charges_left(view.size)
+    if left < len(ks):
+        ks = ks[:left]
+    # a move of delta x from neighbor k succeeds when x beats
+    # f_star - value(k), both differences as a sequential scan takes them
+    thr = f_star - (f_star + d[ks])
+    hits, rest = screen(ks, thr)
+    if first_hit and hits.any():
+        end = int(hits.argmax()) + 1
+        ks, hits, rest = ks[:end], hits[:end], rest[:np.searchsorted(rest, end)]
     cap = max(1, BLOCK_DELTAS // view.inst.n)
     start = 0
     while start < len(ks):
         if budget.exhausted():
             return
-        block = ks[start:start + min(cap, budget.charges_left(view.size))]
-        # a move of delta x from neighbor k succeeds when x beats
-        # f_star - value(k), both differences as a sequential scan takes them
-        yield block, flag(block, f_star - (f_star + d[block]))
-        start += len(block)
+        chunk, rest = rest[:cap], rest[cap:]
+        if chunk.size:
+            hits[chunk] = score(ks.take(chunk), thr.take(chunk))
+        end = int(chunk[-1]) + 1 if rest.size else len(ks)
+        yield ks[start:end], hits[start:end]
+        start = end
 
 
 def _first_two_hop(view, sol, ks, d, budget: Budget):
@@ -85,7 +106,7 @@ def _first_two_hop(view, sol, ks, d, budget: Budget):
     that one is built, and its own first-improvement scan applies the hit;
     RuntimeError when that scan misses the hit the tables flagged.
     """
-    for block, hits in two_hop_blocks(view, sol, ks, d, budget):
+    for block, hits in two_hop_blocks(view, sol, ks, d, budget, first_hit=True):
         i = int(hits.argmax())
         if not hits[i]:
             budget.charge(len(block) * view.size)

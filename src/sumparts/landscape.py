@@ -73,9 +73,11 @@ def promising_flags(x_star, view) -> np.ndarray:
     """For each neighbor x' of the optimum: does Neighborhood(x') strictly beat it?
 
     Split-independent, so the flags can be reused across decompositions.
-    Exhaustive two-hop scan; ties with the optimum do not count.
+    Exhaustive two-hop scan, whose O(n) score takes every survivor of the
+    screen in as few chunks as fit; ties with the optimum do not count.
     """
-    blocks = two_hop_blocks(view, x_star, np.arange(view.size), view.deltas(x_star), Budget())
+    blocks = two_hop_blocks(view, x_star, np.arange(view.size), view.deltas(x_star), Budget(),
+                            first_hit=False)
     return np.concatenate([hits for _, hits in blocks])
 
 

@@ -9,7 +9,8 @@ from the first move after each accepted move, which makes every seeded run
 exactly reproducible.
 
 The two-hop escape scans (escape.py) keep these charges and this bound, but
-check a `max_wall` budget only between blocks of neighbors.
+check a `max_wall` budget only between chunks of the neighbors they score in
+O(n) work.
 
 Lin-Kernighan is the exception to full scans: its unit of work is one chain,
 anchored at a (city, direction) pair taken from a FIFO queue of active
@@ -24,9 +25,10 @@ import math
 import numbers
 import time
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,6 +201,27 @@ def _apply_first(view, sol, hit: np.ndarray, d: np.ndarray, budget: Budget) -> b
     return True
 
 
+class TwoHopFlags(NamedTuple):
+    """The two stages of a two-hop scan's hit flags, for one solution's neighbors.
+
+    Both take neighbors ks and thresholds thr; neighbor ks[i] is flagged when
+    one of its moves reaches a delta below thr[i] (above, for a maximizing
+    view). `screen` costs O(1) per neighbor and returns (hit, rest): hit[i] is
+    exact for every i outside rest, the increasing positions left for
+    `score`, which costs O(n) per neighbor and is exact for any neighbor the
+    screen does not flag. Calling the pair flags ks exactly, in one chunk.
+    """
+
+    screen: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    score: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __call__(self, ks: np.ndarray, thr: np.ndarray) -> np.ndarray:
+        hit, rest = self.screen(ks, thr)
+        if rest.size:
+            hit[rest] = self.score(ks.take(rest), thr.take(rest))
+        return hit
+
+
 def _new_edge_bound(nearest: np.ndarray, gain: np.ndarray, pk: np.ndarray, qk: np.ndarray,
                     c: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """A lower bound on neighbor (pk[i], qk[i])'s deltas over its moves through
@@ -340,8 +363,8 @@ class TwoOptNeighborhood:
         d = self.deltas(tour)
         return _apply_first(self, tour, d < threshold, d, budget)
 
-    def two_hop_best(self, tour: Tour, d: np.ndarray):
-        """A function of neighbors ks and thresholds thr flagging which neighbors beat them.
+    def two_hop_best(self, tour: Tour, d: np.ndarray) -> TwoHopFlags:
+        """The two stages flagging which of neighbors ks beat thresholds thr.
 
         d holds the tour's own move deltas. Flag i is exactly
         deltas(neighbor(tour, ks[i], d[ks[i]])).min() < thr[i], and the minimum
@@ -361,16 +384,18 @@ class TwoOptNeighborhood:
         and triangles come from O(n^2) cumulative-min tables built once here,
         of which one value per move is kept. The move through both new edges
         is one more O(1) value. That leaves the ~2n moves through one new
-        edge and one tour edge, which `_new_edge_best` scores in O(n), and a
-        neighbor gets that only when `_new_edge_bound` minus inst.tol is below
-        thr. The margin is about 1e5 times the worst rounding of the bound's
-        four-term sums, and a NaN bound keeps the neighbor. So a neighbor the
-        bound rules out costs O(1) work and the rest O(n).
+        edge and one tour edge, which `_new_edge_best` scores in O(n). The
+        screen flags a neighbor from its kept value and leaves it to that
+        score only when `_new_edge_bound` minus inst.tol is below thr. The
+        margin is about 1e5 times the worst rounding of the bound's four-term
+        sums, and a NaN bound keeps the neighbor. So a neighbor the bound
+        rules out costs O(1) work and the rest O(n); the caller sizes the
+        score's chunks, each of whose temporaries is (n+1) floats a column.
 
         The tables are four (n+2)^2 float arrays of the view's scratch, and
-        the cumulative minima run in place in them; the function's blocks
-        also work in scratch. Only the table b and the per-move minima and
-        bounds are fresh, so a function stays valid after later calls.
+        the cumulative minima run in place in them; the score also works in
+        scratch. Only the table b and the per-move minima and bounds are
+        fresh, so both stages stay valid after later calls.
         """
         n, w, ix, scratch = self.inst.n, self.inst.n + 2, self._ix, self._scratch
         # the wrapped position table: b's successor rows and columns are
@@ -433,7 +458,7 @@ class TwoOptNeighborhood:
         # the bound's vectors; gain's b - max(e[u-1], e[u]) is the least of
         # the two differences bit for bit, as rounding is monotonic
         nearest = self.inst.nearest.take(tour.order)
-        ends = np.maximum(e, np.roll(e, 1))
+        ends = np.maximum(e, np.concatenate((e[-1:], e[:-1])))
         cut = scratch("delta", n, n)
         np.copyto(cut, b)
         cut -= ends
@@ -451,18 +476,16 @@ class TwoOptNeighborhood:
         bound = _new_edge_bound(nearest, gain, P, Q, c, c2)
         bound -= self.inst.tol
 
-        def flag(ks: np.ndarray, thr: np.ndarray) -> np.ndarray:
+        def screen(ks: np.ndarray, thr: np.ndarray):
             hit = static.take(ks) < thr
             ruled = bound.take(ks) >= thr  # a NaN bound rules nothing out
             ruled |= hit
-            rest = np.flatnonzero(~ruled)
-            if rest.size:
-                k = ks.take(rest)
-                low = _new_edge_best(flat, ix, P.take(k), Q.take(k), scratch)
-                hit[rest] = low < thr.take(rest)
-            return hit
+            return hit, np.flatnonzero(~ruled)
 
-        return flag
+        def score(ks: np.ndarray, thr: np.ndarray) -> np.ndarray:
+            return _new_edge_best(flat, ix, P.take(ks), Q.take(ks), scratch) < thr
+
+        return TwoHopFlags(screen, score)
 
     def apply(self, tour: Tour, k: int, delta: float):
         """Apply move k in place: reverse tour positions [p[k]+1..q[k]], add delta to the cost."""
@@ -519,20 +542,24 @@ class FlipNeighborhood:
         """Flip the first bit gaining more than threshold (maximization); False if none."""
         return _apply_first(self, bv, bv.gains > threshold, bv.gains, budget)
 
-    def two_hop_best(self, bv: BitVector, d: np.ndarray):
-        """A function of neighbors ks and thresholds thr flagging which neighbors beat them.
+    def two_hop_best(self, bv: BitVector, d: np.ndarray) -> TwoHopFlags:
+        """The two stages flagging which of neighbors ks beat thresholds thr.
 
         d, bv's own gains, is not read: bv keeps them. Flag i is exactly
         deltas(neighbor(bv, ks[i])).max() > thr[i], that maximum bit for bit:
         its row applies flip_delta_and_update's gain update, q_kj scaled by
         exactly +-2 and added to the same gains, without copying the
         solution. A flip's neighborhood shares no structure worth tabulating,
-        so each neighbor costs O(n), and a block's rows are written into the
-        view's scratch.
+        so the screen flags nothing and leaves every neighbor to the score,
+        which costs O(n) per neighbor and writes a chunk's n-float rows into
+        the view's scratch.
         """
         twice, half = bv.twice, 0.5 * bv.twice
 
-        def flag(ks: np.ndarray, thr: np.ndarray) -> np.ndarray:
+        def screen(ks: np.ndarray, thr: np.ndarray):
+            return np.zeros(len(ks), dtype=bool), np.arange(len(ks))
+
+        def score(ks: np.ndarray, thr: np.ndarray) -> np.ndarray:
             r, n = len(ks), self.size
             rows, term = self._scratch("rows", r, n), self._scratch("term", r, n)
             self.inst.q.take(ks, axis=0, out=rows, mode="clip")
@@ -545,7 +572,7 @@ class FlipNeighborhood:
             rows[np.arange(r), ks] = -bv.gains[ks]
             return rows.max(axis=1) > thr
 
-        return flag
+        return TwoHopFlags(screen, score)
 
     def apply(self, bv: BitVector, k: int, delta: float):  # the kernel reads the gain itself
         flip_delta_and_update(self.inst, bv, k)

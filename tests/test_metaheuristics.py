@@ -10,8 +10,10 @@ from sumparts.decomposition import SplitParams, sample_split
 from sumparts.escape import PenaltyConfig, two_hop_blocks
 from sumparts.instances import (
     load_bundled_tsp,
+    parse_orlib_bqp,
     random_qubo_instance,
     random_tsp_instance,
+    synthetic_orlib_text,
 )
 from sumparts.metaheuristics import SolverConfig, run
 from sumparts.search import _two_opt_index
@@ -382,17 +384,29 @@ class TestDeterminism:
 # at 89034, ilk_e at 62025 with warmup, ilk_nde at 137050 with warmup) or
 # mid-exploit (the other ilk_e and ilk_nde rows), and a target ends four runs.
 # On tsp25 an exploit result becomes the new best without warmup.
+# The tsp200 and bqp1000 rows pin two-hop scans that span several O(n)
+# kernel chunks (BLOCK_DELTAS // n = 81 columns at n = 200) or flip blocks
+# (16 rows at n = 1000). At 2e7 ils_nds and ils_ens stop in their first
+# escape; at 6e7 ils_nds stops in its third NDS after two successes and
+# ils_ens still in its first ENS. its_nds stops in the third block of its
+# first NDS at 28500007, and by 3e7 it has failed that whole NDS and run
+# more tabu. These digests were recorded before the scans were chunked by
+# survivors.
 _PINNED_INSTANCES = {
     "eil51": lambda: load_bundled_tsp("eil51"),
     "tsp40": lambda: random_tsp_instance(40, seed=3),
     "tsp25": lambda: random_tsp_instance(25, seed=0),
     "qubo150": lambda: random_qubo_instance(150, seed=2, density=0.1),
+    "tsp200": lambda: random_tsp_instance(200, seed=900),
+    "bqp1000": lambda: parse_orlib_bqp(synthetic_orlib_text(1000, seed=1)),
 }
 _PINNED_SPLITS = {
     "eil51": SplitParams(a=-12.0, seed=0),
     "tsp40": SplitParams(a=2.0, seed=9),
     "tsp25": SplitParams(a=2.0, seed=9),
     "qubo150": SplitParams(a=0.0, seed=1),
+    "tsp200": SplitParams(a=-12.0, seed=1),
+    "bqp1000": SplitParams(a=0.0, seed=1),
 }
 _PINNED_TRACES = {
     "eil51": [
@@ -461,6 +475,16 @@ _PINNED_TRACES = {
         ("its", 123457, 0.0, False, None, "f67268feec56c9d59f0e142e017bff2ed0ae85ac48a8631a88309a972692a9c3"),
         ("ils_ens", 1000000, 0.0, True, 19390.0, "56f543d4c2e9998da74908bc624f1d4ac5bfe70a14afae46019cd381c583e529"),
         ("its", 2000000, 0.0, True, 19390.0, "ce7d92b821e3477efbcaa1255556ca0db15241549a1aa239cf2973b492cb324d"),
+    ],
+    "tsp200": [
+        ("ils_nds", 20000000, 0.0, True, None, "f9b0eab332299861a8f75c157090e49c684db8df5315557ddfbc56ee89d673f9"),
+        ("ils_nds", 60000000, 0.0, True, None, "9354ed6928f6e106614fa033d2fee77e2516e0eaa15023e61d0c58a252a2a5ca"),
+        ("ils_ens", 20000000, 0.0, True, None, "e33fa3f9e7c74902a82b3eaa8de082c3cbb81fdc690f59ed0f33033c4e84013c"),
+        ("ils_ens", 60000000, 0.0, True, None, "1b71999909584317338c8d50bf108ce27cc14493d500852f2bcd5d219c1bbfd6"),
+    ],
+    "bqp1000": [
+        ("its_nds", 28500007, 0.0, True, None, "d1e151edd40d4640f8d5de6d1171eccd900bc63e8d36334d823256b3ebf6067b"),
+        ("its_nds", 30000000, 0.0, True, None, "2cd4f4286197a4d00f7719f6840196a96337e3d593bafd19a7424697fe7f3a1a"),
     ],
 }
 

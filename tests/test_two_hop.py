@@ -5,10 +5,13 @@ neighborhood with `first_improvement` and stops at the first x'' strictly
 better than the start. The block scans must agree with it bit for bit: the
 same hit flag per neighbor, at any threshold, the same returned solution
 and the same FE charges, also under `max_fe` caps that stop the scan before
-its first neighbor, mid-block and on a block boundary.
+its first neighbor, mid-block and on a block boundary. The O(n) stage of a
+2-Opt scan scores only the neighbors its O(1) screen leaves, in chunks whose
+sizes and budget checks `TestChunks` counts.
 """
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -28,7 +31,13 @@ from sumparts.instances import (
     synthetic_orlib_text,
 )
 from sumparts.landscape import promising_flags
-from sumparts.search import Budget, FlipNeighborhood, TwoOptNeighborhood, descend
+from sumparts.search import (
+    Budget,
+    FlipNeighborhood,
+    TwoOptNeighborhood,
+    descend,
+    tabu_search,
+)
 
 
 def sequential_two_hop(view, sol, ks, d, budget):
@@ -322,6 +331,134 @@ class TestTwoHopBest:
                     fe = assert_same_as_sequential(fast, slow, tour, view, cap)
                     assert cap is None or fe - cap <= view.size
         assert past_first_block == {nds, ens}
+
+
+def record_kernel(monkeypatch, view) -> list:
+    """Wrap search._new_edge_best; each call appends its neighbors as move indices."""
+    n = view.inst.n
+    move = np.full((n, n), -1)
+    move[view.p, view.q] = np.arange(view.size)
+    calls, kernel = [], search._new_edge_best
+
+    def counted(flat, ix, pk, qk, scratch):
+        calls.append(move[pk, qk])
+        return kernel(flat, ix, pk, qk, scratch)
+
+    monkeypatch.setattr(search, "_new_edge_best", counted)
+    return calls
+
+
+def escape_neighbors(view, sol, fast):
+    """The neighbors nds or ens scans from sol, and sol's move deltas."""
+    if fast is nds:
+        d, d1, d2 = view.split_deltas(sol)
+        return np.flatnonzero(~dominated_mask(view.sense, d1, d2)), d
+    return np.arange(view.size), view.deltas(sol)
+
+
+def screened(view, sol, ks, d):
+    """The screen's exact flags of ks and the positions it leaves to the score."""
+    f_star = view.value(sol)
+    return view.two_hop_best(sol, d).screen(ks, f_star - (f_star + d[ks]))
+
+
+@dataclass
+class ExhaustedAfter(Budget):
+    """A budget that reads as exhausted from its checks-th check on."""
+
+    checks: int = 1
+
+    def exhausted(self) -> bool:
+        self.checks -= 1
+        return self.checks <= 0 or super().exhausted()
+
+
+def eil51_descended(eil51, seed, with_split=True):
+    view = TwoOptNeighborhood(eil51, sample_split(eil51, SplitParams(a=-12.0, seed=0))
+                              if with_split else None)
+    tour = view.random_solution(np.random.default_rng(seed))
+    descend(view, tour, Budget())
+    return view, tour
+
+
+class TestChunks:
+    """The O(n) score runs on the screen's survivors, in chunks of at most
+    BLOCK_DELTAS // n columns (321 on eil51), and a first-hit scan scores none
+    at or after the first neighbor the screen flags."""
+
+    @pytest.mark.parametrize("columns", [None, 2, 3])
+    def test_promising_flags_score_each_survivor_once(self, eil51, monkeypatch, columns):
+        view, tour = eil51_descended(eil51, 4, with_split=False)
+        if columns is not None:
+            monkeypatch.setattr(escape, "BLOCK_DELTAS", columns * eil51.n)
+        cap = escape.BLOCK_DELTAS // eil51.n
+        calls = record_kernel(monkeypatch, view)
+        flags = promising_flags(tour, view)
+        _, rest = screened(view, tour, np.arange(view.size), view.deltas(tour))
+        assert len(calls) == -(-len(rest) // cap)
+        assert columns is not None or len(calls) == 1
+        assert max(map(len, calls)) <= cap
+        assert np.array_equal(np.concatenate(calls), rest)
+        assert np.array_equal(flags, sequential_promising_flags(tour, view))
+
+    @pytest.mark.parametrize("columns", [None, 2, 3])
+    def test_first_hit_scans_stop_at_the_first_chunk_with_a_hit(self, eil51, monkeypatch,
+                                                               columns):
+        if columns is not None:
+            monkeypatch.setattr(escape, "BLOCK_DELTAS", columns * eil51.n)
+        cap = escape.BLOCK_DELTAS // eil51.n
+        unscored = 0
+        for seed in (0, 1, 2, 3):  # first flags early, late, at 34 and 99, and none
+            view, tour = eil51_descended(eil51, seed)
+            calls = record_kernel(monkeypatch, view)
+            for fast, slow in ((nds, sequential_nds), (ens, sequential_ens)):
+                ks, d = escape_neighbors(view, tour, fast)
+                hit, rest = screened(view, tour, ks, d)
+                first = int(hit.argmax()) if hit.any() else len(ks)
+                before = rest[rest < first]
+                escaped = fast(tour, view, Budget()) is not tour
+                calls.clear()
+                fe = assert_same_as_sequential(fast, slow, tour, view, None)
+                scored = np.concatenate(calls) if calls else np.empty(0, np.intp)
+                want = before
+                if escaped:
+                    at = (fe - view.size - 1) // view.size  # the neighbor that succeeds
+                    if at != first:  # a survivor: its chunk is the last
+                        want = before[:(np.searchsorted(before, at) // cap + 1) * cap]
+                assert np.array_equal(scored, ks[want])
+                assert all(len(c) == cap for c in calls[:-1])
+                assert all(0 < len(c) <= cap for c in calls)
+                unscored += len(rest) - len(scored)
+        assert unscored > 0
+
+    @pytest.mark.parametrize("qubo", [False, True])
+    def test_budget_is_checked_before_every_chunk(self, eil51, monkeypatch, qubo):
+        """A scan whose budget runs out stops at a chunk boundary and charges
+        what the sequential scan charges up to the end of the block before it."""
+        if qubo:  # a tabu optimum, so that nds and ens both fail
+            inst = random_qubo_instance(40, seed=0, density=0.1)
+            view = FlipNeighborhood(inst, sample_split(inst, SplitParams(a=0.0, seed=0)))
+            sol = view.random_solution(np.random.default_rng(0))
+            sol = tabu_search(inst, sol, np.random.default_rng(0), Budget(max_fe=200 * inst.n))
+            descend(view, sol, Budget())
+        else:
+            view, sol = eil51_descended(eil51, 1)
+        monkeypatch.setattr(escape, "BLOCK_DELTAS", 2 * view.inst.n)
+        stopped = 0
+        for fast, slow in ((nds, sequential_nds), (ens, sequential_ens)):
+            ks, d = escape_neighbors(view, sol, fast)
+            hit, rest = screened(view, sol, ks, d)
+            before = rest[rest < (int(hit.argmax()) if hit.any() else len(ks))]
+            for checks in range(1, min(8, (len(before) + 1) // 2 + 1)):
+                budget = ExhaustedAfter(checks=checks)
+                got = fast(sol, view, budget)
+                end = int(before[2 * (checks - 1) - 1]) + 1 if checks > 1 else 0
+                sequential = Budget(max_fe=view.size * (1 + end))
+                want = slow(sol, view, sequential)
+                assert budget.consumed_fe == sequential.consumed_fe
+                assert solution_state(got) == solution_state(want)
+                stopped += got is sol and budget.consumed_fe == view.size * (1 + end) and end > 0
+        assert stopped > 0
 
 
 def warm_peak_bytes(call) -> int:
