@@ -15,11 +15,11 @@ the view's `two_hop_best`. The screen costs O(1) per neighbor: a 2-Opt view
 reads O(n^2) tables built once per scan instead of scoring the neighbor's
 n(n-3)/2 moves, and flags a neighbor or rules it out with a lower bound. The
 score costs O(n) per neighbor it is left: a 2-Opt view scores the moves
-through the neighbor's new edges, and a flip view, whose screen leaves it
-every neighbor, the neighbor's n gains. The scan screens every neighbor that
-a sequential neighbor-by-neighbor scan would start before `max_fe` runs out
-at once, then scores the survivors in chunks of at most BLOCK_DELTAS // n,
-each chunk ending a block of neighbors. Only the first neighbor that
+through the neighbor's new edges, and a flip view, which has no screen, every
+neighbor's n gains. The scan screens every neighbor that a sequential
+neighbor-by-neighbor scan would start before `max_fe` runs out at once, then
+scores the survivors in chunks of at most BLOCK_DELTAS // n, each chunk
+ending a block of neighbors (with no screen, a chunk is a slice). Only the first neighbor that
 succeeds is built, and the view's own `first_improvement` finds its hit.
 FE charges stay exactly those of the sequential scan, so an FE cap still
 overshoots by at most one scan. A `max_wall` budget is checked before every
@@ -67,7 +67,8 @@ def two_hop_blocks(view, sol, ks, d, budget: Budget, *, first_hit: bool):
     neighbor a sequential scan would start before max_fe runs out is
     screened at once; the survivors are then scored in chunks of at most
     BLOCK_DELTAS // n, and a block ends at its chunk's last survivor (the
-    last block at the end of the screened neighbors). With first_hit the
+    last block at the end of the screened neighbors); a view with no screen
+    has every neighbor scored, a slice of ks at a time. With first_hit the
     scan ends at the first neighbor the screen flags, so no survivor after
     it is scored. The budget is checked before every chunk, so a max_wall
     budget overruns by at most one; the caller charges what it uses of each
@@ -78,14 +79,21 @@ def two_hop_blocks(view, sol, ks, d, budget: Budget, *, first_hit: bool):
     left = budget.charges_left(view.size)
     if left < len(ks):
         ks = ks[:left]
+    cap = max(1, BLOCK_DELTAS // view.inst.n)
     # a move of delta x from neighbor k succeeds when x beats
     # f_star - value(k), both differences as a sequential scan takes them
+    if screen is None:  # every neighbor survives: a block is a chunk of ks
+        for start in range(0, len(ks), cap):
+            if budget.exhausted():
+                return
+            block = ks[start:start + cap]
+            yield block, score(block, f_star - (f_star + d[block]))
+        return
     thr = f_star - (f_star + d[ks])
     hits, rest = screen(ks, thr)
     if first_hit and hits.any():
         end = int(hits.argmax()) + 1
         ks, hits, rest = ks[:end], hits[:end], rest[:np.searchsorted(rest, end)]
-    cap = max(1, BLOCK_DELTAS // view.inst.n)
     start = 0
     while start < len(ks):
         if budget.exhausted():

@@ -209,13 +209,17 @@ class TwoHopFlags(NamedTuple):
     view). `screen` costs O(1) per neighbor and returns (hit, rest): hit[i] is
     exact for every i outside rest, the increasing positions left for
     `score`, which costs O(n) per neighbor and is exact for any neighbor the
-    screen does not flag. Calling the pair flags ks exactly, in one chunk.
+    screen does not flag. A view with no O(1) stage has no screen (None), and
+    its score takes every neighbor. Calling the pair flags ks exactly, in one
+    chunk.
     """
 
-    screen: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    screen: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None
     score: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __call__(self, ks: np.ndarray, thr: np.ndarray) -> np.ndarray:
+        if self.screen is None:
+            return self.score(ks, thr)
         hit, rest = self.screen(ks, thr)
         if rest.size:
             hit[rest] = self.score(ks.take(rest), thr.take(rest))
@@ -550,14 +554,10 @@ class FlipNeighborhood:
         its row applies flip_delta_and_update's gain update, q_kj scaled by
         exactly +-2 and added to the same gains, without copying the
         solution. A flip's neighborhood shares no structure worth tabulating,
-        so the screen flags nothing and leaves every neighbor to the score,
-        which costs O(n) per neighbor and writes a chunk's n-float rows into
-        the view's scratch.
+        so there is no screen: the score takes every neighbor, costs O(n) per
+        neighbor and writes a chunk's n-float rows into the view's scratch.
         """
         twice, half = bv.twice, 0.5 * bv.twice
-
-        def screen(ks: np.ndarray, thr: np.ndarray):
-            return np.zeros(len(ks), dtype=bool), np.arange(len(ks))
 
         def score(ks: np.ndarray, thr: np.ndarray) -> np.ndarray:
             r, n = len(ks), self.size
@@ -572,7 +572,7 @@ class FlipNeighborhood:
             rows[np.arange(r), ks] = -bv.gains[ks]
             return rows.max(axis=1) > thr
 
-        return TwoHopFlags(screen, score)
+        return TwoHopFlags(None, score)
 
     def apply(self, bv: BitVector, k: int, delta: float):  # the kernel reads the gain itself
         flip_delta_and_update(self.inst, bv, k)

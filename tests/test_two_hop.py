@@ -359,7 +359,10 @@ def escape_neighbors(view, sol, fast):
 def screened(view, sol, ks, d):
     """The screen's exact flags of ks and the positions it leaves to the score."""
     f_star = view.value(sol)
-    return view.two_hop_best(sol, d).screen(ks, f_star - (f_star + d[ks]))
+    screen = view.two_hop_best(sol, d).screen
+    if screen is None:  # every neighbor survives
+        return np.zeros(len(ks), dtype=bool), np.arange(len(ks))
+    return screen(ks, f_star - (f_star + d[ks]))
 
 
 @dataclass
