@@ -152,7 +152,8 @@ class QuboInstance:
 
     @cached_property
     def units(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero cells i <= j a split draws for: (rows, columns, costs)."""
+        """The nonzero cells i <= j a split draws for: (rows, columns, costs),
+        row-major. An instance built by `_qubo_from_cells` is given them."""
         iu, ju = np.nonzero(np.triu(self.q != 0.0))
         return iu, ju, self.q[iu, ju]
 
@@ -160,6 +161,26 @@ class QuboInstance:
     def _flip_row(self) -> np.ndarray:
         """flip_delta_and_update's product row, written anew by every flip."""
         return np.empty(self.n)
+
+
+def _qubo_from_cells(name: str, n: int, rows: np.ndarray, cols: np.ndarray,
+                     values: np.ndarray) -> QuboInstance:
+    """The UBQP whose cells (rows[k], cols[k]) hold values[k]; all others are 0.
+
+    The cells have rows <= cols and come in row-major order without repeats.
+    Each is mirrored into q, which is checked as any Q is, and the cells
+    whose value is nonzero become the instance's units, so no pass over q
+    has to find them again.
+    """
+    q = np.zeros((n, n), dtype=np.float64)
+    q[rows, cols] = values
+    q[cols, rows] = values
+    inst = QuboInstance(name=name, n=n, q=q)
+    nonzero = values != 0.0
+    if not nonzero.all():
+        rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
+    inst.__dict__["units"] = (rows, cols, values)
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +298,22 @@ def _convert_column(tokens: list[str], convert) -> list:
     return values
 
 
+def _convert_indices(tokens: list[str]) -> list:
+    """_convert_column(tokens, int), calling int once per distinct spelling.
+
+    A column in which over half the tokens are distinct is converted token
+    by token: there the memo costs more than the calls it saves.
+    """
+    distinct = set(tokens)
+    if 2 * len(distinct) > len(tokens):
+        return _convert_column(tokens, int)
+    try:
+        memo = {token: int(token) for token in distinct}
+    except ValueError:
+        return _convert_column(tokens, int)  # the prefix before the first refusal
+    return list(map(memo.__getitem__, tokens))
+
+
 def _first(mask: np.ndarray) -> int:
     """Index of the first True in mask, or its length when there is none."""
     return int(mask.argmax()) if mask.any() else mask.shape[0]
@@ -286,14 +323,26 @@ def parse_orlib_bqp(text: str, name: str = "orlib_bqp") -> QuboInstance:
     """Parse an OR-Library sparse UBQP: header ``n nnz`` then 1-indexed triples.
 
     Each (i, j, value) triple is mirrored into both q[i][j] and q[j][i];
-    entries not listed are zero. Indices are read by Python's int and
-    values by its float. A triple is refused, in this order, when a token
-    does not convert (malformed) or its value is not finite (nan, inf or
-    an overflow such as 1e400), when an index is outside [1, n], and when
-    its pair, in either order, was listed before. Of several bad triples
-    the first in the file is reported. The file has no name line: the
-    instance is called name.
+    entries not listed are zero. Indices are read by Python's int (once
+    per spelling where a column repeats them) and values by its float. A
+    triple is refused, in this order, when a token does not convert
+    (malformed) or its value is not finite (nan, inf or an overflow such as
+    1e400), when an index is outside [1, n], and when its pair, in either
+    order, was listed before. Of several bad triples the first in the file
+    is reported, and q is allocated only once every triple has passed. The
+    file has no name line: the instance is called name.
     """
+    n, pairs, order, values = _checked_triples(text)
+    # sorted only now, after the checks' token lists are freed: the arrays the
+    # instance keeps then fill their space instead of landing above it
+    cells = pairs[order]
+    return _qubo_from_cells(name, n, cells // n, cells % n, values[order])
+
+
+def _checked_triples(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """parse_orlib_bqp's checks. Returns n, each triple's cell i <= j as the
+    flat index i * n + j (in file order), the order that sorts them, and
+    the values."""
     tokens = text.split()
     _require(len(tokens) >= 2, "missing header (n, nonzero count)")
     try:
@@ -304,12 +353,14 @@ def parse_orlib_bqp(text: str, name: str = "orlib_bqp") -> QuboInstance:
     _require(nnz >= 0, f"bad nonzero count {nnz}")
     _require(len(tokens) == 2 + 3 * nnz,
              f"expected {3 * nnz} triple tokens, found {len(tokens) - 2}")
-    q = np.zeros((n, n), dtype=np.float64)
+    # a q numpy cannot shape (n >= 2**30) is refused with np.zeros's own error;
+    # a zero-stride view asks without holding memory. Below that, i * n + j fits.
+    np.ndarray((n, n), np.float64, buffer=np.zeros(1), strides=(0, 0))
 
     # each check runs on the triples before every earlier check's first
     # failure, so the first failing triple is reported with its first fault
-    ii = _convert_column(tokens[2::3], int)
-    jj = _convert_column(tokens[3::3], int)
+    ii = _convert_indices(tokens[2::3])
+    jj = _convert_indices(tokens[3::3])
     vv = _convert_column(tokens[4::3], float)
     converted = min(len(ii), len(jj), len(vv))
     values = np.array(vv[:converted], dtype=np.float64)
@@ -334,9 +385,7 @@ def parse_orlib_bqp(text: str, name: str = "orlib_bqp") -> QuboInstance:
         k = finite
         fault = "non-finite value in" if k < converted else "malformed"
         raise ParseError(f"{fault} triple #{k + 1}: {tuple(tokens[2 + 3 * k: 5 + 3 * k])}")
-    q[i, j] = values
-    q[j, i] = values
-    return QuboInstance(name=name, n=n, q=q)
+    return n, pairs, order, values
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +577,10 @@ def random_tsp_instance(n: int, seed: int) -> TspInstance:
 def random_qubo_instance(n: int, seed: int, density: float = 0.1) -> QuboInstance:
     """Random symmetric UBQP in the OR-Library style (uniform integers in [-100, 100])."""
     rng = np.random.default_rng(np.random.SeedSequence([0x9B05, seed]))
-    q = np.zeros((n, n))
     iu, ju = np.triu_indices(n)
     mask = rng.random(iu.shape[0]) < density
     vals = rng.integers(-100, 101, size=iu.shape[0]).astype(np.float64)
-    q[iu[mask], ju[mask]] = vals[mask]
-    q[ju[mask], iu[mask]] = vals[mask]
-    return QuboInstance(name=f"randq{n}-{seed}", n=n, q=q)
+    return _qubo_from_cells(f"randq{n}-{seed}", n, iu[mask], ju[mask], vals[mask])
 
 
 def brute_force_tsp(inst: TspInstance) -> float:

@@ -151,6 +151,14 @@ def test_solve_refuses_non_finite_numbers(tmp_path, capsys, text, error):
     assert capsys.readouterr().err.strip() == error
 
 
+def test_solve_refuses_malformed_triple_under_huge_header(tmp_path, capsys):
+    # the header's 10**6 variables would need a 7.3 TiB matrix: nothing is allocated
+    path = tmp_path / "huge.sparse"
+    path.write_text("1000000 1\n1 1 x\n")
+    assert main(["solve", "--alg", "its", "--instance", str(path), "--max-fe", "100"]) == 2
+    assert capsys.readouterr().err.strip() == "error: malformed triple #1: ('1', '1', 'x')"
+
+
 def test_solve_refuses_coordinates_whose_costs_overflow(tmp_path, capsys):
     # a squared distance overflows at 1e200, a coordinate difference at +-1e308;
     # neither may print a numpy warning before the error

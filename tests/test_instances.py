@@ -1,9 +1,11 @@
+import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import half_split, make_tour
@@ -13,6 +15,7 @@ from sumparts.instances import (
     ParseError,
     QuboInstance,
     TspInstance,
+    _convert_indices,
     build_neighbor_lists,
     flip_delta_and_update,
     make_bitvector,
@@ -196,13 +199,8 @@ class TestParseOrlib:
 
     def test_shuffled_and_mirrored_file_matches_reference(self):
         rng = np.random.default_rng(5)
-        lines = synthetic_orlib_text(300, seed=3).splitlines()
-        triples = [line.split() for line in lines[1:]]
-        for t in triples:
-            if rng.random() < 0.5:
-                t[0], t[1] = t[1], t[0]
-        triples = [triples[k] for k in rng.permutation(len(triples))]
-        text = "\n".join([lines[0]] + [" ".join(t) for t in triples])
+        triples = _shuffled_and_mirrored_bqp300(rng)
+        text = "\n".join([f"300 {len(triples)}"] + [" ".join(t) for t in triples])
         inst, ref = parse_orlib_bqp(text), reference_parse_orlib_bqp(text)
         assert inst.q.tobytes() == ref.q.tobytes()
         # mirrored copies of many triples, appended in another order: the
@@ -216,6 +214,50 @@ class TestParseOrlib:
         for parse in (parse_orlib_bqp, reference_parse_orlib_bqp):
             with pytest.raises(ParseError, match=re.escape(message) + "$"):
                 parse(late)
+
+    def test_huge_header_with_a_bad_triple_allocates_no_matrix(self):
+        # a 10**6-variable Q would take 7.3 TiB: the triple must be refused first
+        with pytest.raises(ParseError, match=re.escape("malformed triple #1: ('1', '1', 'x')") + "$"):
+            parse_orlib_bqp("1000000 1\n1 1 x\n")
+        n = 2**30 - 1  # the largest n numpy can shape as float64
+        with pytest.raises(ParseError, match=re.escape(f"triple #1 index out of [1, {n}]: (0, 1)")):
+            parse_orlib_bqp(f"{n} 1\n0 1 5\n")
+
+    @pytest.mark.parametrize("n", [2**30, 2**63, 10**30])
+    def test_shape_numpy_refuses_is_refused_before_the_triples(self, n):
+        with pytest.raises(ValueError) as want:
+            np.zeros((n, n))
+        with pytest.raises(ValueError, match=re.escape(str(want.value)) + "$"):
+            parse_orlib_bqp(f"{n} 1\n1 1 x\n")
+
+    def test_synthetic_texts_are_unchanged(self):
+        # the benchmark reads these texts: their bytes must stay as they are
+        for (n, seed), digest in {
+            (1000, 1): "da3f17689561ce19cb69f264845e651477130a78bc6b17ebd68df251e88847a1",
+            (300, 3): "fecf91ea94d0921791f9d61d56b9e7153106d5f092cd539a9fb6cf89739ab2ed",
+        }.items():
+            assert hashlib.sha256(synthetic_orlib_text(n, seed).encode()).hexdigest() == digest
+
+    def test_parsed_units_cost_no_allocation(self):
+        inst = parse_orlib_bqp(synthetic_orlib_text(1000, seed=1))
+        tracemalloc.start()
+        try:
+            units = inst.units
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert units[0].shape == (49744,)
+        assert peak < 1024  # recomputing them from q peaks near 3 MB
+
+
+def _shuffled_and_mirrored_bqp300(rng):
+    """The triples of synthetic_orlib_text(300, 3), about half of them listed
+    as (j, i), in an order drawn from rng."""
+    triples = [line.split() for line in synthetic_orlib_text(300, seed=3).splitlines()[1:]]
+    for t in triples:
+        if rng.random() < 0.5:
+            t[0], t[1] = t[1], t[0]
+    return [triples[k] for k in rng.permutation(len(triples))]
 
 
 def reference_parse_orlib_bqp(text: str) -> QuboInstance:
@@ -308,6 +350,72 @@ def test_parse_orlib_matches_scalar_reference(text):
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
         assert got[1].tobytes() == want[1].tobytes()
+
+
+def assert_units_match_q(inst):
+    """inst.units, however the instance got them, equal a pass over its q."""
+    iu, ju = np.nonzero(np.triu(inst.q != 0.0))
+    for got, want in zip(inst.units, (iu, ju, inst.q[iu, ju]), strict=True):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_orlib_texts())
+@example("3 5\n2 1 5\n3 3 -0\n1 1 0\n3 2 -7\n2 2 0.5\n")  # (j, i), zeros, diagonal
+@example("1 1\n1 1 -0\n")
+@example("4 0\n")
+def test_parsed_units_match_q(text):
+    try:
+        inst = parse_orlib_bqp(text)
+    except ValueError:  # a ParseError, or numpy refusing a huge n's shape
+        return
+    assert_units_match_q(inst)
+
+
+def test_shuffled_and_mirrored_file_units_match_q():
+    triples = _shuffled_and_mirrored_bqp300(np.random.default_rng(5))
+    inst = parse_orlib_bqp("\n".join([f"300 {len(triples)}"] + [" ".join(t) for t in triples]))
+    assert_units_match_q(inst)
+    assert inst.units[0].shape[0] == len(triples)  # synthetic texts list no zeros
+
+
+@pytest.mark.parametrize("n, seed, density", [
+    (1, 0, 1.0), (2, 4, 0.5), (7, 3, 0.0), (30, 1, 0.1), (50, 2, 1.0), (150, 2, 0.1)])
+def test_random_qubo_units_match_q(n, seed, density):
+    assert_units_match_q(random_qubo_instance(n, seed, density))
+
+
+def _sequential_int_prefix(tokens):
+    """int of each token up to the first it refuses, one call per token."""
+    values = []
+    for token in tokens:
+        try:
+            values.append(int(token))
+        except ValueError:
+            break
+    return values
+
+
+@pytest.mark.parametrize("tokens", [
+    [],
+    ["1", "2", "1", "1", "3", "2"],
+    ["1_0", "10", "+3", "3", "03", "\u0663", "1_0", "\u0663"],
+    [str(10**30), f"-{10**30}", str(2**63), "-1", "0", str(10**30)],
+    ["x", "1", "1"],
+    ["1", "2", "1", "x", "2", "y"],
+    ["1", "1.0", "1"],
+    ["\u0663", "1__0", "\u0663"],
+], ids=["empty", "repeats", "spellings", "beyond-int64", "refused-first",
+        "refused-after-valid", "float-spelling", "bad-underscore"])
+def test_index_memo_matches_sequential_int(tokens):
+    # three copies hold at most a third distinct tokens, so they take the memo
+    for column in (tokens, tokens * 3):
+        got = _convert_indices(column)
+        want = _sequential_int_prefix(column)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sumparts.metaheuristics as mh
+import sumparts.search as search
 from conftest import brute_force_qubo, brute_force_tsp, half_split
 from sumparts.decomposition import SplitParams, sample_split
 from sumparts.escape import PenaltyConfig, two_hop_blocks
@@ -384,14 +385,18 @@ class TestDeterminism:
 # at 89034, ilk_e at 62025 with warmup, ilk_nde at 137050 with warmup) or
 # mid-exploit (the other ilk_e and ilk_nde rows), and a target ends four runs.
 # On tsp25 an exploit result becomes the new best without warmup.
-# The tsp200 and bqp1000 rows pin two-hop scans that span several O(n)
-# kernel chunks (BLOCK_DELTAS // n = 81 columns at n = 200) or flip blocks
-# (16 rows at n = 1000). At 2e7 ils_nds and ils_ens stop in their first
-# escape; at 6e7 ils_nds stops in its third NDS after two successes and
-# ils_ens still in its first ENS. its_nds stops in the third block of its
-# first NDS at 28500007, and by 3e7 it has failed that whole NDS and run
-# more tabu. These digests were recorded before the scans were chunked by
-# survivors.
+# The tsp200 ils_nds/ils_ens and bqp1000 rows pin two-hop scans that span
+# several O(n) kernel chunks (BLOCK_DELTAS // n = 81 columns at n = 200) or
+# flip blocks (16 rows at n = 1000). At 2e7 ils_nds and ils_ens stop in
+# their first escape; at 6e7 ils_nds stops in its third NDS after two
+# successes and ils_ens still in its first ENS. its_nds stops in the third
+# block of its first NDS at 28500007, and by 3e7 it has failed that whole
+# NDS and run more tabu; these digests were recorded before the scans were
+# chunked by survivors. By 40000003 a later tabu call has skipped idle
+# periods. The tsp200 ils row and the tsp500 row stop in their first 2-Opt
+# descent, the latter several hundred full scans of 124,250 deltas into it;
+# the tsp400 rows run LK at a size where which side of a move is reversed
+# matters, ilk_nde through five exploits.
 _PINNED_INSTANCES = {
     "eil51": lambda: load_bundled_tsp("eil51"),
     "tsp40": lambda: random_tsp_instance(40, seed=3),
@@ -399,6 +404,8 @@ _PINNED_INSTANCES = {
     "qubo150": lambda: random_qubo_instance(150, seed=2, density=0.1),
     "tsp200": lambda: random_tsp_instance(200, seed=900),
     "bqp1000": lambda: parse_orlib_bqp(synthetic_orlib_text(1000, seed=1)),
+    "tsp500": lambda: random_tsp_instance(500, seed=900),
+    "tsp400": lambda: random_tsp_instance(400, seed=900),
 }
 _PINNED_SPLITS = {
     "eil51": SplitParams(a=-12.0, seed=0),
@@ -407,6 +414,8 @@ _PINNED_SPLITS = {
     "qubo150": SplitParams(a=0.0, seed=1),
     "tsp200": SplitParams(a=-12.0, seed=1),
     "bqp1000": SplitParams(a=0.0, seed=1),
+    "tsp500": SplitParams(a=-12.0, seed=1),
+    "tsp400": SplitParams(a=2.0, seed=9),
 }
 _PINNED_TRACES = {
     "eil51": [
@@ -477,6 +486,7 @@ _PINNED_TRACES = {
         ("its", 2000000, 0.0, True, 19390.0, "ce7d92b821e3477efbcaa1255556ca0db15241549a1aa239cf2973b492cb324d"),
     ],
     "tsp200": [
+        ("ils", 2000003, 0.0, True, None, "c0d0f2e3113b650f60bc911f3bf3db01bb5fdda699368239520cd1be3ba493c1"),
         ("ils_nds", 20000000, 0.0, True, None, "f9b0eab332299861a8f75c157090e49c684db8df5315557ddfbc56ee89d673f9"),
         ("ils_nds", 60000000, 0.0, True, None, "9354ed6928f6e106614fa033d2fee77e2516e0eaa15023e61d0c58a252a2a5ca"),
         ("ils_ens", 20000000, 0.0, True, None, "e33fa3f9e7c74902a82b3eaa8de082c3cbb81fdc690f59ed0f33033c4e84013c"),
@@ -485,6 +495,14 @@ _PINNED_TRACES = {
     "bqp1000": [
         ("its_nds", 28500007, 0.0, True, None, "d1e151edd40d4640f8d5de6d1171eccd900bc63e8d36334d823256b3ebf6067b"),
         ("its_nds", 30000000, 0.0, True, None, "2cd4f4286197a4d00f7719f6840196a96337e3d593bafd19a7424697fe7f3a1a"),
+        ("its_nds", 40000003, 0.0, True, None, "f35f16848122de192b54edced5808518037e674668ba5bfc3c9e0549e365dd1e"),
+    ],
+    "tsp500": [
+        ("ils", 100003, 0.0, True, None, "4e9b6478f8ac7d4a2aef8b0fa43154b47e23b68073e20d48f53115e487d5dc01"),
+    ],
+    "tsp400": [
+        ("ilk", 300007, 0.0, True, None, "7265dea878f0bc2036fedc0991b1da9d68a7ffd33a2b451f250799a41254938d"),
+        ("ilk_nde", 300007, 0.0, True, None, "aa2c0a670ab3ac67f42f73857d6436703bdb40b12356b9a5caff061e2808636b"),
     ],
 }
 
@@ -503,6 +521,28 @@ class TestPinnedTraces:
             if hashlib.sha256(csv.encode()).hexdigest() != digest:
                 changed.append((alg, max_fe, warmup, with_split, target))
         assert changed == []
+
+
+def test_bqp1000_pin_skips_tabu_moves(monkeypatch):
+    # the 40000003 row covers the tabu skip: some call charges more moves than it flips
+    flips = []
+    real_flip = search._flip
+    monkeypatch.setattr(search, "_flip", lambda *args: (flips.append(1), real_flip(*args))[1])
+    calls = []
+    real_tabu = mh.tabu_search
+
+    def counting(inst, bv, rng, budget):
+        flipped, fe = len(flips), budget.consumed_fe
+        best = real_tabu(inst, bv, rng, budget)
+        calls.append(((budget.consumed_fe - fe) // inst.n, len(flips) - flipped))
+        return best
+
+    monkeypatch.setattr(mh, "tabu_search", counting)
+    run(SolverConfig(algorithm="its_nds", seed=1, max_fe=40000003, split=_PINNED_SPLITS["bqp1000"],
+                     penalty=PenaltyConfig(rounds=5, k_edges=3), neighbor_k=8),
+        _PINNED_INSTANCES["bqp1000"]())
+    assert len(calls) >= 2
+    assert any(charged > flipped for charged, flipped in calls)
 
 
 class TestStepLookup:
